@@ -5,7 +5,7 @@ from .assembly import (SparseOperator, VelocityModel, assemble_convection,
                        lumped_masses)
 from .bench import (ProblemSpec, convergence_study, dissipation, dmp_audit,
                     error_norms, local_dmp_audit, make_problem)
-from .mesh import Mesh2D, P1, Q1, build_structured, symmetric_value, triangle_fan
+from .mesh import Mesh2D, P1, Q1, build_structured, triangle_fan
 from .solvers import (SolverReport, anderson_solve, line_search, newton_solve,
                       project_admissible)
 from .stabilization import (StabParams, assemble_B, assemble_nonlinear_mass,
@@ -27,6 +27,6 @@ __all__ = [
     "graph_seminorm", "limiter_f", "line_search", "local_dmp_audit",
     "lumped_masses", "make_problem", "newton_solve", "project_admissible",
     "run_steady", "run_transient", "smooth_abs_lower", "smooth_abs_upper",
-    "smooth_max", "step_backward_euler", "symmetric_value", "triangle_fan",
+    "smooth_max", "step_backward_euler", "triangle_fan",
     "viscosity", "viscosity_symmetric_mass",
 ]

@@ -22,16 +22,17 @@ _G2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 
 class Pattern:
-    """Adjacency-graph sparsity pattern with transpose and edge index maps."""
+    """Adjacency-graph sparsity pattern with transpose and edge index maps.
+
+    ``indptr``/``indices`` are the mesh's CSR adjacency; the off-diagonal
+    entries ``edge_pos`` are the mesh's node pairs, in the same order.
+    """
 
     def __init__(self, mesh):
-        counts = np.array([len(nb) for nb in mesh.neighborhoods])
-        self.n = mesh.n_nodes
-        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.indptr[1:])
-        self.indices = np.concatenate(mesh.neighborhoods)
+        self.n = n = mesh.n_nodes
+        self.indptr, self.indices = mesh.adj_ptr, mesh.adj_idx
         self.nnz = int(self.indptr[-1])
-        self.rows = np.repeat(np.arange(self.n), counts)
+        self.rows = np.repeat(np.arange(n), np.diff(self.indptr))
         self.cols = self.indices
         # pattern is symmetric: position of (j, i) for each stored (i, j)
         self.transpose_pos = np.lexsort((self.rows, self.cols))
@@ -41,19 +42,19 @@ class Pattern:
         self.edge_rows = self.rows[self.edge_pos]
         self.edge_cols = self.cols[self.edge_pos]
         self.edge_transpose_pos = self.transpose_pos[self.edge_pos]
-        self._entry_lut = {(int(r), int(c)): k
-                           for k, (r, c) in enumerate(zip(self.rows, self.cols))}
+        # stored entries in row-major order are sorted by row*n + col
+        self._keys = self.rows * n + self.cols
         # map element-local (a, b) pairs to data positions, for bincount assembly
-        nloc = mesh.elements.shape[1]
-        emap = np.empty((mesh.n_elements, nloc, nloc), dtype=np.int64)
-        for e, conn in enumerate(mesh.elements):
-            for a in range(nloc):
-                for b in range(nloc):
-                    emap[e, a, b] = self._entry_lut[(int(conn[a]), int(conn[b]))]
-        self.element_map = emap
+        conn = mesh.elements
+        self.element_map = self.position(conn[:, :, None], conn[:, None, :])
 
     def position(self, i, j):
-        return self._entry_lut[(int(i), int(j))]
+        """Data position of each stored entry (i, j); KeyError if absent."""
+        key = np.asarray(i) * self.n + np.asarray(j)
+        pos = np.searchsorted(self._keys, key)
+        if not np.array_equal(self._keys[np.minimum(pos, self.nnz - 1)], key):
+            raise KeyError((i, j))
+        return pos
 
 
 @dataclass
@@ -286,9 +287,7 @@ def assemble_forcing(mesh, g):
 
 def graph_seminorm(mesh, w):
     """sqrt(1/2 sum_i sum_{j in N_i} (w_i - w_j)^2), the graph-Laplacian seminorm."""
+    pat = pattern(mesh)
     w = np.asarray(w, dtype=float)
-    total = 0.0
-    for i, nb in enumerate(mesh.neighborhoods):
-        d = w[i] - w[nb]
-        total += float(d @ d)
-    return float(np.sqrt(0.5 * total))
+    d = w[pat.edge_rows] - w[pat.edge_cols]
+    return float(np.sqrt(0.5 * (d @ d)))

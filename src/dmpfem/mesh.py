@@ -1,19 +1,30 @@
-"""Conforming 2D meshes (structured Q1 quads and P1 triangles) with the node
-neighborhoods and symmetric-point geometry needed by the shock detector.
+"""Conforming 2D meshes (structured Q1 quads and P1 triangles) with the
+adjacency and symmetric-point geometry needed by the shock detector, held in
+flat arrays.
 
-A mesh is immutable after construction.  For every node ``i`` the macroelement
-``Omega_i`` is the union of elements touching ``i``; ``neighborhoods[i]`` is
-the set of nodes of those elements (including ``i`` itself).  For each
-neighbor ``j`` of ``i`` the *symmetric point* is the intersection of the ray
-from ``x_i`` away from ``x_j`` with the macroelement boundary.  On structured
+A mesh is immutable after construction.  For every node ``i`` the
+macroelement ``Omega_i`` is the union of elements touching ``i``; its nodes,
+``i`` itself included, are row ``i`` of the CSR adjacency
+``adj_idx[adj_ptr[i]:adj_ptr[i + 1]]``, sorted ascending.  The off-diagonal
+adjacency entries, in row-major order, are the node *pairs*: pair ``p`` joins
+``pair_i[p]`` to its neighbor ``pair_j[p]``.
+
+For each pair the *symmetric point* is the intersection of the ray from
+``x_i`` away from ``x_j`` with the macroelement boundary.  On structured
 meshes it coincides with the mirrored node; on general patches it may fall in
 the interior of an element edge, and on the domain boundary it may not exist
-at all (the ray immediately leaves the domain).
+at all (the ray immediately leaves the domain), where ``has_sym[p]`` is
+False.  Where it exists, ``u_h`` there is the fixed linear combination
+``sym_coefs`` of the nodal values ``sym_cols`` over the run
+``sym_ptr[p]:sym_ptr[p + 1]``: a single node with weight one when the point is
+a mesh node, the element's nodes otherwise.  ``sym_dist[p]`` is
+``|x_sym - x_i|`` and ``sym_point[p]`` is ``x_sym`` (both NaN where absent).
+
+``boundary_edges`` lists the element sides seen exactly once as ``(a, b)``
+with ``a < b``, in the order the elements first visit them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,23 +35,64 @@ P1 = "p1"
 # existing node is snapped to that node
 _SNAP_REL = 1e-9
 
+# node pairs per block of the geometric symmetric-point search; keeps its
+# per-candidate-side temporaries to a few tens of MB
+_RAY_BLOCK = 1 << 15
 
-@dataclass(frozen=True)
-class SymPoint:
-    """Symmetric point of neighbor j with respect to node i.
 
-    ``u_h(x_sym)`` is always a fixed linear combination of nodal values,
-    recorded in ``cols``/``coefs`` (a single node with weight one when the
-    point is a mesh node).
+def row_norms(d):
+    """Euclidean norms of the rows of d, rounded exactly as np.linalg.norm
+    rounds each row on its own (hypot and norm(axis=1) differ in the last
+    bit)."""
+    return np.sqrt(np.vecdot(d, d))
+
+
+def _offsets(counts):
+    """CSR offsets of consecutive runs with the given lengths."""
+    ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def _runs(ptr, rows):
+    """Concatenated CSR runs ptr[r]:ptr[r+1] of the given rows.
+
+    Returns (owner, pos, starts): the index into ``rows`` and the CSR
+    position of each entry, and where each run begins in the concatenation.
     """
+    counts = ptr[rows + 1] - ptr[rows]
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(rows.size), counts)
+    pos = np.arange(owner.size) - starts[owner] + ptr[rows][owner]
+    return owner, pos, starts
 
-    kind: str                 # "node" | "point"
-    dist: float               # |x_sym - x_i|
-    point: tuple[float, float]
-    node: int | None = None
-    element: int | None = None
-    cols: tuple[int, ...] = ()
-    coefs: tuple[float, ...] = ()
+
+def _first_true(mask, starts):
+    """Index of the first True in each (non-empty) run; mask.size if none."""
+    idx = np.where(mask, np.arange(mask.size), mask.size)
+    return np.minimum.reduceat(idx, starts)
+
+
+def _ray_exits(coords, xi, d, side_ptr, rows, side_a, side_b):
+    """Exit of each ray x_i + t d (t > 0) through the candidate sides
+    [a, b] of its node: (smallest t, or inf without a hit; index of the
+    earliest candidate side attaining it).  Near-parallel sides are skipped.
+    """
+    owner, cand, starts = _runs(side_ptr, rows)
+    dc = d[owner]
+    a, b = coords[side_a[cand]], coords[side_b[cand]]
+    m01, m11 = a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]
+    det = dc[:, 0] * m11 - m01 * dc[:, 1]
+    scale = np.maximum(row_norms(d)[owner], row_norms(b - a))
+    rhs = a - xi[owner]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rhs[:, 0] * m11 - rhs[:, 1] * m01) / det
+        s = (dc[:, 0] * rhs[:, 1] - dc[:, 1] * rhs[:, 0]) / det
+    hit = (~(np.abs(det) < 1e-14 * scale * scale) & (t > 1e-12)
+           & (s >= -1e-12) & (s <= 1 + 1e-12))
+    t = np.where(hit, t, np.inf)
+    best_t = np.minimum.reduceat(t, starts)
+    return best_t, cand[_first_true(t == best_t[owner], starts)]
 
 
 class Mesh2D:
@@ -68,50 +120,60 @@ class Mesh2D:
 
         self._build_adjacency()
         self._build_boundary()
-        self._build_sym_info()
+        if structured_shape is not None:
+            self._sym_structured()
+        else:
+            self._sym_geometric()
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
 
     def _build_adjacency(self):
-        neigh = [set() for _ in range(self.n_nodes)]
-        node_elems = [[] for _ in range(self.n_nodes)]
-        for e, conn in enumerate(self.elements):
-            for a in conn:
-                neigh[a].update(conn)
-                node_elems[a].append(e)
-        self.neighborhoods = [np.array(sorted(s), dtype=np.int64) for s in neigh]
-        self.node_elements = [np.array(es, dtype=np.int64) for es in node_elems]
-
-    def _element_edges(self, conn):
-        k = len(conn)
-        return [(conn[a], conn[(a + 1) % k]) for a in range(k)]
+        n, conn = self.n_nodes, self.elements
+        # distinct (row, col) keys by sorting: np.unique's hash-based path
+        # is about 20x slower on these arrays
+        keys = np.sort((conn[:, :, None] * n + conn[:, None, :]).ravel())
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
+        rows, self.adj_idx = np.divmod(keys, n)
+        self.adj_ptr = _offsets(np.bincount(rows, minlength=n))
+        off = rows != self.adj_idx
+        self.pair_i, self.pair_j = rows[off], self.adj_idx[off]
 
     def _build_boundary(self):
-        # boundary edges are element sides seen exactly once
-        count = {}
-        for conn in self.elements:
-            for a, b in self._element_edges(conn):
-                key = (a, b) if a < b else (b, a)
-                count[key] = count.get(key, 0) + 1
+        # element sides (conn[a], conn[a+1 mod k]); boundary sides are seen once
+        a = self.elements.ravel()
+        b = np.roll(self.elements, -1, axis=1).ravel()
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        _, first, counts = np.unique(lo * self.n_nodes + hi,
+                                     return_index=True, return_counts=True)
+        order = np.argsort(first)
+        first, counts = first[order], counts[order]
+        # every side once, first-seen order: the mean is summed in that order
+        sides = np.column_stack([lo[first], hi[first]])
+        lengths = row_norms(self.coords[sides[:, 0]] - self.coords[sides[:, 1]])
+        self.h_mean = float(np.mean(lengths))
+        self.boundary_edges = sides[counts == 1]
         self.is_boundary = np.zeros(self.n_nodes, dtype=bool)
-        side_lengths = []
-        for (a, b), c in count.items():
-            side_lengths.append(np.linalg.norm(self.coords[a] - self.coords[b]))
-            if c == 1:
-                self.is_boundary[a] = True
-                self.is_boundary[b] = True
+        self.is_boundary[self.boundary_edges] = True
         self.boundary_nodes = np.nonzero(self.is_boundary)[0]
         self.interior_nodes = np.nonzero(~self.is_boundary)[0]
-        self.h_mean = float(np.mean(side_lengths))
 
-    def _build_sym_info(self):
-        self.sym_info = {}
-        if self.structured_shape is not None:
-            self._sym_structured()
-        else:
-            self._sym_geometric()
+    def _store_sym(self, has, dist, point, counts, cols, coefs):
+        """Record the symmetric points of the pairs in ``has``; row q of
+        cols/coefs holds the first counts[q] interpolation terms of the q-th."""
+        n_pairs = self.pair_i.size
+        per_pair = np.zeros(n_pairs, dtype=np.int64)
+        per_pair[has] = counts
+        self.sym_ptr = _offsets(per_pair)
+        keep = np.arange(cols.shape[1]) < counts[:, None]
+        self.sym_cols = cols[keep]
+        self.sym_coefs = coefs[keep]
+        self.has_sym = has
+        self.sym_dist = np.full(n_pairs, np.nan)
+        self.sym_dist[has] = dist
+        self.sym_point = np.full((n_pairs, 2), np.nan)
+        self.sym_point[has] = point
 
     def _sym_structured(self):
         # on a uniform tensor grid the ray away from j exits Omega_i exactly at
@@ -119,93 +181,86 @@ class Mesh2D:
         # and leaves the domain immediately otherwise
         nx, ny = self.structured_shape
         stride = nx + 1
-        for i in range(self.n_nodes):
-            ix, iy = i % stride, i // stride
-            for j in self.neighborhoods[i]:
-                if j == i:
-                    continue
-                jx, jy = j % stride, j // stride
-                mx, my = 2 * ix - jx, 2 * iy - jy
-                if 0 <= mx <= nx and 0 <= my <= ny:
-                    k = my * stride + mx
-                    dist = float(np.linalg.norm(self.coords[k] - self.coords[i]))
-                    self.sym_info[(i, j)] = SymPoint(
-                        kind="node", dist=dist, point=tuple(self.coords[k]),
-                        node=k, cols=(int(k),), coefs=(1.0,))
+        i, j = self.pair_i, self.pair_j
+        mx = 2 * (i % stride) - j % stride
+        my = 2 * (i // stride) - j // stride
+        has = (mx >= 0) & (mx <= nx) & (my >= 0) & (my <= ny)
+        k = (my * stride + mx)[has]
+        dist = row_norms(self.coords[k] - self.coords[i[has]])
+        self._store_sym(has, dist, self.coords[k], np.ones(k.size, dtype=np.int64),
+                        k[:, None], np.ones((k.size, 1)))
 
     def _sym_geometric(self):
-        for i in range(self.n_nodes):
-            xi = self.coords[i]
-            for j in self.neighborhoods[i]:
-                if j == i:
-                    continue
-                sp = self._ray_exit(i, xi, self.coords[j])
-                if sp is not None:
-                    self.sym_info[(i, j)] = sp
+        conn = self.elements
+        k = conn.shape[1]
+        # candidate exit sides of each node: for each element touching it, in
+        # ascending element order (stable sort), the sides (l, l+1 mod k) that
+        # do not contain it, in ascending l
+        flat = conn.ravel()
+        inc = np.argsort(flat, kind="stable")
+        inc_elem, inc_loc = np.divmod(inc, k)
+        opp = np.array([[s for s in range(k) if s not in (a, (a - 1) % k)]
+                        for a in range(k)])
+        side = opp[inc_loc].ravel()
+        elem = np.repeat(inc_elem, k - 2)
+        side_a, side_b = conn[elem, side], conn[elem, (side + 1) % k]
+        side_ptr = _offsets(np.bincount(flat, minlength=self.n_nodes) * (k - 2))
 
-    def _ray_exit(self, i, xi, xj):
-        d = xi - xj
-        nd = np.linalg.norm(d)
-        d = d / nd
-        best_t, best_elem = np.inf, -1
-        for e in self.node_elements[i]:
-            conn = self.elements[e]
-            for a, b in self._element_edges(conn):
-                if a == i or b == i:
-                    continue
-                t = self._ray_segment(xi, d, self.coords[a], self.coords[b])
-                if t is not None and t < best_t:
-                    best_t, best_elem = t, e
-        if not np.isfinite(best_t):
-            return None
-        x_sym = xi + best_t * d
-        # snap to a node when the exit point is a macroelement vertex
-        for k in self.neighborhoods[i]:
-            if k != i and np.linalg.norm(self.coords[k] - x_sym) < _SNAP_REL * nd:
-                return SymPoint(kind="node", dist=float(np.linalg.norm(self.coords[k] - xi)),
-                                point=tuple(self.coords[k]), node=int(k),
-                                cols=(int(k),), coefs=(1.0,))
-        cols, coefs = self._interp_coefs(best_elem, x_sym)
-        return SymPoint(kind="point", dist=float(best_t), point=tuple(x_sym),
-                        element=int(best_elem), cols=cols, coefs=coefs)
+        pair_ptr = _offsets(np.bincount(self.pair_i, minlength=self.n_nodes))
+        # blocks of pairs bound the memory of the per-candidate arrays
+        n_pairs = self.pair_i.size
+        parts = [self._sym_block(slice(lo, lo + _RAY_BLOCK), pair_ptr,
+                                 side_ptr, side_a, side_b, elem)
+                 for lo in range(0, n_pairs, _RAY_BLOCK)]
+        self._store_sym(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
-    @staticmethod
-    def _ray_segment(x0, d, a, b):
-        """Smallest t > 0 with x0 + t d on segment [a, b], or None."""
-        m = np.array([[d[0], a[0] - b[0]], [d[1], a[1] - b[1]]])
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        scale = max(np.linalg.norm(d), np.linalg.norm(b - a))
-        if abs(det) < 1e-14 * scale * scale:
-            return None
-        rhs = a - x0
-        t = (rhs[0] * m[1, 1] - rhs[1] * m[0, 1]) / det
-        s = (m[0, 0] * rhs[1] - m[1, 0] * rhs[0]) / det
-        if t > 1e-12 and -1e-12 <= s <= 1 + 1e-12:
-            return float(t)
-        return None
+    def _sym_block(self, q, pair_ptr, side_ptr, side_a, side_b, elem):
+        """Symmetric points of the pairs in slice q, as _store_sym takes them."""
+        coords, k = self.coords, self.elements.shape[1]
+        i, j = self.pair_i[q], self.pair_j
+        xi = coords[i]
+        d = xi - coords[j[q]]
+        nd = row_norms(d)
+        d = d / nd[:, None]
+        best_t, best_c = _ray_exits(coords, xi, d, side_ptr, i, side_a, side_b)
+        has = np.isfinite(best_t)
+        best_t, best_elem = best_t[has], elem[best_c[has]]
+        pi, nd = i[has], nd[has]
+        x_sym = xi[has] + best_t[:, None] * d[has]
+
+        # snap to the first neighbor of i (ascending) at a macroelement vertex
+        owner, nb, starts = _runs(pair_ptr, pi)
+        near = (row_norms(coords[j[nb]] - x_sym[owner]) < _SNAP_REL * nd[owner])
+        first = _first_true(near, starts)
+        snapped = first < near.size
+        node = j[nb[first[snapped]]]
+
+        cols, coefs = self.elements[best_elem], self._interp_coefs(best_elem, x_sym)
+        cols[snapped, 0] = node
+        coefs[snapped, 0] = 1.0
+        dist, point = best_t, x_sym
+        dist[snapped] = row_norms(coords[node] - coords[pi[snapped]])
+        point[snapped] = coords[node]
+        return has, dist, point, np.where(snapped, 1, k), cols, coefs
 
     def _interp_coefs(self, e, x):
-        """Nodal interpolation weights of the element's FE space at point x."""
-        conn = self.elements[e]
-        pts = self.coords[conn]
+        """Nodal interpolation weights of the FE space of elements e at the
+        points x, one row per point."""
+        pts = self.coords[self.elements[e]]
         if self.kind == P1:
-            mat = np.array([[1.0, 1.0, 1.0], pts[:, 0], pts[:, 1]])
-            lam = np.linalg.solve(mat, np.array([1.0, x[0], x[1]]))
-            return tuple(int(c) for c in conn), tuple(float(v) for v in lam)
+            mat = np.stack([np.ones(pts.shape[:2]), pts[..., 0], pts[..., 1]], axis=1)
+            rhs = np.column_stack([np.ones(len(x)), x])
+            return np.linalg.solve(mat, rhs[:, :, None])[:, :, 0]
         # axis-aligned Q1 rectangle
-        x0, y0 = pts[0]
-        wx = pts[1, 0] - pts[0, 0]
-        wy = pts[3, 1] - pts[0, 1]
-        xi, eta = (x[0] - x0) / wx, (x[1] - y0) / wy
-        vals = ((1 - xi) * (1 - eta), xi * (1 - eta), xi * eta, (1 - xi) * eta)
-        return tuple(int(c) for c in conn), tuple(float(v) for v in vals)
+        wx = pts[:, 1, 0] - pts[:, 0, 0]
+        wy = pts[:, 3, 1] - pts[:, 0, 1]
+        xi, eta = (x[:, 0] - pts[:, 0, 0]) / wx, (x[:, 1] - pts[:, 0, 1]) / wy
+        return np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),
+                                xi * eta, (1 - xi) * eta])
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-
-    def has_sym(self, i, j):
-        return (i, j) in self.sym_info
 
     def element_rect_sides(self):
         """(width, height) per element; Q1 elements must be axis-aligned."""
@@ -217,20 +272,6 @@ class Mesh2D:
         if not (np.allclose(pts[:, 0, 1], pts[:, 1, 1]) and np.allclose(pts[:, 0, 0], pts[:, 3, 0])):
             raise ValueError("Q1 elements must be axis-aligned rectangles")
         return wx, wy
-
-
-def symmetric_value(mesh, u, i, j):
-    """Value of u_h at the symmetric point of neighbor j w.r.t. node i.
-
-    Returns None when the symmetric point does not exist (the ray from x_i
-    away from x_j leaves the domain at x_i, a boundary-node case); callers
-    apply their one-sided fallback then.
-    """
-    sp = mesh.sym_info.get((i, j))
-    if sp is None:
-        return None
-    u = np.asarray(u)
-    return float(sum(c * u[col] for col, c in zip(sp.cols, sp.coefs)))
 
 
 def build_structured(nx, ny, domain=(0.0, 1.0, 0.0, 1.0), kind=Q1):
@@ -252,20 +293,16 @@ def build_structured(nx, ny, domain=(0.0, 1.0, 0.0, 1.0), kind=Q1):
     xx, yy = np.meshgrid(xs, ys, indexing="xy")
     coords = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    elems = []
-    for iy in range(ny):
-        for ix in range(nx):
-            n00, n10 = nid(ix, iy), nid(ix + 1, iy)
-            n11, n01 = nid(ix + 1, iy + 1), nid(ix, iy + 1)
-            if kind == Q1:
-                elems.append((n00, n10, n11, n01))
-            else:
-                elems.append((n00, n10, n11))
-                elems.append((n00, n11, n01))
-    return Mesh2D(coords, np.array(elems), kind,
+    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
+    n00 = (iy * (nx + 1) + ix).ravel()
+    n10, n01 = n00 + 1, n00 + nx + 1
+    n11 = n01 + 1
+    if kind == Q1:
+        elems = np.column_stack([n00, n10, n11, n01])
+    else:
+        elems = np.stack([np.column_stack([n00, n10, n11]),
+                          np.column_stack([n00, n11, n01])], axis=1).reshape(-1, 3)
+    return Mesh2D(coords, elems, kind,
                   structured_shape=(nx, ny), domain=tuple(map(float, domain)))
 
 
@@ -276,5 +313,6 @@ def triangle_fan(center_xy, ring_xy):
     if n < 3:
         raise ValueError("a fan needs at least 3 ring nodes")
     coords = np.vstack([np.asarray(center_xy, dtype=float)[None, :], ring])
-    elems = [(0, 1 + k, 1 + (k + 1) % n) for k in range(n)]
-    return Mesh2D(coords, np.array(elems), P1)
+    k = np.arange(n)
+    elems = np.column_stack([np.zeros(n, dtype=np.int64), 1 + k, 1 + (k + 1) % n])
+    return Mesh2D(coords, elems, P1)

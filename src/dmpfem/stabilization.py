@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import SparseOperator, pattern
+from .mesh import row_norms
 
 NONSMOOTH = "nonsmooth"
 SIMPLIFIED = "simplified"
@@ -126,36 +127,6 @@ def limiter_df(x):
 
 
 # ----------------------------------------------------------------------
-# per-pair quantities (scalar API used by the tests; the solvers use the
-# vectorized stencil below)
-# ----------------------------------------------------------------------
-
-def _pair_terms(mesh, u, i, j):
-    u = np.asarray(u, dtype=float)
-    r = float(np.linalg.norm(mesh.coords[j] - mesh.coords[i]))
-    d_main = (u[j] - u[i]) / r
-    spn = mesh.sym_info.get((i, j))
-    if spn is None:
-        # mirrored ghost value: (2 u_i - u_j - u_i) / r = -d_main
-        return d_main, -d_main
-    u_sym = float(sum(c * u[col] for col, c in zip(spn.cols, spn.coefs)))
-    return d_main, (u_sym - u[i]) / spn.dist
-
-
-def jump(mesh, u, i, j):
-    """Directional gradient jump at node i toward j (ghost-mirrored at the
-    boundary, where it vanishes identically)."""
-    d_main, d_sym = _pair_terms(mesh, u, i, j)
-    return d_main + d_sym
-
-
-def mean_abs(mesh, u, i, j):
-    """Mean absolute directional derivative at node i toward j."""
-    d_main, d_sym = _pair_terms(mesh, u, i, j)
-    return 0.5 * (abs(d_main) + abs(d_sym))
-
-
-# ----------------------------------------------------------------------
 # detector stencil
 # ----------------------------------------------------------------------
 
@@ -170,53 +141,43 @@ class DetectorStencil:
     """
 
     def __init__(self, mesh, family):
-        rows, cols, vals = [], [], []
-        term_row = []
-        t = 0
-        for i in range(mesh.n_nodes):
-            xi = mesh.coords[i]
-            for j in mesh.neighborhoods[i]:
-                if j == i:
-                    continue
-                if family == "edge":
-                    rows += [t, t]
-                    cols += [i, j]
-                    vals += [1.0, -1.0]
-                    term_row.append(i)
-                    t += 1
-                    # neighbors without a symmetric counterpart get a mirrored
-                    # ghost so the signed sum stays pair-balanced at boundaries
-                    if (i, j) not in mesh.sym_info:
-                        rows += [t, t]
-                        cols += [i, j]
-                        vals += [-1.0, 1.0]
-                        term_row.append(i)
-                        t += 1
-                    continue
-                r = float(np.linalg.norm(mesh.coords[j] - xi))
-                rows += [t, t]
-                cols += [j, i]
-                vals += [1.0 / r, -1.0 / r]
-                term_row.append(i)
-                t += 1
-                spn = mesh.sym_info.get((i, j))
-                if spn is not None:
-                    for col, c in zip(spn.cols, spn.coefs):
-                        rows.append(t)
-                        cols.append(col)
-                        vals.append(c / spn.dist)
-                    rows.append(t)
-                    cols.append(i)
-                    vals.append(-1.0 / spn.dist)
-                else:
-                    # ghost term, the negated main difference quotient
-                    rows += [t, t]
-                    cols += [j, i]
-                    vals += [-1.0 / r, 1.0 / r]
-                term_row.append(i)
-                t += 1
+        i, j, has = mesh.pair_i, mesh.pair_j, mesh.has_sym
+        if family == "edge":
+            # neighbors without a symmetric counterpart get a mirrored ghost
+            # term right after their own, so the signed sum stays
+            # pair-balanced at boundaries
+            pair = np.repeat(np.arange(i.size), np.where(has, 1, 2))
+            sign = np.ones(pair.size)
+            sign[1:][pair[1:] == pair[:-1]] = -1.0
+            term_row = i[pair]
+            cols = np.column_stack([term_row, j[pair]]).ravel()
+            vals = np.column_stack([sign, -sign]).ravel()
+            per_term = np.full(pair.size, 2)
+        else:
+            # term 2p is (u_j - u_i) / r; term 2p+1 is (u_sym - u_i) / dist,
+            # or the ghost term, the negated main difference quotient
+            r = row_norms(mesh.coords[j] - mesh.coords[i])
+            n_sym = np.diff(mesh.sym_ptr)
+            per_term = np.column_stack([np.full(i.size, 2),
+                                        np.where(has, n_sym + 1, 2)]).ravel()
+            start = (np.cumsum(per_term) - per_term)[0::2]
+            cols = np.empty(per_term.sum(), dtype=np.int64)
+            vals = np.empty(cols.size)
+            cols[start], vals[start] = j, 1.0 / r
+            cols[start + 1], vals[start + 1] = i, -1.0 / r
+            ghost = start[~has] + 2
+            cols[ghost], vals[ghost] = j[~has], -1.0 / r[~has]
+            cols[ghost + 1], vals[ghost + 1] = i[~has], 1.0 / r[~has]
+            owner = np.repeat(np.arange(i.size), n_sym)
+            at = start[owner] + 2 + np.arange(owner.size) - mesh.sym_ptr[owner]
+            cols[at], vals[at] = mesh.sym_cols, mesh.sym_coefs / mesh.sym_dist[owner]
+            last = start[has] + 2 + n_sym[has]
+            cols[last], vals[last] = i[has], -1.0 / mesh.sym_dist[has]
+            term_row = np.repeat(i, 2)
+        t = term_row.size
+        rows = np.repeat(np.arange(t), per_term)
         self.n_terms = t
-        self.term_row = np.array(term_row, dtype=np.int64)
+        self.term_row = term_row
         self.Z = sp.coo_matrix((vals, (rows, cols)),
                                shape=(t, mesh.n_nodes)).tocsr()
         ones = np.ones(t)

@@ -217,7 +217,7 @@ class ResidualSystem:
                 weights=du_edge * wm_a * self.mass.data[pat.edge_pos] / self.dt,
                 minlength=self.n)
 
-        B = stab.assemble_B(self.mesh, _operator_from_edges(pat, nu_edge))
+        B = stab.assemble_B(self.mesh, stab._edge_operator(pat, nu_edge))
         J = J + B.to_csr()
 
         p_data = np.zeros(pat.nnz)
@@ -276,10 +276,3 @@ class ResidualSystem:
     def _finish_jacobian(self, J):
         return (sp.diags(self._free) @ J + sp.diags(self._dir_ind)).tocsr()
 
-
-def _operator_from_edges(pat, edge_vals):
-    data = np.zeros(pat.nnz)
-    data[pat.edge_pos] = edge_vals
-    diag = np.bincount(pat.edge_rows, weights=edge_vals, minlength=pat.n)
-    data[pat.diag_pos] = diag[pat.rows[pat.diag_pos]]
-    return SparseOperator(pat, data)

@@ -1,7 +1,36 @@
 import numpy as np
 import pytest
 
-from dmpfem.mesh import P1, Q1, build_structured, symmetric_value, triangle_fan
+from dmpfem.mesh import P1, Q1, build_structured, triangle_fan
+
+
+def neighbors(mesh, i):
+    """Nodes of the macroelement of node i, sorted, i included."""
+    return mesh.adj_idx[mesh.adj_ptr[i]:mesh.adj_ptr[i + 1]]
+
+
+def pair_index(mesh, i, j):
+    """Index p of the node pair (i, j) in the mesh's pair arrays."""
+    (p,) = np.flatnonzero((mesh.pair_i == i) & (mesh.pair_j == j))
+    return int(p)
+
+
+def sym_node(mesh, p):
+    """Mesh node at pair p's symmetric point; None for an edge-interior point."""
+    run = slice(mesh.sym_ptr[p], mesh.sym_ptr[p + 1])
+    if mesh.sym_ptr[p + 1] - mesh.sym_ptr[p] != 1:
+        return None
+    assert mesh.sym_coefs[run][0] == 1.0
+    return int(mesh.sym_cols[run][0])
+
+
+def sym_values(mesh, u):
+    """u_h at every pair's symmetric point; NaN where the point does not exist."""
+    n_pairs = mesh.pair_i.size
+    owner = np.repeat(np.arange(n_pairs), np.diff(mesh.sym_ptr))
+    vals = np.bincount(owner, weights=mesh.sym_coefs * u[mesh.sym_cols],
+                       minlength=n_pairs)
+    return np.where(mesh.has_sym, vals, np.nan)
 
 
 def hex_fan(radius=1.0, perturb_angle=None):
@@ -18,7 +47,7 @@ def test_structured_counts_q1():
     assert mesh.n_nodes == 9
     assert mesh.n_elements == 4
     center = 4
-    assert len(mesh.neighborhoods[center]) == 9
+    assert len(neighbors(mesh, center)) == 9
 
 
 def test_structured_1x1_all_connected():
@@ -26,7 +55,7 @@ def test_structured_1x1_all_connected():
     assert mesh.n_nodes == 4
     assert mesh.n_elements == 1
     for i in range(4):
-        assert set(mesh.neighborhoods[i]) == {0, 1, 2, 3}
+        assert set(neighbors(mesh, i)) == {0, 1, 2, 3}
 
 
 def test_structured_p1_counts_and_orientation():
@@ -48,9 +77,7 @@ def test_invalid_counts_rejected():
 def test_center_symmetric_node_is_mirror():
     mesh = build_structured(2, 2, kind=Q1)
     center, east, west = 4, 5, 3
-    sp = mesh.sym_info[(center, east)]
-    assert sp.kind == "node"
-    assert sp.node == west
+    assert sym_node(mesh, pair_index(mesh, center, east)) == west
 
 
 @pytest.mark.parametrize("kind", [Q1, P1])
@@ -58,37 +85,35 @@ def test_center_symmetric_node_is_mirror():
 def test_neighborhood_symmetry(kind, nx, ny):
     mesh = build_structured(nx, ny, kind=kind)
     for i in range(mesh.n_nodes):
-        assert i in mesh.neighborhoods[i]
-        for j in mesh.neighborhoods[i]:
-            assert i in mesh.neighborhoods[j]
+        assert i in neighbors(mesh, i)
+        for j in neighbors(mesh, i):
+            assert i in neighbors(mesh, j)
 
 
 def test_neighborhood_symmetry_fan():
     mesh = hex_fan()
     for i in range(mesh.n_nodes):
-        for j in mesh.neighborhoods[i]:
-            assert i in mesh.neighborhoods[j]
+        for j in neighbors(mesh, i):
+            assert i in neighbors(mesh, j)
 
 
 @pytest.mark.parametrize("kind", [Q1, P1])
 def test_structured_sym_is_nodal_with_equal_distance(kind):
     mesh = build_structured(4, 4, kind=kind)
-    for i in mesh.interior_nodes:
-        for j in mesh.neighborhoods[i]:
-            if j == i:
-                continue
-            sp = mesh.sym_info[(i, j)]
-            assert sp.kind == "node"
-            r = np.linalg.norm(mesh.coords[j] - mesh.coords[i])
-            assert abs(sp.dist - r) < 1e-12
+    for p in np.flatnonzero(~mesh.is_boundary[mesh.pair_i]):
+        i, j = mesh.pair_i[p], mesh.pair_j[p]
+        assert mesh.has_sym[p]
+        assert sym_node(mesh, p) is not None
+        r = np.linalg.norm(mesh.coords[j] - mesh.coords[i])
+        assert abs(mesh.sym_dist[p] - r) < 1e-12
 
 
 @pytest.mark.parametrize("kind", [Q1, P1])
 def test_sym_point_geometry(kind):
     mesh = build_structured(3, 4, kind=kind)
-    for (i, j), sp in mesh.sym_info.items():
-        xi, xj = mesh.coords[i], mesh.coords[j]
-        xs = np.array(sp.point)
+    for p in np.flatnonzero(mesh.has_sym):
+        xi, xj = mesh.coords[mesh.pair_i[p]], mesh.coords[mesh.pair_j[p]]
+        xs = mesh.sym_point[p]
         # on the line through x_i, x_j and on the opposite side of x_i
         r = xj - xi
         s = xs - xi
@@ -101,17 +126,19 @@ def test_symmetric_value_lookup_on_grid():
     mesh = build_structured(2, 2, kind=Q1)
     u = mesh.coords[:, 0].copy()
     center, east, west = 4, 5, 3
-    assert symmetric_value(mesh, u, center, east) == pytest.approx(u[west])
+    p = pair_index(mesh, center, east)
+    assert sym_values(mesh, u)[p] == pytest.approx(u[west])
 
 
 def test_boundary_sym_absent():
     mesh = build_structured(2, 2, kind=Q1)
     corner, east = 0, 1
-    assert (corner, east) not in mesh.sym_info
-    assert symmetric_value(mesh, np.zeros(9), corner, east) is None
+    p = pair_index(mesh, corner, east)
+    assert not mesh.has_sym[p]
+    assert np.isnan(sym_values(mesh, np.zeros(9))[p])
     # along-boundary neighbors keep their mirror
     mid_bottom = 1
-    assert mesh.sym_info[(mid_bottom, 0)].node == 2
+    assert sym_node(mesh, pair_index(mesh, mid_bottom, 0)) == 2
 
 
 @pytest.mark.parametrize("kind", [Q1, P1])
@@ -119,19 +146,18 @@ def test_linear_reproduction_structured(kind):
     mesh = build_structured(3, 3, kind=kind)
     a, b, c = 2.0, 1.0, 0.3
     u = a * mesh.coords[:, 0] + b * mesh.coords[:, 1] + c
-    for (i, j), sp in mesh.sym_info.items():
-        xs = np.array(sp.point)
+    vals = sym_values(mesh, u)
+    for p in np.flatnonzero(mesh.has_sym):
+        xs = mesh.sym_point[p]
         expected = a * xs[0] + b * xs[1] + c
-        assert symmetric_value(mesh, u, i, j) == pytest.approx(expected, abs=1e-12)
+        assert vals[p] == pytest.approx(expected, abs=1e-12)
 
 
 def test_fan_center_syms_are_opposite_nodes():
     mesh = hex_fan()
     for j in range(1, 7):
-        sp = mesh.sym_info[(0, j)]
-        assert sp.kind == "node"
         opposite = 1 + (j - 1 + 3) % 6
-        assert sp.node == opposite
+        assert sym_node(mesh, pair_index(mesh, 0, j)) == opposite
 
 
 def test_perturbed_fan_exercises_point_kind():
@@ -139,16 +165,17 @@ def test_perturbed_fan_exercises_point_kind():
     angles = np.zeros(6)
     angles[3] = 0.25
     mesh = hex_fan(perturb_angle=angles)
-    sp = mesh.sym_info[(0, 1)]
-    assert sp.kind == "point"
+    p = pair_index(mesh, 0, 1)
+    assert mesh.has_sym[p]
+    assert sym_node(mesh, p) is None
     # gradient extrapolation is exact on linear fields
     u = 2.0 * mesh.coords[:, 0] + mesh.coords[:, 1]
-    xs = np.array(sp.point)
-    assert symmetric_value(mesh, u, 0, 1) == pytest.approx(2 * xs[0] + xs[1], abs=1e-12)
+    xs = mesh.sym_point[p]
+    assert sym_values(mesh, u)[p] == pytest.approx(2 * xs[0] + xs[1], abs=1e-12)
 
 
 def test_mesh_is_frozen_after_build():
     mesh = build_structured(2, 2)
     before = mesh.coords.copy()
-    _ = mesh.neighborhoods
+    _ = mesh.adj_idx, mesh.sym_point
     assert np.array_equal(mesh.coords, before)

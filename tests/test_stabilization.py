@@ -7,12 +7,12 @@ from dmpfem.assembly import (SparseOperator, assemble_convection,
 from dmpfem.mesh import P1, Q1, build_structured, triangle_fan
 from dmpfem.stabilization import (StabParams, assemble_B,
                                   assemble_nonlinear_mass, detector_values,
-                                  jump, limiter_df, limiter_f, mean_abs,
+                                  limiter_df, limiter_f,
                                   smooth_abs_lower, smooth_abs_upper,
                                   smooth_max, viscosity,
                                   viscosity_symmetric_mass)
 from test_assembly import constant_velocity
-from test_mesh import hex_fan
+from test_mesh import hex_fan, neighbors, pair_index
 
 ALL_DETECTORS = (stab.NONSMOOTH, stab.SIMPLIFIED, stab.SMOOTH,
                  stab.SIMPLIFIED_SMOOTH)
@@ -23,6 +23,25 @@ def params_for(detector, q=4.0, eps=1e-4, sigma=1e-8, gamma=1e-10):
         eps, sigma, gamma = 0.0, 0.0, 0.0
     return StabParams(q=q, eps=eps, sigma=sigma, gamma=gamma,
                       detector=detector, beta_bound=1.0)
+
+
+def pair_terms(mesh, u):
+    """(main, symmetric-or-ghost) directional terms of every node pair: rows
+    2p and 2p+1 of the gradient stencil applied to u."""
+    z = stab._stencil(mesh, "sym").Z @ u
+    return z[0::2], z[1::2]
+
+
+def jump(mesh, u, i, j):
+    d_main, d_sym = pair_terms(mesh, u)
+    p = pair_index(mesh, i, j)
+    return d_main[p] + d_sym[p]
+
+
+def mean_abs(mesh, u, i, j):
+    d_main, d_sym = pair_terms(mesh, u)
+    p = pair_index(mesh, i, j)
+    return 0.5 * (abs(d_main[p]) + abs(d_sym[p]))
 
 
 def interior_hat(mesh, i):
@@ -86,10 +105,10 @@ def test_jump_and_mean_on_hat():
 def test_jump_vanishes_on_affine_interior():
     mesh = build_structured(8, 8)
     u = mesh.coords[:, 0] - 0.5 * mesh.coords[:, 1]
-    for i in mesh.interior_nodes[:10]:
-        for j in mesh.neighborhoods[i]:
-            if j != i:
-                assert abs(jump(mesh, u, i, j)) < 1e-12
+    d_main, d_sym = pair_terms(mesh, u)
+    pairs = np.isin(mesh.pair_i, mesh.interior_nodes[:10])
+    assert pairs.sum() == 80
+    assert np.all(np.abs(d_main + d_sym)[pairs] < 1e-12)
 
 
 def test_jump_and_mean_constant():
@@ -130,7 +149,7 @@ def test_detector_randomized_extrema(detector):
     for _ in range(100):
         u = rng.standard_normal(mesh.n_nodes)
         i = rng.choice(mesh.interior_nodes)
-        nb = mesh.neighborhoods[i]
+        nb = neighbors(mesh, i)
         u[i] = np.max(u[nb]) + rng.uniform(0.1, 1.0)
         alpha = detector_values(mesh, u, p)
         assert alpha[i] == pytest.approx(1.0, abs=1e-14)
@@ -427,7 +446,7 @@ def test_K_sign_structure_at_extremum():
     for _ in range(20):
         u = rng.standard_normal(mesh.n_nodes)
         i = rng.choice(mesh.interior_nodes)
-        u[i] = np.max(u[mesh.neighborhoods[i]]) + 0.5
+        u[i] = np.max(u[neighbors(mesh, i)]) + 0.5
         F = assemble_convection(mesh, vel, u)
         alphas = detector_values(mesh, u, p)
         assert alphas[i] == 1.0

@@ -7,6 +7,7 @@ from dmpfem.mesh import build_structured
 from dmpfem.stabilization import StabParams
 from dmpfem.system import AdmissibleBounds, DirichletBC, ResidualSystem
 from test_assembly import constant_velocity
+from test_mesh import neighbors
 
 
 def fd_jacobian(sys, u, h=None):
@@ -157,8 +158,8 @@ def test_jacobian_pattern_within_distance_two():
     J = J.tolil()
     for i in range(mesh.n_nodes):
         dist2 = set()
-        for j in mesh.neighborhoods[i]:
-            dist2.update(mesh.neighborhoods[j])
+        for j in neighbors(mesh, i):
+            dist2.update(neighbors(mesh, j))
         for j in J.rows[i]:
             assert j in dist2 or j == i
 
