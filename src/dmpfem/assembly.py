@@ -94,14 +94,6 @@ class SparseOperator:
             raise ValueError("operators live on different sparsity patterns")
         return SparseOperator(self.pattern, self.data + other.data)
 
-    def __sub__(self, other):
-        if other.pattern is not self.pattern:
-            raise ValueError("operators live on different sparsity patterns")
-        return SparseOperator(self.pattern, self.data - other.data)
-
-    def scaled(self, a):
-        return SparseOperator(self.pattern, a * self.data)
-
 
 def pattern(mesh):
     """The (cached) adjacency pattern of a mesh."""

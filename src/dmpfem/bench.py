@@ -347,19 +347,23 @@ def eoc(errors, hs):
     return out
 
 
-def convergence_study(problem, sizes, cfg, kind=Q1):
-    """Steady L2 errors and orders over a mesh sweep; rows (h, L2, EOC)."""
+def convergence_study(problem, sizes, make_cfg, kind=Q1):
+    """Steady L2 errors and orders over a mesh sweep; rows (h, L2, EOC).
+
+    ``make_cfg(h)`` gives the TimeConfig of the n x n mesh, h = width / n.
+    """
     if problem.exact is None:
         raise ValueError("convergence study needs an exact solution")
     hs, errs = [], []
+    x0, x1, _, _ = problem.domain
     for n in sizes:
+        h = (x1 - x0) / n
         mesh = build_structured(n, n, domain=problem.domain, kind=kind)
-        u, report = run_steady(mesh, problem, cfg)
+        u, report = run_steady(mesh, problem, make_cfg(h))
         if not report.converged:
             raise RuntimeError(f"steady solve at n={n} did not converge")
         _, l2 = error_norms(mesh, u, problem.exact)
-        x0, x1, _, _ = problem.domain
-        hs.append((x1 - x0) / n)
+        hs.append(h)
         errs.append(l2)
     orders = eoc(errs, hs)
     return [(h, e, o) for h, e, o in zip(hs, errs, orders)]

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import io as dio
 from . import stabilization as stab
-from .bench import (OMEGA, OUTFLOW, dmp_audit, error_norms,
-                    local_dmp_audit, make_problem)
+from .bench import (OMEGA, OUTFLOW, convergence_study, dmp_audit,
+                    error_norms, local_dmp_audit, make_problem)
 from .io import ConfigError, RunConfig, parse_config
 from .mesh import build_structured
 from .timeloop import (ANDERSON, NEWTON, TimeConfig, admissible_bounds,
@@ -40,16 +40,21 @@ def _collect_overrides(args):
             if getattr(args, f.name, None) is not None}
 
 
+def _time_config(cfg, problem, h, **stepping):
+    """TimeConfig of a run on mesh size h; ``stepping`` sets steady/dt/t_end."""
+    return TimeConfig(stab=cfg.stab_params(problem.velocity.beta_bound, h),
+                      solver=cfg.solver, projection=cfg.projection,
+                      tol=cfg.tol, k_max=cfg.k_max, m=cfg.m, s_min=cfg.s_min,
+                      omega0=cfg.omega0, omega_min=cfg.omega_min,
+                      ls_tol=cfg.ls_tol, **stepping)
+
+
 def _build_case(cfg):
     problem = make_problem(cfg.problem)
     mesh = build_structured(cfg.nx, cfg.ny, domain=problem.domain,
                             kind=cfg.element)
-    params = cfg.stab_params(problem.velocity.beta_bound, mesh.h_mean)
-    tc = TimeConfig(stab=params, dt=cfg.dt, t_end=cfg.t_end, steady=cfg.steady,
-                    solver=cfg.solver, projection=cfg.projection, tol=cfg.tol,
-                    k_max=cfg.k_max, m=cfg.m, s_min=cfg.s_min,
-                    omega0=cfg.omega0, omega_min=cfg.omega_min,
-                    ls_tol=cfg.ls_tol)
+    tc = _time_config(cfg, problem, mesh.h_mean, dt=cfg.dt, t_end=cfg.t_end,
+                      steady=cfg.steady)
     return mesh, problem, tc
 
 
@@ -159,31 +164,15 @@ def cmd_converge(args):
     if problem.exact is None:
         raise ConfigError(f"{cfg.problem} has no exact solution to converge against")
 
-    def tc_for(n):
-        mesh_h = (problem.domain[1] - problem.domain[0]) / n
-        params = cfg.stab_params(problem.velocity.beta_bound, mesh_h)
-        return TimeConfig(stab=params, steady=True, solver=cfg.solver,
-                          projection=cfg.projection, tol=cfg.tol,
-                          k_max=cfg.k_max, m=cfg.m, s_min=cfg.s_min,
-                          omega0=cfg.omega0, omega_min=cfg.omega_min,
-                          ls_tol=cfg.ls_tol)
-
+    rows = convergence_study(
+        problem, sizes, lambda h: _time_config(cfg, problem, h, steady=True),
+        kind=cfg.element)
     print("h           L2          EOC")
     lines = ["h,L2,EOC"]
-    prev = None
-    for n in sizes:
-        mesh = build_structured(n, n, domain=problem.domain, kind=cfg.element)
-        u, report = run_steady(mesh, problem, tc_for(n))
-        if not report.converged:
-            print(f"n={n}: solver did not converge", file=sys.stderr)
-            return EXIT_SOLVER
-        _, l2 = error_norms(mesh, u, problem.exact)
-        h = (problem.domain[1] - problem.domain[0]) / n
-        order = None if prev is None else \
-            float(np.log(prev[1] / l2) / np.log(prev[0] / h))
-        prev = (h, l2)
-        print(f"{h:<11.4e} {l2:<11.4e} {'' if order is None else f'{order:.3f}'}")
-        lines.append(f"{repr(h)},{repr(l2)},{'' if order is None else repr(order)}")
+    for k, (h, l2, order) in enumerate(rows):
+        # no order on the coarsest mesh; float() keeps repr free of np.float64
+        print(f"{h:<11.4e} {l2:<11.4e} {'' if k == 0 else f'{order:.3f}'}")
+        lines.append(f"{h!r},{l2!r},{'' if k == 0 else repr(float(order))}")
     outdir = dio.output_dir(cfg)
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "converge.csv")

@@ -56,7 +56,6 @@ class RunConfig:
     dt: float | None = None
     t_end: float | None = None
     outdir: str = "out"
-    seed: int = 0
 
     def validate(self):
         if self.problem not in PROBLEM_NAMES:

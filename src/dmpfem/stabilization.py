@@ -8,6 +8,9 @@ plain nodal differences.  The smooth variants replace absolute values and
 maxima with twice-differentiable surrogates so that the assembled operators
 admit an exact Jacobian.
 
+``edge_viscosity`` is the one edge-viscosity kernel: the residual takes nu
+from it, and the exact Jacobian takes nu together with its partials.
+
 At a boundary node whose symmetric point does not exist, the missing value
 is replaced by the mirrored ghost value 2 u_i - u_j, so the pair contributes
 nothing to the jump but keeps its magnitude in the mean.  A one-sided sum
@@ -198,12 +201,20 @@ def _family(kind):
     return "edge" if kind in _EDGE_KINDS else "sym"
 
 
-def _smooth_constants(mesh, params):
-    """Effective (eps, gamma): edge variant rescales with the mesh size."""
+def _smooth_ratio(mesh, st, z, params):
+    """Smooth detector ratio (|sum z|_eps + gamma) / (sum |z|_eps + gamma)
+    per node, with the pieces of its derivative: (ratio, sum z, |sum z|_eps,
+    denominator, eps).  The edge variant rescales eps and gamma with the
+    mesh size."""
+    eps, gamma = params.eps, params.gamma
     if params.detector == SIMPLIFIED_SMOOTH:
         h = mesh.h_mean
-        return h * h * params.eps, h * params.gamma
-    return params.eps, params.gamma
+        eps, gamma = h * h * eps, h * gamma
+    num_sum = np.bincount(st.term_row, weights=z, minlength=st.n_nodes)
+    den = np.bincount(st.term_row, weights=smooth_abs_lower(z, eps),
+                      minlength=st.n_nodes) + gamma
+    upper = smooth_abs_upper(num_sum, eps)
+    return (upper + gamma) / den, num_sum, upper, den, eps
 
 
 def detector_values(mesh, u, params):
@@ -212,15 +223,10 @@ def detector_values(mesh, u, params):
         return np.zeros(mesh.n_nodes)
     st = _stencil(mesh, _family(params.detector))
     z = st.Z @ np.asarray(u, dtype=float)
+    if params.is_smooth:
+        return limiter_f(_smooth_ratio(mesh, st, z, params)[0]) ** params.q
+
     num_sum = np.bincount(st.term_row, weights=z, minlength=st.n_nodes)
-
-    if params.detector in _SMOOTH_KINDS:
-        eps, gamma = _smooth_constants(mesh, params)
-        den = np.bincount(st.term_row, weights=smooth_abs_lower(z, eps),
-                          minlength=st.n_nodes)
-        ratio = (smooth_abs_upper(num_sum, eps) + gamma) / (den + gamma)
-        return limiter_f(ratio) ** params.q
-
     den = np.bincount(st.term_row, weights=np.abs(z), minlength=st.n_nodes)
     ratio = np.divide(np.abs(num_sum), den,
                       out=np.zeros(st.n_nodes), where=den > _ZERO_DEN)
@@ -236,116 +242,76 @@ def detector_derivative(mesh, u, params):
     if not params.is_smooth:
         raise ValueError("exact derivatives require a smooth detector variant")
     st = _stencil(mesh, _family(params.detector))
-    u = np.asarray(u, dtype=float)
-    eps, gamma = _smooth_constants(mesh, params)
-    z = st.Z @ u
-    num_sum = np.bincount(st.term_row, weights=z, minlength=st.n_nodes)
-    den = np.bincount(st.term_row, weights=smooth_abs_lower(z, eps),
-                      minlength=st.n_nodes)
-    upper = smooth_abs_upper(num_sum, eps)
-    ratio = (upper + gamma) / (den + gamma)
+    z = st.Z @ np.asarray(u, dtype=float)
+    ratio, num_sum, upper, den, eps = _smooth_ratio(mesh, st, z, params)
     fr = limiter_f(ratio)
     alpha = fr ** params.q
 
     common = params.q * fr ** (params.q - 1.0) * limiter_df(ratio)
-    # d ratio = upper'/(den+gamma) dJ - ratio/(den+gamma) dD
+    # d ratio = upper'/den dJ - ratio/den dD
     c_num = common * np.divide(num_sum, upper, out=np.zeros_like(upper),
-                               where=upper > 0) / (den + gamma)
-    c_den = -common * ratio / (den + gamma)
+                               where=upper > 0) / den
+    c_den = -common * ratio / den
     d_den = st.aggregate @ st.Z.multiply(_smooth_abs_lower_d1(z, eps)[:, None])
     dalpha = (sp.diags(c_num) @ st.jump_map + sp.diags(c_den) @ d_den).tocsr()
     return alpha, dalpha
-
-
-def detector_nonsmooth(mesh, u, i, params):
-    p = _with_detector(params, NONSMOOTH)
-    return float(detector_values(mesh, u, p)[i])
-
-
-def detector_simplified(mesh, u, i, params):
-    p = _with_detector(params, SIMPLIFIED)
-    return float(detector_values(mesh, u, p)[i])
-
-
-def detector_smooth(mesh, u, i, params):
-    p = _with_detector(params, SMOOTH)
-    return float(detector_values(mesh, u, p)[i])
-
-
-def detector_simplified_smooth(mesh, u, i, params):
-    p = _with_detector(params, SIMPLIFIED_SMOOTH)
-    return float(detector_values(mesh, u, p)[i])
-
-
-def _with_detector(params, kind):
-    if params.detector == kind:
-        return params
-    return StabParams(q=params.q, eps=params.eps, sigma=params.sigma,
-                      gamma=params.gamma, detector=kind, mass=params.mass,
-                      beta_bound=params.beta_bound)
 
 
 # ----------------------------------------------------------------------
 # artificial viscosity and stabilization operator
 # ----------------------------------------------------------------------
 
-def _edge_states(mesh, F, alphas):
-    pat = pattern(mesh)
-    if F.pattern is not pat:
+def edge_viscosity(pat, K, alphas, params, partials=False):
+    """Edge viscosity nu_ij of a = alpha_i K_ij and b = alpha_j K_ji, in
+    ``pat.edge_pos`` order.
+
+    Non-smooth variants use max(a, b, 0); smooth variants use the
+    regularized maximum with parameter sigma, first over (a, b) and then
+    against zero.  With ``partials`` (smooth variants only) the result is
+    (nu, (d nu/d a, d nu/d b)).
+    """
+    if K.pattern is not pat:
         raise ValueError("operator does not live on this mesh's sparsity pattern")
-    a = alphas[pat.edge_rows] * F.data[pat.edge_pos]
-    b = alphas[pat.edge_cols] * F.data[pat.edge_transpose_pos]
-    return pat, a, b
+    a = alphas[pat.edge_rows] * K.data[pat.edge_pos]
+    b = alphas[pat.edge_cols] * K.data[pat.edge_transpose_pos]
+    if not params.is_smooth:
+        if partials:
+            raise ValueError("edge viscosity partials need a smooth variant")
+        return np.maximum(np.maximum(a, b), 0.0)
+    c = smooth_max(a, b, params.sigma)
+    nu = smooth_max(c, 0.0, params.sigma)
+    if not partials:
+        return nu
+    dc_da = _smooth_max_dx(a, b, params.sigma)
+    dnu_dc = _smooth_max_dx(c, 0.0, params.sigma)
+    return nu, (dnu_dc * dc_da, dnu_dc * (1.0 - dc_da))
 
 
-def _edge_operator(pat, edge_vals):
-    """Symmetric operator with given off-diagonal entries and row-sum diagonal."""
+def _edge_operator(pat, off, diag=None):
+    """Operator with off-diagonal entries ``off`` (edge order) and diagonal
+    ``diag``, by default the row sums of ``off``."""
     data = np.zeros(pat.nnz)
-    data[pat.edge_pos] = edge_vals
-    diag = np.bincount(pat.edge_rows, weights=edge_vals, minlength=pat.n)
+    data[pat.edge_pos] = off
+    if diag is None:
+        diag = np.bincount(pat.edge_rows, weights=off, minlength=pat.n)
     data[pat.diag_pos] = diag[pat.rows[pat.diag_pos]]
     return SparseOperator(pat, data)
 
 
 def viscosity(mesh, F, alphas, params):
-    """Edge viscosity nu_ij from the detector and the transport operator.
-
-    Non-smooth variants use max(alpha_i F_ij, alpha_j F_ji, 0); smooth
-    variants use the regularized maximum with parameter sigma, first over the
-    two detector terms and then against zero.
-    """
-    pat, a, b = _edge_states(mesh, F, alphas)
-    if params.is_smooth:
-        nu = smooth_max(smooth_max(a, b, params.sigma), 0.0, params.sigma)
-    else:
-        nu = np.maximum(np.maximum(a, b), 0.0)
-    return _edge_operator(pat, nu)
+    """Edge viscosity from the detector and the transport operator, as a
+    symmetric operator with row-sum diagonal."""
+    pat = pattern(mesh)
+    return _edge_operator(pat, edge_viscosity(pat, F, alphas, params))
 
 
 def viscosity_symmetric_mass(mesh, F, M, alphas, dt, params):
     """Viscosity augmented with max(alpha_i M_ij, 0, alpha_j M_ji) / dt."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    base = viscosity(mesh, F, alphas, params)
-    pat, a, b = _edge_states(mesh, M, alphas)
-    if params.is_smooth:
-        extra = smooth_max(smooth_max(a, b, params.sigma), 0.0, params.sigma)
-    else:
-        extra = np.maximum(np.maximum(a, b), 0.0)
-    return base + _edge_operator(pat, extra / dt)
-
-
-def viscosity_chain_weights(a, b, sigma, smooth):
-    """(d nu/d a, d nu/d b) of the edge viscosity as a function of its two
-    detector-scaled arguments."""
-    if smooth:
-        dc_da = _smooth_max_dx(a, b, sigma)
-        c = smooth_max(a, b, sigma)
-        dnu_dc = _smooth_max_dx(c, 0.0, sigma)
-        return dnu_dc * dc_da, dnu_dc * (1.0 - dc_da)
-    w_a = ((a >= b) & (a > 0)).astype(float)
-    w_b = ((b > a) & (b > 0)).astype(float)
-    return w_a, w_b
+    pat = pattern(mesh)
+    extra = edge_viscosity(pat, M, alphas, params) / dt
+    return viscosity(mesh, F, alphas, params) + _edge_operator(pat, extra)
 
 
 def assemble_B(mesh, nu):

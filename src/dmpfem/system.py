@@ -12,11 +12,14 @@ and the residual entry u_i - u_D(x_i).  The Jacobian is exact for the smooth
 detector variants, including the detector chain rule through the regularized
 maxima and the state dependence of the transport operator; its sparsity
 extends to the distance-2 adjacency because every detector value depends on
-the whole neighborhood.
+the whole neighborhood.  The residual and the Jacobian take the viscosity
+from the same kernel, ``stabilization.edge_viscosity``, the Jacobian with
+its partials.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -182,54 +185,39 @@ class ResidualSystem:
         Fp = assemble_convection_state_derivative(self.mesh, self.velocity, u)
         J = J + Fp.to_csr()
 
-        du_edge = u[pat.edge_rows] - u[pat.edge_cols]
-
-        # viscosity from the transport operator
-        a = alphas[pat.edge_rows] * F.data[pat.edge_pos]
-        b = alphas[pat.edge_cols] * F.data[pat.edge_transpose_pos]
-        nu_edge = stab.smooth_max(stab.smooth_max(a, b, self.params.sigma),
-                                  0.0, self.params.sigma)
-        w_a, w_b = stab.viscosity_chain_weights(a, b, self.params.sigma, True)
-        p_off = du_edge * w_b * F.data[pat.edge_transpose_pos]
-        p_diag = np.bincount(pat.edge_rows,
-                             weights=du_edge * w_a * F.data[pat.edge_pos],
-                             minlength=self.n)
-        W1 = du_edge * w_a * alphas[pat.edge_rows]
-        W2 = du_edge * w_b * alphas[pat.edge_cols]
-
-        # mass-compensated extra viscosity
+        # viscosity from the transport operator, plus the mass-compensated
+        # extra viscosity, whose smooth maxes act on alpha_i M_ij with the
+        # 1/dt factor outside, exactly as in the assembled viscosity
         symmetric_mass = (not self.steady
                           and self.params.mass == stab.SYMMETRIC_MASS)
-        if symmetric_mass:
-            # smooth maxes act on alpha_i M_ij; the 1/dt factor sits outside,
-            # exactly as in the assembled viscosity
-            am = alphas[pat.edge_rows] * self.mass.data[pat.edge_pos]
-            bm = alphas[pat.edge_cols] * self.mass.data[pat.edge_transpose_pos]
-            nu_edge = nu_edge + stab.smooth_max(
-                stab.smooth_max(am, bm, self.params.sigma), 0.0,
-                self.params.sigma) / self.dt
-            wm_a, wm_b = stab.viscosity_chain_weights(
-                am, bm, self.params.sigma, True)
-            p_off = p_off + du_edge * wm_b * \
-                self.mass.data[pat.edge_transpose_pos] / self.dt
-            p_diag = p_diag + np.bincount(
-                pat.edge_rows,
-                weights=du_edge * wm_a * self.mass.data[pat.edge_pos] / self.dt,
-                minlength=self.n)
+        terms = [(F, 1.0)] + ([(self.mass, self.dt)] if symmetric_mass else [])
+        du_edge = u[pat.edge_rows] - u[pat.edge_cols]
+        parts = []
+        for K, scale in terms:
+            nu, (w_a, w_b) = stab.edge_viscosity(pat, K, alphas, self.params,
+                                                 partials=True)
+            if K is F:  # F's partials also weight the flux term below
+                W = (du_edge * w_a * alphas[pat.edge_rows],
+                     du_edge * w_b * alphas[pat.edge_cols])
+            parts.append((
+                nu / scale,
+                du_edge * w_b * K.data[pat.edge_transpose_pos] / scale,
+                np.bincount(pat.edge_rows,
+                            weights=du_edge * w_a * K.data[pat.edge_pos] / scale,
+                            minlength=self.n)))
+        # reduce, not sum(): sum's 0 + x would turn -0.0 into +0.0
+        nu_edge, p_off, p_diag = (functools.reduce(np.add, x)
+                                  for x in zip(*parts))
 
         B = stab.assemble_B(self.mesh, stab._edge_operator(pat, nu_edge))
         J = J + B.to_csr()
-
-        p_data = np.zeros(pat.nnz)
-        p_data[pat.edge_pos] = p_off
-        p_data[pat.diag_pos] = p_diag[pat.rows[pat.diag_pos]]
-        P = SparseOperator(pat, p_data).to_csr()
+        P = stab._edge_operator(pat, p_off, diag=p_diag).to_csr()
         J = J + P @ dalpha
 
         # state dependence of F inside the viscosity (nonlinear flux only)
         T3 = convection_entry_derivative_tensor(self.mesh, self.velocity, u)
         if T3 is not None:
-            J = J + self._viscosity_flux_term(W1, W2, T3)
+            J = J + self._viscosity_flux_term(*W, T3)
 
         # time term
         if not self.steady:

@@ -7,7 +7,7 @@ for transient runs, and optionally ``g(x, y)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class TimeConfig:
     omega_min: float = 0.3
     ls_tol: float = 1e-4
     freeze_mass_alpha: bool = False
-    store_fields: bool = False
 
     def __post_init__(self):
         if self.solver not in (ANDERSON, NEWTON):
@@ -58,7 +57,6 @@ class TransientResult:
     max_series: list
     min_series: list
     bounds: AdmissibleBounds
-    fields: list = field(default_factory=list)
 
 
 def dirichlet_nodes(mesh, problem):
@@ -122,7 +120,10 @@ def step_backward_euler(mesh, problem, u_n, t_next, cfg, g=None, bounds=None):
 
 
 def run_transient(mesh, problem, cfg):
-    """Backward-Euler march to t_end with per-step extremum audits."""
+    """Backward-Euler march to t_end with per-step extremum audits.
+
+    Raises RuntimeError at the first step whose solve does not converge.
+    """
     if cfg.steady:
         raise ValueError("transient driver called with a steady config")
     x, y = mesh.coords[:, 0], mesh.coords[:, 1]
@@ -135,8 +136,6 @@ def run_transient(mesh, problem, cfg):
     result = TransientResult(times=[0.0], u=u, reports=[],
                              max_series=[float(np.max(u))],
                              min_series=[float(np.min(u))], bounds=bounds)
-    if cfg.store_fields:
-        result.fields.append(u.copy())
 
     n_steps = int(round(cfg.t_end / cfg.dt))
     t = 0.0
@@ -144,15 +143,13 @@ def run_transient(mesh, problem, cfg):
         t = (n + 1) * cfg.dt
         u, report = step_backward_euler(mesh, problem, u, t, cfg,
                                         g=g, bounds=bounds)
-        if report.failure is not None:
-            raise RuntimeError(
-                f"step {n + 1} (t={t:g}) failed: {report.failure}")
+        if not report.converged:
+            why = report.failure or f"no convergence in {report.iterations} iterations"
+            raise RuntimeError(f"step {n + 1} (t={t:g}) failed: {why}")
         result.times.append(t)
         result.reports.append(report)
         result.max_series.append(float(np.max(u)))
         result.min_series.append(float(np.min(u)))
-        if cfg.store_fields:
-            result.fields.append(u.copy())
     result.u = u
     return result
 

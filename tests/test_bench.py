@@ -191,7 +191,7 @@ def test_convergence_study_galerkin_second_order():
     prob = make_problem("STEADY_PARABOLIC")
     cfg = TimeConfig(stab=StabParams(q=1.0, detector=GALERKIN, beta_bound=1.0),
                      steady=True, solver="newton", projection=False, tol=1e-10)
-    rows = convergence_study(prob, (8, 16, 32), cfg)
+    rows = convergence_study(prob, (8, 16, 32), lambda h: cfg)
     assert len(rows) == 3
     assert rows[0][0] == pytest.approx(1 / 8)
     assert rows[-1][2] == pytest.approx(2.0, abs=0.1)

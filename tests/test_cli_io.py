@@ -170,6 +170,21 @@ def test_cli_converge(tmp_path, monkeypatch, capsys):
     assert order == pytest.approx(2.0, abs=0.1)
 
 
+def test_cli_nonconvergence_exits_3(tmp_path, monkeypatch, capsys):
+    code = run_cli(["converge", "--problem", "STEADY_PARABOLIC",
+                    "--sizes", "4,8", "--k_max", "1", "--tol", "1e-14"],
+                   tmp_path, monkeypatch)
+    assert code == 3
+    assert "n=4" in capsys.readouterr().err
+    # a transient run stops at the first unconverged step, writing nothing
+    code = run_cli(["run", "--problem", "THREE_BODY_ROTATION", "--nx", "6",
+                    "--ny", "6", "--k_max", "1", "--tol", "1e-14"],
+                   tmp_path, monkeypatch)
+    assert code == 3
+    assert "step 1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "field.vtk").exists()
+
+
 def test_cli_table_small_grid(tmp_path, monkeypatch):
     code = run_cli(["table", "--problem", "STRAIGHT_DISCONTINUITY",
                     "--nx", "12", "--ny", "12", "--qs", "1,4",

@@ -7,7 +7,7 @@ from dmpfem.assembly import (SparseOperator, assemble_convection,
 from dmpfem.mesh import P1, Q1, build_structured, triangle_fan
 from dmpfem.stabilization import (StabParams, assemble_B,
                                   assemble_nonlinear_mass, detector_values,
-                                  limiter_df, limiter_f,
+                                  edge_viscosity, limiter_df, limiter_f,
                                   smooth_abs_lower, smooth_abs_upper,
                                   smooth_max, viscosity,
                                   viscosity_symmetric_mass)
@@ -271,19 +271,6 @@ def test_detector_derivative_requires_smooth_variant():
                                  params_for(stab.NONSMOOTH))
 
 
-def test_per_node_wrappers_agree():
-    mesh = build_structured(4, 4)
-    rng = np.random.default_rng(9)
-    u = rng.standard_normal(mesh.n_nodes)
-    p = StabParams(q=2.0, eps=1e-3, sigma=0.0, gamma=1e-8,
-                   detector=stab.SMOOTH, beta_bound=1.0)
-    i = 7
-    assert stab.detector_smooth(mesh, u, i, p) == pytest.approx(
-        detector_values(mesh, u, p)[i])
-    assert stab.detector_nonsmooth(mesh, u, i, p) == pytest.approx(
-        detector_values(mesh, u, stab._with_detector(p, stab.NONSMOOTH))[i])
-
-
 # ----------------------------------------------------------------------
 # viscosity and stabilization operator
 # ----------------------------------------------------------------------
@@ -349,6 +336,39 @@ def test_viscosity_pattern_mismatch_rejected():
     F = assemble_convection(mesh_b, constant_velocity(1, 0), np.zeros(16))
     with pytest.raises(ValueError):
         viscosity(mesh_a, F, np.zeros(9), params_for(stab.NONSMOOTH))
+
+
+def test_edge_viscosity_partials_match_central_differences():
+    # with unit alphas a = K_ij and b = K_ji; the pairs cover a generic
+    # point, a = b, a close to b, and the inner smooth max c close to zero
+    mesh = build_structured(1, 1)
+    pat = pattern(mesh)
+    sigma = 1e-4
+    ab = {(0, 1): (0.3, -0.2), (0, 2): (0.5, 0.5), (0, 3): (0.5, 0.5 + 1e-7),
+          (1, 2): (-0.005, -0.005), (1, 3): (-0.004, -0.006),
+          (2, 3): (-1.0, 2.0)}
+    assert abs(smooth_max(-0.005, -0.005, sigma)) < 1e-15
+    entries = {}
+    for (i, j), (a, b) in ab.items():
+        entries[(i, j)], entries[(j, i)] = a, b
+    K = hand_operator(mesh, entries)
+    alphas = np.ones(mesh.n_nodes)
+    p = params_for(stab.SMOOTH, sigma=sigma)
+    nu, (d_a, d_b) = edge_viscosity(pat, K, alphas, p, partials=True)
+    assert np.array_equal(nu, edge_viscosity(pat, K, alphas, p))
+    h = 1e-6
+    for e in range(pat.edge_pos.size):
+        for pos, exact in ((pat.edge_pos[e], d_a[e]),
+                           (pat.edge_transpose_pos[e], d_b[e])):
+            Kp, Km = K.copy(), K.copy()
+            Kp.data[pos] += h
+            Km.data[pos] -= h
+            fd = (edge_viscosity(pat, Kp, alphas, p)[e]
+                  - edge_viscosity(pat, Km, alphas, p)[e]) / (2 * h)
+            assert exact == pytest.approx(fd, abs=1e-7)
+    with pytest.raises(ValueError):
+        edge_viscosity(pat, K, alphas, params_for(stab.NONSMOOTH),
+                       partials=True)
 
 
 def test_symmetric_mass_viscosity():

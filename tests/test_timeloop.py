@@ -109,6 +109,16 @@ def test_zero_velocity_trajectory_constant():
     assert np.max(np.abs(res.u - u0)) < 1e-12
 
 
+def test_transient_run_stops_at_unconverged_step():
+    prob = make_problem("THREE_BODY_ROTATION")
+    mesh = build_structured(6, 6)
+    cfg = TimeConfig(stab=smooth_params(beta=prob.velocity.beta_bound),
+                     dt=1e-3, t_end=2e-3, solver="newton", projection=True,
+                     tol=1e-14, k_max=1)
+    with pytest.raises(RuntimeError, match="step 1"):
+        run_transient(mesh, prob, cfg)
+
+
 def test_three_body_short_run_monotone_extrema():
     prob = make_problem("THREE_BODY_ROTATION")
     mesh = build_structured(30, 30)
