@@ -47,6 +47,12 @@ class Pattern:
         # map element-local (a, b) pairs to data positions, for bincount assembly
         conn = mesh.elements
         self.element_map = self.position(conn[:, :, None], conn[:, None, :])
+        # index arrays in scipy's dtype that every CSR view of pattern data
+        # shares; read-only, so an in-place sparse operation on a view raises
+        idx = sp.get_index_dtype(maxval=self.nnz)
+        self.csr_indices, self.csr_indptr = (
+            a.astype(idx) for a in (self.indices, self.indptr))
+        self.csr_indices.flags.writeable = self.csr_indptr.flags.writeable = False
 
     def position(self, i, j):
         """Data position of each stored entry (i, j); KeyError if absent."""
@@ -55,6 +61,11 @@ class Pattern:
         if not np.array_equal(self._keys[np.minimum(pos, self.nnz - 1)], key):
             raise KeyError((i, j))
         return pos
+
+    def csr(self, data):
+        """CSR matrix of pattern data, sharing the read-only index arrays."""
+        return sp.csr_matrix((data, self.csr_indices, self.csr_indptr),
+                             shape=(self.n, self.n))
 
 
 @dataclass
@@ -72,9 +83,7 @@ class SparseOperator:
         return SparseOperator(self.pattern, self.data.copy())
 
     def to_csr(self):
-        p = self.pattern
-        return sp.csr_matrix((self.data, p.indices.copy(), p.indptr.copy()),
-                             shape=(p.n, p.n))
+        return self.pattern.csr(self.data)
 
     def matvec(self, x):
         return self.to_csr() @ x
@@ -82,17 +91,9 @@ class SparseOperator:
     def entry(self, i, j):
         return self.data[self.pattern.position(i, j)]
 
-    def transpose_data(self):
-        return self.data[self.pattern.transpose_pos]
-
     def row_sums(self):
         return np.bincount(self.pattern.rows, weights=self.data,
                            minlength=self.pattern.n)
-
-    def __add__(self, other):
-        if other.pattern is not self.pattern:
-            raise ValueError("operators live on different sparsity patterns")
-        return SparseOperator(self.pattern, self.data + other.data)
 
 
 def pattern(mesh):

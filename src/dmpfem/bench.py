@@ -9,7 +9,7 @@ import numpy as np
 
 from .assembly import VelocityModel, pattern
 from .mesh import Q1, build_structured, row_norms
-from .timeloop import dirichlet_bc, run_steady
+from .timeloop import run_steady
 
 STEADY_PARABOLIC = "STEADY_PARABOLIC"
 STRAIGHT_DISCONTINUITY = "STRAIGHT_DISCONTINUITY"
@@ -194,16 +194,6 @@ def make_problem(name):
             f"unknown problem {name!r}; known problems: {', '.join(PROBLEM_NAMES)}") \
             from None
     return factory()
-
-
-def check_consistency(mesh, problem):
-    """Initial data must match the inflow data at t = 0 on the inflow nodes."""
-    if problem.u0 is None:
-        return True
-    bc = dirichlet_bc(mesh, problem, 0.0)
-    x, y = mesh.coords[bc.nodes, 0], mesh.coords[bc.nodes, 1]
-    u0_vals = np.asarray(problem.u0(x, y), dtype=float)
-    return bool(np.all(np.abs(u0_vals - bc.values) < 1e-12))
 
 
 # ----------------------------------------------------------------------

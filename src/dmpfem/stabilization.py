@@ -311,14 +311,15 @@ def viscosity_symmetric_mass(mesh, F, M, alphas, dt, params):
         raise ValueError("dt must be positive")
     pat = pattern(mesh)
     extra = edge_viscosity(pat, M, alphas, params) / dt
-    return viscosity(mesh, F, alphas, params) + _edge_operator(pat, extra)
+    nu = viscosity(mesh, F, alphas, params)
+    return SparseOperator(pat, nu.data + _edge_operator(pat, extra).data)
 
 
 def assemble_B(mesh, nu):
     """Graph-Laplacian stabilization: B_ii = nu_ii, B_ij = -nu_ij."""
     pat = nu.pattern
-    data = nu.data.copy()
-    data[pat.edge_pos] = -data[pat.edge_pos]
+    data = -nu.data
+    data[pat.diag_pos] = nu.data[pat.diag_pos]
     return SparseOperator(pat, data)
 
 

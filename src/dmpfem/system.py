@@ -8,7 +8,11 @@ Steady:
     T(u) = [F(u) + B(u)] u - g
 
 Inflow rows are replaced strongly: row i of the operator becomes the identity
-and the residual entry u_i - u_D(x_i).  The Jacobian is exact for the smooth
+and the residual entry u_i - u_D(x_i).  A(u) is one data vector on the shared
+``Pattern``, whose Dirichlet rows are replaced by index (positions precomputed
+per system); the zeros this stores add nothing to T(u), and the Picard solve
+drops them on a copy so that SuperLU orders the same zero-free structure as
+a sparse sum would give it.  The Jacobian is exact for the smooth
 detector variants, including the detector chain rule through the regularized
 maxima and the state dependence of the transport operator; its sparsity
 extends to the distance-2 adjacency because every detector value depends on
@@ -94,10 +98,8 @@ class ResidualSystem:
         if dirichlet is None:
             dirichlet = DirichletBC(np.empty(0, dtype=np.int64), np.empty(0))
         self.dirichlet = dirichlet
-        free = np.ones(self.n)
-        free[dirichlet.nodes] = 0.0
-        self._free = free
-        self._dir_ind = 1.0 - free
+        self._dir_pos = _row_positions(self.pattern.indptr, dirichlet.nodes)
+        self._dir_diag = self.pattern.diag_pos[dirichlet.nodes]
 
         self._F_linear = assemble_convection(mesh, velocity, np.zeros(self.n)) \
             if velocity.is_linear else None
@@ -134,22 +136,26 @@ class ResidualSystem:
         return stab.assemble_nonlinear_mass(self.mesh, self.mass,
                                             self.lumped, alphas)
 
+    def _dirichlet_rows(self, data):
+        """CSR of fresh pattern data whose Dirichlet rows are identity rows."""
+        data[self._dir_pos] = 0.0
+        data[self._dir_diag] = 1.0
+        return self.pattern.csr(data)
+
     def assemble_operator(self, u):
         """Fixed-point operator and right side: A(u) u_next = G(u)."""
         u = np.asarray(u, dtype=float)
         F = self.convection(u)
         alphas = self.alphas(u)
-        B = self._viscous_operator(F, alphas)
-        K = (F + B).to_csr()
+        data = F.data + self._viscous_operator(F, alphas).data
         if self.steady:
-            A, G = K, self.g.copy()
+            G = self.g.copy()
         else:
             M = self._mass_operator(alphas).to_csr()
-            A = M / self.dt + K
+            data = M.data * (1.0 / self.dt) + data
             G = self.g + (M @ self.u_old) / self.dt
-        A = (sp.diags(self._free) @ A + sp.diags(self._dir_ind)).tocsr()
         G[self.dirichlet.nodes] = self.dirichlet.values
-        return A, G
+        return self._dirichlet_rows(data), G
 
     def residual(self, u):
         """T(u); Dirichlet rows carry u_i - u_D."""
@@ -159,31 +165,27 @@ class ResidualSystem:
     def picard_solve(self, u):
         """One fixed-point sweep: solve A(u) u_next = G."""
         A, G = self.assemble_operator(u)
-        return solve_linear(A, G)
-
-    def rhs_scale(self):
-        """Norm of the assembled right side, for relative residual checks."""
-        u0 = self.u_old if self.u_old is not None else np.zeros(self.n)
-        _, G = self.assemble_operator(u0)
-        return float(np.linalg.norm(G))
+        return solve_linear(_without_zeros(A), G)
 
     # ------------------------------------------------------------------
     # exact Jacobian
     # ------------------------------------------------------------------
 
     def jacobian(self, u):
-        if self.params.detector == stab.GALERKIN:
-            return self._finish_jacobian(self._galerkin_jacobian(u))
-        if not self.params.is_smooth:
+        galerkin = self.params.detector == stab.GALERKIN
+        if not (galerkin or self.params.is_smooth):
             raise ValueError(
                 "the exact Jacobian needs a smooth detector variant")
         u = np.asarray(u, dtype=float)
         pat = self.pattern
-        alphas, dalpha = stab.detector_derivative(self.mesh, u, self.params)
         F = self.convection(u)
-        J = F.to_csr()
         Fp = assemble_convection_state_derivative(self.mesh, self.velocity, u)
-        J = J + Fp.to_csr()
+        if galerkin:
+            data = F.data + Fp.data
+            if not self.steady:
+                data = data + self.mass.data * (1.0 / self.dt)
+            return _without_zeros(self._dirichlet_rows(data))
+        alphas, dalpha = stab.detector_derivative(self.mesh, u, self.params)
 
         # viscosity from the transport operator, plus the mass-compensated
         # extra viscosity, whose smooth maxes act on alpha_i M_ij with the
@@ -210,7 +212,8 @@ class ResidualSystem:
                                   for x in zip(*parts))
 
         B = stab.assemble_B(self.mesh, stab._edge_operator(pat, nu_edge))
-        J = J + B.to_csr()
+        # the on-pattern terms as one data vector, zero-free like a sparse sum
+        J = _without_zeros(pat.csr(F.data + Fp.data + B.data))
         P = stab._edge_operator(pat, p_off, diag=p_diag).to_csr()
         J = J + P @ dalpha
 
@@ -221,25 +224,18 @@ class ResidualSystem:
 
         # time term
         if not self.steady:
-            du = u - self.u_old
-            if symmetric_mass:
-                J = J + self.mass.to_csr() / self.dt
-            else:
-                Mb = stab.assemble_nonlinear_mass(self.mesh, self.mass,
-                                                  self.lumped, alphas)
-                J = J + Mb.to_csr() / self.dt
-                if not self.freeze_mass_alpha:
-                    wvec = (self.lumped * du - self.mass.matvec(du)) / self.dt
-                    J = J + sp.diags(wvec) @ dalpha
-        return self._finish_jacobian(J)
+            J = J + self._mass_operator(alphas).to_csr() / self.dt
+            if not (symmetric_mass or self.freeze_mass_alpha):
+                du = u - self.u_old
+                wvec = (self.lumped * du - self.mass.matvec(du)) / self.dt
+                J = J + sp.diags(wvec) @ dalpha
 
-    def _galerkin_jacobian(self, u):
-        u = np.asarray(u, dtype=float)
-        F = self.convection(u)
-        Fp = assemble_convection_state_derivative(self.mesh, self.velocity, u)
-        J = F.to_csr() + Fp.to_csr()
-        if not self.steady:
-            J = J + self.mass.to_csr() / self.dt
+        # identity Dirichlet rows, by index; J keeps the row order that the
+        # sparse sums gave it
+        nodes = self.dirichlet.nodes
+        J.data[_row_positions(J.indptr, nodes)] = 0.0
+        J[nodes, nodes] = 1.0
+        J.eliminate_zeros()
         return J
 
     def _viscosity_flux_term(self, W1, W2, T3):
@@ -261,6 +257,18 @@ class ResidualSystem:
         return sp.coo_matrix((contrib.ravel(), (rows, cols)),
                              shape=(self.n, self.n)).tocsr()
 
-    def _finish_jacobian(self, J):
-        return (sp.diags(self._free) @ J + sp.diags(self._dir_ind)).tocsr()
+
+def _row_positions(indptr, rows):
+    """Data positions of the stored entries of ``rows`` of a CSR matrix."""
+    start = indptr[rows]
+    count = indptr[rows + 1] - start
+    return (np.repeat(start - np.cumsum(count) + count, count)
+            + np.arange(count.sum()))
+
+
+def _without_zeros(A):
+    """A copy of CSR ``A`` without its stored zeros."""
+    A = A.copy()
+    A.eliminate_zeros()
+    return A
 

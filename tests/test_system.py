@@ -140,6 +140,28 @@ def test_dirichlet_rows_in_residual():
     assert np.allclose(T[bc.nodes], -2.0)
 
 
+@pytest.mark.parametrize("detector", [stab.SMOOTH, stab.GALERKIN])
+def test_solve_path_leaves_pattern_arrays_intact(detector):
+    # A(u) is a CSR view of pattern data that shares the pattern's index
+    # arrays; no step of the solve path may change them in place
+    mesh = build_structured(5, 5)
+    sys = build_system(mesh, dict(SMOOTH_CASES[1], detector=detector), seed=3)
+    pat = sys.pattern
+    names = ("indptr", "indices", "edge_pos", "diag_pos", "csr_indptr",
+             "csr_indices")
+    before = {name: getattr(pat, name).copy() for name in names}
+    u = random_state(mesh, 4)
+    A, _ = sys.assemble_operator(u)
+    sys.residual(u)
+    sys.picard_solve(u)
+    sys.jacobian(u)
+    for name in names:
+        assert np.array_equal(getattr(pat, name), before[name]), name
+    assert np.shares_memory(A.indices, pat.csr_indices)
+    with pytest.raises(ValueError):
+        A.eliminate_zeros()
+
+
 def test_transient_requires_previous_state():
     mesh = build_structured(2, 2)
     params = StabParams(q=1.0, detector=stab.GALERKIN, beta_bound=1.0)
@@ -183,5 +205,6 @@ def test_converged_relative_residual_consistency():
         sys = ResidualSystem(mesh, prob.velocity, params,
                              g=forcing_vector(mesh, prob), dirichlet=bc,
                              bounds=admissible_bounds(mesh, prob, True))
-        rel = np.linalg.norm(sys.residual(u)) / sys.rhs_scale()
+        _, G = sys.assemble_operator(np.zeros(mesh.n_nodes))
+        rel = np.linalg.norm(sys.residual(u)) / np.linalg.norm(G)
         assert rel <= 10 * tol
