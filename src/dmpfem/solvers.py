@@ -1,6 +1,12 @@
 """Nonlinear solvers: relaxed Anderson-accelerated fixed point iterations and
 Newton's method with line search, both with optional projection of every
-iterate onto the admissible bounds."""
+iterate onto the admissible bounds.
+
+Newton's line search minimizes ||T(u + xi du)|| by golden section, after a
+check of the full step: when phi(1) beats both phi(0) and phi(1 - ls_tol),
+xi = 1 is taken for two residuals instead of about 24.  The residual at the
+accepted point is handed back and reused as the next iterate's T(u) unless
+projection moved that point."""
 
 from __future__ import annotations
 
@@ -142,21 +148,43 @@ def anderson_solve(sys, u0, m=5, s_min=-0.05, omega0=1.0, omega_min=0.3,
     return u, report
 
 
-def line_search(sys, u, du, ls_tol=1e-4):
-    """Golden-section minimization of ||T(u + xi du)|| over xi in [0, 1].
+def line_search(sys, u, du, ls_tol=1e-4, T0=None):
+    """Step length xi in [0, 1] minimizing ||T(u + xi du)||, and T there.
 
-    Returns the best evaluated point, so a strictly decreasing profile yields
-    exactly 1.0 (the endpoints are always sampled).
+    The endpoints are sampled first; ``T0``, the residual at u when the
+    caller already has it, stands in for T(u + 0 du).  The full step is taken
+    at once when phi(1) < phi(0) and phi(1) <= phi(1 - ls_tol), which costs
+    one probe residual.  Otherwise golden-section search runs down to an
+    interval of width ``ls_tol`` and returns the best evaluated point (the
+    first one sampled among ties), so a strictly decreasing profile yields
+    exactly 1.0.  The probe never takes part in that choice: the search
+    returns the xi it would return without the full-step check.  On a
+    unimodal profile the two rules differ by less than ``ls_tol`` in xi; at
+    the roundoff floor, where the profile is noise, the full step may win
+    over a point golden section would have picked anywhere in [0, 1].
+
+    Returns ``(xi, T(u + xi du))``; only the best residual vector is kept.
     """
     evals = {}
+    best_xi = best_T = None
 
-    def phi(xi):
+    def phi(xi, T=None):
+        nonlocal best_xi, best_T
         if xi not in evals:
-            evals[xi] = float(np.linalg.norm(sys.residual(u + xi * du)))
+            if T is None:
+                T = sys.residual(u + xi * du)
+            evals[xi] = float(np.linalg.norm(T))
+            # strict "<" in sampling order keeps the first point among ties
+            if best_xi is None or evals[xi] < evals[best_xi]:
+                best_xi, best_T = xi, T
         return evals[xi]
 
-    phi(0.0)
+    phi(0.0, T0)
     phi(1.0)
+    if evals[1.0] < evals[0.0]:
+        probe = float(np.linalg.norm(sys.residual(u + (1.0 - ls_tol) * du)))
+        if evals[1.0] <= probe:
+            return 1.0, best_T
     a, b = 0.0, 1.0
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
@@ -170,12 +198,18 @@ def line_search(sys, u, du, ls_tol=1e-4):
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
             f2 = phi(x2)
-    return min(evals, key=evals.get)
+    return best_xi, best_T
 
 
 def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, bounds=None,
                  ls_tol=1e-4):
-    """Newton's method with residual-norm line search and optional projection."""
+    """Newton's method with residual-norm line search and optional projection.
+
+    The line search hands back the residual at its accepted point; it serves
+    as the next iteration's T(u) whenever projection leaves that point
+    unchanged, so a residual is evaluated afresh only after projection moved
+    the iterate.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     bounds = bounds if bounds is not None else getattr(sys, "bounds", None)
@@ -184,9 +218,11 @@ def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, bounds=None,
 
     u = np.asarray(u0, dtype=float).copy()
     report = SolverReport()
+    T = None
 
     for k in range(1, k_max + 1):
-        T = sys.residual(u)
+        if T is None:
+            T = sys.residual(u)
         if not np.all(np.isfinite(T)):
             report.failure = "non-finite residual"
             report.iterations = k - 1
@@ -198,11 +234,14 @@ def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, bounds=None,
             report.iterations = k - 1
             return u, report
 
-        xi = line_search(sys, u, du, ls_tol)
+        xi, T = line_search(sys, u, du, ls_tol, T)
         step = xi * du
-        u_next = u + step
+        u_next = u + step   # the point at which the line search took T
         if project:
-            u_next = project_admissible(u_next, bounds)
+            u_proj = project_admissible(u_next, bounds)
+            if not np.array_equal(u_proj, u_next):
+                T = None
+            u_next = u_proj
 
         nlerr = _rel_update(np.linalg.norm(step), u_next)
         report.nlerr_history.append(nlerr)
@@ -212,7 +251,9 @@ def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, bounds=None,
         u = u_next
 
         if nlerr < tol:
-            resid = float(np.linalg.norm(sys.residual(u)))
+            if T is None:
+                T = sys.residual(u)
+            resid = float(np.linalg.norm(T))
             report.residual_norm = resid
             # a vanishing accepted step with a large residual is a stall of
             # the line search, not convergence
@@ -222,5 +263,7 @@ def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, bounds=None,
             report.converged = True
             return u, report
 
-    report.residual_norm = float(np.linalg.norm(sys.residual(u)))
+    if T is None:
+        T = sys.residual(u)
+    report.residual_norm = float(np.linalg.norm(T))
     return u, report

@@ -1,18 +1,20 @@
 """Jacobian and solve-path fingerprints: sha256 digests of the exact
 Jacobian J(u) (CSR ``data``, ``indices`` and ``indptr``), of the residual
-T(u) and of one Picard sweep for four small systems, and of the final fields
-of two small end-to-end solves.
+T(u), of one Picard sweep and of one line search for four small systems, and
+of the final fields of three small end-to-end solves, with the Newton step
+lengths of one.
 
 Newton's iterates depend on every bit of J and T, so a refactor of the
 viscosity, the detector derivative or the Jacobian assembly must leave them
 bit-identical.  The J and T digests were taken before the residual and the
 Jacobian shared one edge-viscosity kernel, from the inline re-derivation it
 replaced; the Picard and end-to-end digests before A(u) was assembled on
-pattern data.  The Picard sweep also depends on the sparsity structure that
-SuperLU orders: a stored zero changes the column ordering and so the last
-bits of the solution.  The digests pin the floating-point results of this
-numpy/scipy build; a different libm may move the last bit of ``pow`` and
-change them.
+pattern data; the line-search and transient Newton digests before the line
+search checked the full step first.  The Picard sweep also depends on the
+sparsity structure that SuperLU orders: a stored zero changes the column
+ordering and so the last bits of the solution.  The digests pin the
+floating-point results of this numpy/scipy build; a different libm may move
+the last bit of ``pow`` and change them.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ import pytest
 from dmpfem import stabilization as stab
 from dmpfem.bench import make_problem
 from dmpfem.mesh import P1, Q1, build_structured
+from dmpfem.solvers import line_search
 from dmpfem.stabilization import StabParams
 from dmpfem.system import ResidualSystem
 from dmpfem.timeloop import (ANDERSON, NEWTON, TimeConfig, admissible_bounds,
@@ -104,6 +107,34 @@ def test_picard_sweep_is_bit_identical(name):
     assert _digest(sys.picard_solve(u)) == PICARD[name]
 
 
+# (xi, T digest) of one line search per case, see below
+LINE_SEARCH = {'burgers_p1': (0.9998930366896397, '9a673a3baf320dfe'),
+               'steady_linear_q1': (0.9998930366896397, 'b2e79fd71ecab892'),
+               'transient_gradual_q1': (0.9998930366896397, '52ce6c251ac25139'),
+               'transient_symmetric_mass_q1': (0.9998930366896397,
+                                               'd44a5f2c2d68c048')}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_line_search_next_to_the_probe_is_bit_identical(name):
+    # u* is a root of T(u) - T(u*); from 1e-6 off it, the profile along du
+    # has its minimum at the full-step probe point 1 - ls_tol.  The full
+    # step is rejected, and golden section must pick its own best point: the
+    # probe is not one of them.
+    system, u_star = CASES[name]()
+    shift = system.residual(u_star)
+
+    class Shifted:
+        def residual(self, v):
+            return system.residual(v) - shift
+
+    u = u_star + 1e-6 * np.random.default_rng(1).standard_normal(u_star.size)
+    du = (u_star - u) / (1.0 - 1e-4)
+    xi, T = line_search(Shifted(), u, du, ls_tol=1e-4)
+    assert np.array_equal(T, Shifted().residual(u + xi * du))
+    assert (xi, _digest(T)) == LINE_SEARCH[name]
+
+
 def test_steady_newton_solve_is_bit_identical():
     # the steady_newton benchmark's parameters on Q1 16^2, unprojected: with
     # projection this grid stalls at the outflow boundary for k_max steps
@@ -132,3 +163,23 @@ def test_burgers_anderson_run_is_bit_identical():
     result = run_transient(mesh, problem, cfg)
     assert [r.iterations for r in result.reports] == [4, 4, 5]
     assert _digest(result.u) == "282a3952f0c98700"
+
+
+def test_rotation_newton_run_is_bit_identical():
+    # the rotation_newton benchmark's stabilization on Q1 16^2, three steps,
+    # unprojected: with projection this grid stalls at step 1 (see
+    # test_steady_newton_solve_is_bit_identical).  The first line search
+    # ends just short of the full step, at 1 - 1.7 ls_tol, so a full-step
+    # check that accepted a mere decrease would move the field.
+    problem = make_problem("THREE_BODY_ROTATION")
+    mesh = build_structured(16, 16, domain=problem.domain, kind=Q1)
+    params = StabParams(q=25.0, eps=1e-4, sigma=1e-12, gamma=1e-8,
+                        detector=stab.SMOOTH, mass=stab.GRADUAL_LUMPING,
+                        beta_bound=problem.velocity.beta_bound)
+    cfg = TimeConfig(stab=params, dt=1e-3, t_end=3e-3, solver=NEWTON,
+                     projection=False, tol=1e-8)
+    result = run_transient(mesh, problem, cfg)
+    assert [r.iterations for r in result.reports] == [3, 3, 3]
+    assert [r.omega_or_xi_history for r in result.reports] == [
+        [0.9998269297282878, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+    assert _digest(result.u) == "908dee4a2a3061cb"

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dmpfem.solvers import (_anderson_coefficients, anderson_solve,
+from dmpfem import solvers
+from dmpfem.solvers import (GOLDEN, _anderson_coefficients, anderson_solve,
                             line_search, newton_solve, project_admissible)
-from dmpfem.system import AdmissibleBounds, SingularSystemError
+from dmpfem.system import AdmissibleBounds, SingularSystemError, solve_linear
 
 
 class ScalarPicard:
@@ -221,20 +222,175 @@ class PhiSystem:
 
 def test_line_search_interior_minimum():
     sys = PhiSystem(0.3)
-    xi = line_search(sys, np.zeros(1), np.ones(1), ls_tol=1e-4)
+    xi, _ = line_search(sys, np.zeros(1), np.ones(1), ls_tol=1e-4)
     assert xi == pytest.approx(0.3, abs=1e-4)
 
 
 def test_line_search_decreasing_profile_returns_one():
     sys = PhiSystem(2.0)   # minimum beyond the interval
-    xi = line_search(sys, np.zeros(1), np.ones(1), ls_tol=1e-4)
+    xi, _ = line_search(sys, np.zeros(1), np.ones(1), ls_tol=1e-4)
     assert xi == 1.0
 
 
 def test_line_search_exact_newton_step():
     sys = PhiSystem(1.0)
-    xi = line_search(sys, np.zeros(1), np.ones(1), ls_tol=1e-4)
+    xi, _ = line_search(sys, np.zeros(1), np.ones(1), ls_tol=1e-4)
     assert xi == 1.0
+
+
+def _golden_section_reference(sys, u, du, ls_tol=1e-4):
+    """The golden-section search as it was before the full-step check:
+    every call runs the search, and the best evaluated point wins."""
+    evals = {}
+
+    def phi(xi):
+        if xi not in evals:
+            evals[xi] = float(np.linalg.norm(sys.residual(u + xi * du)))
+        return evals[xi]
+
+    phi(0.0)
+    phi(1.0)
+    a, b = 0.0, 1.0
+    x1 = b - GOLDEN * (b - a)
+    x2 = a + GOLDEN * (b - a)
+    f1, f2 = phi(x1), phi(x2)
+    while b - a > ls_tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - GOLDEN * (b - a)
+            f1 = phi(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + GOLDEN * (b - a)
+            f2 = phi(x2)
+    return min(evals, key=evals.get)
+
+
+class WavySystem:
+    """Residual norm 2 + sin(w xi + theta) along u = xi * e: several local
+    minima in [0, 1] for large w."""
+
+    def __init__(self, w, theta):
+        self.w, self.theta = w, theta
+
+    def residual(self, u):
+        return np.array([2.0 + np.sin(self.w * u[0] + self.theta)])
+
+
+def _profiles():
+    rng = np.random.default_rng(7)
+    interior = [("interior", PhiSystem(c), True)
+                for c in rng.uniform(0.0, 1.0 - 1e-3, 8)]
+    decreasing = [("decreasing", PhiSystem(c), True)
+                  for c in rng.uniform(1.0, 3.0, 4)]
+    wavy = [("non-unimodal", WavySystem(w, t), False)
+            for w, t in zip(rng.uniform(8.0, 40.0, 8),
+                            rng.uniform(0.0, 2 * np.pi, 8))]
+    return interior + decreasing + wavy + [
+        # the minimizer is the probe point, which golden section does not
+        # sample here: it must not be returned
+        ("minimum at 1 - ls_tol", PhiSystem(1.0 - 1e-4), True),
+        ("phi(1) == phi(0)", PhiSystem(0.5), True),
+        ("constant", WavySystem(0.0, 0.3), True),
+    ]
+
+
+@pytest.mark.parametrize("label, sys, unimodal", _profiles())
+def test_line_search_is_golden_section_unless_full_step_accepted(
+        label, sys, unimodal):
+    ls_tol = 1e-4
+    u, du = np.zeros(1), np.ones(1)
+
+    def phi(xi):
+        return float(np.linalg.norm(sys.residual(u + xi * du)))
+
+    xi, T = line_search(sys, u, du, ls_tol)
+    ref = _golden_section_reference(sys, u, du, ls_tol)
+    accept = phi(1.0) < phi(0.0) and phi(1.0) <= phi(1.0 - ls_tol)
+    assert xi == (1.0 if accept else ref)
+    assert np.array_equal(T, sys.residual(u + xi * du))
+    if unimodal:
+        assert abs(xi - ref) < ls_tol
+
+
+class CountingSystem:
+    """Counts residual evaluations of the wrapped system."""
+
+    def __init__(self, inner):
+        self.inner, self.calls, self.jacobian_points = inner, 0, []
+        self.bounds = getattr(inner, "bounds", None)
+
+    def residual(self, u):
+        self.calls += 1
+        return self.inner.residual(u)
+
+    def jacobian(self, u):
+        self.jacobian_points.append(np.array(u, copy=True))
+        return self.inner.jacobian(u)
+
+
+def test_line_search_uses_the_given_residual_at_zero():
+    u, du = np.zeros(1), -np.ones(1)    # the profile only grows along -e
+    sys = CountingSystem(PhiSystem(0.5))
+    T0 = sys.inner.residual(u)
+    xi, T = line_search(sys, u, du, ls_tol=1e-4, T0=T0)
+    assert xi == 0.0 and T is T0
+    ref = CountingSystem(PhiSystem(0.5))
+    assert _golden_section_reference(ref, u, du, ls_tol=1e-4) == 0.0
+    assert sys.calls == ref.calls - 1
+
+
+class CubicSystem:
+    """T(u) = A u + u^3 - b, with its exact Jacobian."""
+
+    bounds = None
+
+    def __init__(self, n=6, seed=2):
+        rng = np.random.default_rng(seed)
+        self.A = rng.standard_normal((n, n)) + n * np.eye(n)
+        self.b = rng.standard_normal(n)
+
+    def residual(self, u):
+        return self.A @ u + u ** 3 - self.b
+
+    def jacobian(self, u):
+        return sp.csr_matrix(self.A + np.diag(3.0 * u ** 2))
+
+
+CUBIC = CubicSystem()
+
+
+@pytest.mark.parametrize("inner, u0", [
+    (ScalarNewton(), np.array([3.0])),
+    (CUBIC, np.linalg.solve(CUBIC.A, CUBIC.b))])
+def test_exact_newton_costs_at_most_three_residuals_per_iteration(inner, u0):
+    sys = CountingSystem(inner)
+    u, rep = newton_solve(sys, u0, tol=1e-10, k_max=20)
+    assert rep.converged
+    assert all(xi == 1.0 for xi in rep.omega_or_xi_history)
+    assert sys.calls <= 3 * rep.iterations
+    # the residual of the last accepted point is reused, not recomputed
+    assert rep.residual_norm == np.linalg.norm(inner.residual(u))
+
+
+@pytest.mark.parametrize("project", [False, True])
+def test_newton_solves_with_the_residual_of_the_current_iterate(project,
+                                                                monkeypatch):
+    # from u = 3 the first Newton step lands on 13/6; the bound 2.1 clips it,
+    # so T must be evaluated afresh at the projected iterate
+    bounds = AdmissibleBounds(0.0, 2.1)
+    sys = CountingSystem(ScalarNewton())
+    rhs = []
+    monkeypatch.setattr(solvers, "solve_linear",
+                        lambda A, b: rhs.append(b) or solve_linear(A, b))
+    u, rep = newton_solve(sys, np.array([3.0]), tol=1e-10, k_max=30,
+                          project=project, bounds=bounds)
+    assert rep.converged
+    assert len(sys.jacobian_points) == len(rhs) == rep.iterations
+    for u_k, b in zip(sys.jacobian_points, rhs):
+        assert np.array_equal(b, -sys.inner.residual(u_k))
+    assert (sys.jacobian_points[1][0] == 2.1) == project
+    assert rep.residual_norm == np.linalg.norm(sys.inner.residual(u))
 
 
 def test_report_history_lengths_match_iterations():
