@@ -216,6 +216,8 @@ def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, bounds=None,
     if project and bounds is None:
         raise ValueError("projection requested without admissible bounds")
 
+    order = getattr(sys, "jacobian_order", None)
+
     u = np.asarray(u0, dtype=float).copy()
     report = SolverReport()
     T = None
@@ -228,7 +230,7 @@ def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, bounds=None,
             report.iterations = k - 1
             return u, report
         try:
-            du = solve_linear(sys.jacobian(u), -T, symmetric=True)
+            du = solve_linear(sys.jacobian(u), -T, order=order)
         except SingularSystemError as exc:
             report.failure = f"singular Jacobian: {exc}"
             report.iterations = k - 1

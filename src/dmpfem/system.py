@@ -12,23 +12,30 @@ and the residual entry u_i - u_D(x_i).  A(u) is one data vector on the shared
 ``Pattern``, whose Dirichlet rows are replaced by index (positions precomputed
 per system); the zeros this stores add nothing to T(u), and the Picard solve
 drops them on a copy so that SuperLU orders the same zero-free structure as a
-sparse sum would give it.  Newton factorizes J in SuperLU's symmetric mode
-(``solve_linear``), in half of COLAMD's time on the transient J.  A(u) stays
-on COLAMD: symmetric mode moves the last bits of each Picard sweep, and
-Anderson's iteration count follows them (411 -> 522 on the BURGERS2D
-benchmark), where Newton's quadratic convergence absorbs them.  The Jacobian
-is exact for the smooth detector variants, including the detector chain rule
-through the regularized maxima and the state dependence of the transport
-operator; its sparsity extends to the distance-2 adjacency because every
-detector value depends on the whole neighborhood.  The residual and the
-Jacobian take the viscosity from the same kernel,
-``stabilization.edge_viscosity``, the Jacobian with its partials.
+sparse sum would give it.  The Jacobian is exact for the smooth detector
+variants, including the detector chain rule through the regularized maxima
+and the state dependence of the transport operator; its sparsity extends to
+the distance-2 adjacency because every detector value depends on the whole
+neighborhood.  The residual and the Jacobian take the viscosity from the same
+kernel, ``stabilization.edge_viscosity``, the Jacobian with its partials.
+
+Both solves go through ``solve_linear``.  Newton factorizes J in SuperLU's
+symmetric mode on a nested-dissection ordering of the mesh's distance-2
+graph, computed once per mesh (``jacobian_order``).  The steady J has no
+M/dt term and weak diagonals: with a minimum-degree ordering made afresh for
+each J, its pivots left the diagonal on the early iterates and the fill grew
+to 2.7 M at 96^2; the separators confine that pivoting to subdomains (at most
+1.5 M), and the ordering is no longer made per factorization.
+A(u) stays on COLAMD with partial pivoting, bit-identical to ``spsolve``:
+symmetric mode moves the last bits of each Picard sweep, and Anderson's
+iteration count follows them (411 -> 522 on the BURGERS2D benchmark), where
+Newton's quadratic convergence absorbs them.  COLAMD's ordering depends on
+the structure only, so it is kept for the last structure factorized.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,28 +70,125 @@ class DirichletBC:
     values: np.ndarray
 
 
-def solve_linear(A, b, symmetric=False):
+# The COLAMD ordering of the last CSC structure that ``solve_linear`` factored
+# without an ordering: (shape, indptr, indices, inverse column permutation).
+# Every hit is checked against the whole structure, so a caller always gets
+# what spsolve would give it; one tuple, replaced whole, so a reader never
+# sees half of an update.
+_colamd = None
+
+
+def solve_linear(A, b, order=None):
     """Direct sparse solve; raises SingularSystemError on breakdown.
 
-    ``spsolve`` (COLAMD, partial pivoting) by default, as for A(u).  Newton
-    passes ``symmetric=True`` for J: SuperLU's symmetric mode, minimum degree
-    on A^T + A, a diagonal pivot kept unless below 0.01 of its column's
-    largest entry (see the module docstring for why only J).
+    Without ``order``: SuperLU with COLAMD and partial pivoting, the result
+    bit-identical to ``spsolve``, as for A(u).  The column ordering of the
+    last structure factorized is kept, and a matrix of the same structure
+    (stored zeros included) is factorized on its pre-permuted columns with
+    ``permc_spec="NATURAL"``, which skips COLAMD and gives the same bits.
+
+    With ``order``, a permutation of the unknowns, as Newton passes for J:
+    A is permuted symmetrically by it and factorized in SuperLU's symmetric
+    mode, a diagonal pivot kept unless below 0.01 of its column's largest
+    entry (see the module docstring for why only J).
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", spla.MatrixRankWarning)
-        try:
-            if symmetric:
-                x = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                              diag_pivot_thresh=0.01,
-                              options=dict(SymmetricMode=True)).solve(b)
+    global _colamd
+    try:
+        if order is not None:
+            # rows permuted in CSR, columns in CSC: major-axis selections
+            P = A.tocsr()[order].tocsc()[:, order]
+            y = spla.splu(P, permc_spec="NATURAL", diag_pivot_thresh=0.01,
+                          options=dict(SymmetricMode=True)).solve(b[order])
+            x = np.empty_like(y)
+            x[order] = y
+        else:
+            C = A.tocsc()
+            cached = _colamd
+            if (cached is not None and cached[0] == C.shape
+                    and np.array_equal(cached[1], C.indptr)
+                    and np.array_equal(cached[2], C.indices)):
+                p = cached[3]
+                y = spla.splu(C[:, p], permc_spec="NATURAL").solve(b)
+                x = np.empty_like(y)
+                x[p] = y
             else:
-                x = spla.spsolve(A.tocsc(), b)
-        except (spla.MatrixRankWarning, RuntimeError, ValueError) as exc:
-            raise SingularSystemError(str(exc)) from exc
+                lu = spla.splu(C)
+                x = lu.solve(b)
+                _colamd = (C.shape, C.indptr.copy(), C.indices.copy(),
+                           np.argsort(lu.perm_c))
+    except (RuntimeError, ValueError) as exc:
+        raise SingularSystemError(str(exc)) from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("linear solve produced non-finite values")
     return x
+
+
+_LEAF = 16   # parts of at most this many nodes keep their natural order
+
+
+def jacobian_order(mesh):
+    """Nested-dissection ordering of the mesh's distance-2 graph (cached).
+
+    Recursive coordinate bisection (George, *Nested dissection of a regular
+    finite element mesh*, SINUM 1973): a part is split at the median of its
+    wider coordinate extent, and its separator is the set of lower-half
+    nodes within distance 2 of the upper half, because J couples every pair
+    of nodes at distance 2.  A part is ordered as [lower-half interior, upper
+    half, separator], recursively; parts of at most ``_LEAF`` nodes keep their
+    natural order.  All parts of one level are split together, and the
+    separator is found by two neighbor passes over the pattern; the
+    distance-2 graph is never formed.  Built on the first Newton solve on a
+    mesh, never during set-up.
+    """
+    if "jacobian_order" not in mesh._cache:
+        mesh._cache["jacobian_order"] = _nested_dissection(
+            pattern(mesh), mesh.coords)
+    return mesh._cache["jacobian_order"]
+
+
+def _nested_dissection(pat, coords):
+    n = pat.n
+    nodes = np.arange(n)                 # nodes not yet placed
+    part = np.zeros(n, dtype=np.intp)    # their part at this level
+    digits = []     # per level: 0 lower interior, 1 upper half, 2 separator
+    while nodes.size:
+        big = np.bincount(part)[part] > _LEAF
+        nodes = nodes[big]
+        if not nodes.size:
+            break
+        part = np.unique(part[big], return_inverse=True)[1]
+        size = np.bincount(part)
+        start = np.cumsum(size) - size
+        xy = coords[nodes[np.argsort(part, kind="stable")]]
+        wide = np.argmax(np.maximum.reduceat(xy, start)
+                         - np.minimum.reduceat(xy, start), axis=1)
+        key = coords[nodes, wide[part]]
+        s = np.lexsort((key, part))
+        median = key[s][start + size // 2][part]
+        lower = key < median
+        # more than half of a part at its smallest key: split at <= instead;
+        # where every key is equal (coincident nodes), by rank, so that every
+        # part shrinks
+        tied = np.bincount(part, weights=lower)[part] == 0
+        lower[tied] = key[tied] <= median[tied]
+        tied = np.bincount(part, weights=lower)[part] == size[part]
+        rank = np.empty(nodes.size, dtype=np.intp)
+        rank[s] = np.arange(nodes.size) - np.repeat(start, size)
+        lower[tied] = rank[tied] < (size // 2)[part[tied]]
+        # the pattern holds the diagonal, so each pass grows the set by one
+        # layer of neighbors; parts of one level are more than 2 apart
+        near = np.zeros(n, dtype=bool)
+        near[nodes[~lower]] = True
+        for _ in range(2):
+            near[pat.cols[near[pat.rows]]] = True
+        separator = lower & near[nodes]
+        digit = np.zeros(n, dtype=np.int8)
+        digit[nodes] = np.where(separator, 2, ~lower)
+        digits.append(digit)
+        keep = ~separator
+        nodes, part = nodes[keep], (2 * part + ~lower)[keep]
+    # lexsort is stable, so nodes of one leaf or separator keep natural order
+    return np.lexsort(digits[::-1]) if digits else np.arange(n)
 
 
 class ResidualSystem:
@@ -124,6 +228,11 @@ class ResidualSystem:
     @property
     def steady(self):
         return self.dt is None
+
+    @property
+    def jacobian_order(self):
+        """The ordering in which ``newton_solve`` factorizes J."""
+        return jacobian_order(self.mesh)
 
     def convection(self, u):
         if self._F_linear is not None:

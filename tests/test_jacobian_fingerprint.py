@@ -13,8 +13,9 @@ pattern data; the line-search and transient Newton digests before the line
 search checked the full step first.  The Picard sweep also depends on the
 sparsity structure that SuperLU orders: a stored zero changes the column
 ordering and so the last bits of the solution.  The two Newton-run digests
-pin the symmetric-mode factorization of J (minimum degree on J^T + J); each
-has a reference run with the former COLAMD solve of J monkeypatched in,
+pin the symmetric-mode factorization of J on the mesh's nested-dissection
+ordering; each has a reference run with the former solve of J (symmetric
+mode, minimum degree on J^T + J made per factorization) monkeypatched in,
 which must reproduce the old digest, the iterations and the step lengths,
 and stay within 1e-12 of the new field.  The digests pin the
 floating-point results of this numpy/scipy build; a different libm may move
@@ -25,6 +26,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from dmpfem import solvers
 from dmpfem import stabilization as stab
@@ -32,7 +34,7 @@ from dmpfem.bench import make_problem
 from dmpfem.mesh import P1, Q1, build_structured
 from dmpfem.solvers import line_search
 from dmpfem.stabilization import StabParams
-from dmpfem.system import ResidualSystem, solve_linear
+from dmpfem.system import ResidualSystem
 from dmpfem.timeloop import (ANDERSON, NEWTON, TimeConfig, admissible_bounds,
                              dirichlet_bc, run_steady, run_transient)
 
@@ -153,10 +155,15 @@ def _steady_newton_run():
     return run_steady(mesh, problem, cfg)
 
 
-def _with_colamd_jacobian_solve(monkeypatch):
-    """Newton's J solved by ``spsolve`` (COLAMD), as before symmetric mode."""
-    monkeypatch.setattr(solvers, "solve_linear",
-                        lambda A, b, symmetric=False: solve_linear(A, b))
+def _with_mmd_jacobian_solve(monkeypatch):
+    """Newton's J solved in symmetric mode on a minimum-degree ordering of
+    J^T + J made per factorization, as before the nested-dissection
+    ordering."""
+    def solve(A, b, order=None):
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.01,
+                         options=dict(SymmetricMode=True)).solve(b)
+    monkeypatch.setattr(solvers, "solve_linear", solve)
 
 
 def _assert_close_to_reference(u, reports, u_ref, refs):
@@ -170,14 +177,14 @@ def _assert_close_to_reference(u, reports, u_ref, refs):
 def test_steady_newton_solve_is_bit_identical():
     u, report = _steady_newton_run()
     assert (report.converged, report.iterations) == (True, 14)
-    assert _digest(u) == "ff736873be74d1b3"
+    assert _digest(u) == "ec023be52f5310b8"
 
 
-def test_steady_newton_solve_matches_the_colamd_reference(monkeypatch):
+def test_steady_newton_solve_matches_the_mmd_reference(monkeypatch):
     u, report = _steady_newton_run()
-    _with_colamd_jacobian_solve(monkeypatch)
+    _with_mmd_jacobian_solve(monkeypatch)
     u_ref, ref = _steady_newton_run()
-    assert _digest(u_ref) == "ba556dfe7d70cc00"   # the pin before the change
+    assert _digest(u_ref) == "ff736873be74d1b3"   # the pin before the change
     _assert_close_to_reference(u, [report], u_ref, [ref])
 
 
@@ -218,12 +225,12 @@ def test_rotation_newton_run_is_bit_identical():
     assert [r.iterations for r in result.reports] == [3, 3, 3]
     assert [r.omega_or_xi_history for r in result.reports] == [
         [0.9998269297282878, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
-    assert _digest(result.u) == "fb0f3ed30d86cea1"
+    assert _digest(result.u) == "e404f51245523bf9"
 
 
-def test_rotation_newton_run_matches_the_colamd_reference(monkeypatch):
+def test_rotation_newton_run_matches_the_mmd_reference(monkeypatch):
     result = _rotation_newton_run()
-    _with_colamd_jacobian_solve(monkeypatch)
+    _with_mmd_jacobian_solve(monkeypatch)
     ref = _rotation_newton_run()
-    assert _digest(ref.u) == "908dee4a2a3061cb"   # the pin before the change
+    assert _digest(ref.u) == "fb0f3ed30d86cea1"   # the pin before the change
     _assert_close_to_reference(result.u, result.reports, ref.u, ref.reports)

@@ -1,14 +1,22 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from dmpfem import stabilization as stab
-from dmpfem.assembly import VelocityModel, assemble_convection, assemble_mass
-from dmpfem.mesh import build_structured
+from dmpfem.assembly import (VelocityModel, assemble_convection, assemble_mass,
+                             pattern)
+from dmpfem.bench import make_problem
+from dmpfem.mesh import P1, Q1, build_structured
 from dmpfem.stabilization import StabParams
 from dmpfem.system import (AdmissibleBounds, DirichletBC, ResidualSystem,
-                           SingularSystemError, solve_linear)
+                           SingularSystemError, _nested_dissection,
+                           jacobian_order, solve_linear)
+from dmpfem.timeloop import ANDERSON, NEWTON, TimeConfig, run_transient
 from test_assembly import constant_velocity
 from test_jacobian_fingerprint import CASES
 from test_mesh import neighbors
@@ -166,11 +174,68 @@ def test_solve_path_leaves_pattern_arrays_intact(detector):
         A.eliminate_zeros()
 
 
+def test_jacobian_order_is_a_deterministic_permutation_built_once():
+    for kind in (Q1, P1):
+        mesh = build_structured(13, 9, kind=kind)
+        order = jacobian_order(mesh)
+        assert np.array_equal(np.sort(order), np.arange(mesh.n_nodes))
+        assert jacobian_order(mesh) is order
+        again = build_structured(13, 9, kind=kind)
+        assert np.array_equal(jacobian_order(again), order)
+
+
+@pytest.mark.parametrize("x", [np.zeros(40), np.repeat([0.0, 1.0], [30, 10])])
+def test_nested_dissection_splits_tied_coordinates(x):
+    # a path graph whose nodes share their smallest coordinate, or all of it
+    n = x.size
+    adj = sp.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(n, n)).tocsr()
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    pat = SimpleNamespace(n=n, rows=rows, cols=adj.indices)
+    order = _nested_dissection(pat, np.column_stack([x, np.zeros(n)]))
+    assert np.array_equal(np.sort(order), np.arange(n))
+
+
+def test_jacobian_order_separates_on_the_distance_two_graph():
+    # the last nodes of the order form the top-level separator: the smallest
+    # such tail whose removal splits J's graph (distance 2 in the mesh) into
+    # parts; below it, the halves are ordered one after the other
+    mesh = build_structured(24, 24)
+    order = jacobian_order(mesh)
+    pat = pattern(mesh)
+    adj = pat.csr(np.ones(pat.nnz))
+    graph = (adj @ adj)[order][:, order]
+    for tail in range(1, mesh.n_nodes):
+        head = graph[:-tail, :-tail]
+        count, label = connected_components(head, directed=False)
+        if count > 1:
+            break
+    # two node columns; the lower-half interior, then the upper half
+    assert (count, tail) == (2, 2 * 25)
+    assert np.all(np.diff(label) >= 0)
+
+
+def test_jacobian_order_is_not_built_by_set_up_or_by_anderson():
+    problem = make_problem("BURGERS2D")
+    mesh = build_structured(6, 6, domain=problem.domain, kind=P1)
+    params = StabParams(q=1.0, eps=1e-3, sigma=1e-12, gamma=1e-8,
+                        detector=stab.SMOOTH, mass=stab.GRADUAL_LUMPING,
+                        beta_bound=problem.velocity.beta_bound)
+    pattern(mesh)
+    stab.detector_values(mesh, np.zeros(mesh.n_nodes), params)
+    assert "jacobian_order" not in mesh._cache
+    cfg = TimeConfig(stab=params, dt=1e-2, t_end=1e-2, solver=ANDERSON,
+                     projection=True, tol=1e-5, k_max=300)
+    run_transient(mesh, problem, cfg)
+    assert "jacobian_order" not in mesh._cache
+    run_transient(mesh, problem, replace(cfg, solver=NEWTON, projection=False))
+    assert "jacobian_order" in mesh._cache
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_symmetric_mode_solve_of_the_jacobian_matches_spsolve(name):
     sys, u = CASES[name]()
     J, b = sys.jacobian(u), -sys.residual(u)
-    x = solve_linear(J, b, symmetric=True)
+    x = solve_linear(J, b, order=sys.jacobian_order)
     ref = spla.spsolve(J.tocsc(), b)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -205,8 +270,9 @@ def test_symmetric_mode_solve_pivots_off_weak_diagonals(diagonal):
         A = structurally_symmetric_matrix(seed, diagonal)
         pattern = A.astype(bool)
         assert (pattern != pattern.T).nnz == 0 and (A != A.T).nnz > 0
-        b = np.random.default_rng(seed + 100).standard_normal(A.shape[0])
-        x = solve_linear(A, b, symmetric=True)
+        rng = np.random.default_rng(seed + 100)
+        b = rng.standard_normal(A.shape[0])
+        x = solve_linear(A, b, order=rng.permutation(A.shape[0]))
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -216,8 +282,42 @@ def test_symmetric_mode_solve_pivots_off_weak_diagonals(diagonal):
     [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
 def test_symmetric_mode_solve_of_a_singular_matrix_raises(matrix):
     A = sp.csr_matrix(np.array(matrix))
-    with pytest.raises(SingularSystemError, match="Factor is exactly singular"):
-        solve_linear(A, np.ones(A.shape[0]), symmetric=True)
+    for order in (np.arange(A.shape[0]), None):
+        with pytest.raises(SingularSystemError,
+                           match="Factor is exactly singular"):
+            solve_linear(A, np.ones(A.shape[0]), order=order)
+
+
+def test_solve_reuses_the_colamd_ordering_only_for_the_same_structure():
+    # a cached ordering reused for another structure gives other bits; a
+    # stored zero is a structure of its own, as it is to spsolve, and so is
+    # an entry moved within its column (the same indptr)
+    rng = np.random.default_rng(7)
+    n = 60
+    base = (sp.random(n, n, density=0.06, random_state=rng)
+            + sp.eye(n)).tocsr()
+    extra = (base + sp.random(n, n, density=0.03, random_state=rng)).tocsr()
+    coo = base.tocoo()
+    j = np.flatnonzero(base[0].toarray().ravel() == 0.0)[-1]
+    stored_zero = sp.csr_matrix((np.append(coo.data, 0.0),
+                                 (np.append(coo.row, 0), np.append(coo.col, j))),
+                                shape=(n, n))
+    assert stored_zero.nnz == base.nnz + 1
+    row = coo.row.copy()
+    k = np.flatnonzero(coo.row != coo.col)[0]
+    taken = coo.row[coo.col == coo.col[k]]
+    row[k] = np.setdiff1d(np.arange(n), taken)[0]
+    moved = sp.csr_matrix((coo.data, (row, coo.col)), shape=(n, n))
+    assert np.array_equal(moved.tocsc().indptr, base.tocsc().indptr)
+    structures = [base, base, extra, extra, stored_zero, base, moved, extra]
+    orders = {tuple(spla.splu(A.tocsc()).perm_c) for A in structures}
+    assert len(orders) == 4
+    for A in structures:
+        A = A.copy()
+        A.data = rng.standard_normal(A.nnz) * (A.data != 0.0)
+        A.data[A.indices == np.repeat(np.arange(n), np.diff(A.indptr))] += 4.0
+        b = rng.standard_normal(n)
+        assert np.array_equal(solve_linear(A, b), spla.spsolve(A.tocsc(), b))
 
 
 def test_transient_requires_previous_state():
