@@ -19,12 +19,22 @@ the distance-2 adjacency because every detector value depends on the whole
 neighborhood.  The residual and the Jacobian take the viscosity from the same
 kernel, ``stabilization.edge_viscosity``, the Jacobian with its partials.
 
-Both solves go through ``solve_linear``.  Newton factorizes J in SuperLU's
-symmetric mode on a nested-dissection ordering of the mesh's distance-2
-graph, computed once per mesh (``jacobian_order``).  The steady J has no
-M/dt term and weak diagonals: with a minimum-degree ordering made afresh for
-each J, its pivots left the diagonal on the early iterates and the fill grew
-to 2.7 M at 96^2; the separators confine that pivoting to subdomains (at most
+Both solves go through ``solve_linear``.  Newton's J is first given one
+cycle of GMRES(60) right-preconditioned by its diagonal (Jacobi), whose
+result is kept only at a relative residual of 1e-12.  A transient J is
+M(alpha)/dt plus transport terms that are small beside it at the time steps
+used (median off-diagonal row sum 0.05 of the diagonal on the
+THREE_BODY_ROTATION benchmark), so the cycle converges in about 30
+iterations: 13 ms against 64 ms for the factorization at 96^2, and all 48
+rotation J were taken.  The steady J has no M/dt term; after 10 iterations
+its rate could not reach the tolerance within 60 on any of the 15 J of the
+STRAIGHT_DISCONTINUITY benchmark, and the cycle gives up after about 2.5 ms.
+Such a J, and any J with n <= 60 or a zero diagonal entry, is factorized in
+SuperLU's symmetric mode on a nested-dissection ordering of the mesh's
+distance-2 graph, computed once per mesh (``jacobian_order``).  The steady J
+has weak diagonals: with a minimum-degree ordering made afresh for each J,
+its pivots left the diagonal on the early iterates and the fill grew to
+2.7 M at 96^2; the separators confine that pivoting to subdomains (at most
 1.5 M), and the ordering is no longer made per factorization.
 A(u) stays on COLAMD with partial pivoting, bit-identical to ``spsolve``:
 symmetric mode moves the last bits of each Picard sweep, and Anderson's
@@ -39,6 +49,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -77,9 +88,66 @@ class DirichletBC:
 # sees half of an update.
 _colamd = None
 
+_KRYLOV = 60        # GMRES(m): Krylov vectors in the one cycle tried on J
+_PROBE = 10         # iterations after which the observed rate must suffice
+_KRYLOV_RTOL = 1e-12
+
+
+def _jacobi_gmres(A, b):
+    """x with ||A x - b|| <= 1e-12 ||b|| from one cycle of GMRES(m), or None.
+
+    GMRES (Saad & Schultz, SISSC 1986) from x = 0, right-preconditioned by
+    diag(A), so that it minimizes the true residual; classical Gram-Schmidt
+    run twice, Givens rotations for the least-squares residual.  None when
+    n <= m (within n iterations GMRES would solve a small singular but
+    consistent system instead of letting the factorization report it), when
+    a diagonal entry is zero, when the rate after ``_PROBE`` iterations
+    cannot reach the tolerance within m, when m iterations do not reach it,
+    or when the residual of the formed x misses it.
+    """
+    n, m = b.size, _KRYLOV
+    d = A.diagonal()
+    beta = np.linalg.norm(b)
+    if n <= m or not np.all(d) or not 0.0 < beta < np.inf:
+        return None
+    target = _KRYLOV_RTOL * beta
+    V = np.empty((m + 1, n))
+    R = np.zeros((m, m))
+    cs, sn = np.empty(m), np.empty(m)
+    g = np.zeros(m + 1)
+    V[0], g[0] = b / beta, beta
+    for k in range(m):
+        w = A @ (V[k] / d)
+        h = V[:k + 1] @ w
+        w -= h @ V[:k + 1]
+        c = V[:k + 1] @ w
+        w -= c @ V[:k + 1]
+        h += c
+        h_next = np.linalg.norm(w)
+        for i in range(k):
+            h[i], h[i + 1] = (cs[i] * h[i] + sn[i] * h[i + 1],
+                              cs[i] * h[i + 1] - sn[i] * h[i])
+        r = np.hypot(h[k], h_next)
+        if r == 0.0:
+            return None
+        cs[k], sn[k] = h[k] / r, h_next / r
+        h[k] = r
+        R[:k + 1, k] = h
+        g[k], g[k + 1] = cs[k] * g[k], -sn[k] * g[k]
+        if abs(g[k + 1]) <= target:
+            y = scipy.linalg.solve_triangular(R[:k + 1, :k + 1], g[:k + 1])
+            x = (y @ V[:k + 1]) / d
+            return x if np.linalg.norm(A @ x - b) <= target else None
+        # the rate so far, kept for all m iterations, would not get there
+        if k + 1 == _PROBE and (abs(g[k + 1]) / beta) ** (m / _PROBE) > \
+                _KRYLOV_RTOL:
+            return None
+        V[k + 1] = w / h_next
+    return None
+
 
 def solve_linear(A, b, order=None):
-    """Direct sparse solve; raises SingularSystemError on breakdown.
+    """Sparse solve of A x = b; raises SingularSystemError on breakdown.
 
     Without ``order``: SuperLU with COLAMD and partial pivoting, the result
     bit-identical to ``spsolve``, as for A(u).  The column ordering of the
@@ -88,11 +156,21 @@ def solve_linear(A, b, order=None):
     ``permc_spec="NATURAL"``, which skips COLAMD and gives the same bits.
 
     With ``order``, a permutation of the unknowns, as Newton passes for J:
-    A is permuted symmetrically by it and factorized in SuperLU's symmetric
-    mode, a diagonal pivot kept unless below 0.01 of its column's largest
-    entry (see the module docstring for why only J).
+    first one cycle of GMRES(60) right-preconditioned by diag(A), skipped
+    for n <= 60 or a zero diagonal entry, abandoned after 10 iterations when
+    their rate cannot reach the tolerance within 60, and its x returned only
+    when ||A x - b|| <= 1e-12 ||b||.  Otherwise, in the same call, A is
+    permuted symmetrically by ``order`` and factorized in SuperLU's
+    symmetric mode, a diagonal pivot kept unless below 0.01 of its column's
+    largest entry (see the module docstring for which J take which path).
+    A singular A raises through the factorization, except that a large,
+    exactly singular A with b in its range may return a GMRES solution
+    instead.
     """
     global _colamd
+    x = None if order is None else _jacobi_gmres(A, b)
+    if x is not None:
+        return x
     try:
         if order is not None:
             # rows permuted in CSR, columns in CSC: major-axis selections

@@ -12,14 +12,17 @@ replaced; the Picard and end-to-end digests before A(u) was assembled on
 pattern data; the line-search and transient Newton digests before the line
 search checked the full step first.  The Picard sweep also depends on the
 sparsity structure that SuperLU orders: a stored zero changes the column
-ordering and so the last bits of the solution.  The two Newton-run digests
-pin the symmetric-mode factorization of J on the mesh's nested-dissection
-ordering; each has a reference run with the former solve of J (symmetric
-mode, minimum degree on J^T + J made per factorization) monkeypatched in,
-which must reproduce the old digest, the iterations and the step lengths,
-and stay within 1e-12 of the new field.  The digests pin the
-floating-point results of this numpy/scipy build; a different libm may move
-the last bit of ``pow`` and change them.
+ordering and so the last bits of the solution.  The steady Newton-run
+digest pins the symmetric-mode factorization of J on the mesh's
+nested-dissection ordering, the transient one the Jacobi-preconditioned
+GMRES solve that takes the transient J first.  Each has a reference run with
+the former solve of J (symmetric mode, minimum degree on J^T + J made per
+factorization) monkeypatched in, and the transient one a second with the
+nested-dissection factorization alone; a reference run must reproduce the
+old digest, the iterations and the step lengths, and stay within 1e-12 of
+the new field.  The digests pin the floating-point results of this
+numpy/scipy build; a different libm may move the last bit of ``pow`` and
+change them.
 """
 
 import hashlib
@@ -28,7 +31,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from dmpfem import solvers
+from dmpfem import solvers, system
 from dmpfem import stabilization as stab
 from dmpfem.bench import make_problem
 from dmpfem.mesh import P1, Q1, build_structured
@@ -225,7 +228,16 @@ def test_rotation_newton_run_is_bit_identical():
     assert [r.iterations for r in result.reports] == [3, 3, 3]
     assert [r.omega_or_xi_history for r in result.reports] == [
         [0.9998269297282878, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
-    assert _digest(result.u) == "e404f51245523bf9"
+    assert _digest(result.u) == "8f4f46930c7e4e4c"
+
+
+def test_rotation_newton_run_matches_the_direct_reference(monkeypatch):
+    result = _rotation_newton_run()
+    # every J factorized on the nested-dissection ordering, no GMRES cycle
+    monkeypatch.setattr(system, "_jacobi_gmres", lambda A, b: None)
+    ref = _rotation_newton_run()
+    assert _digest(ref.u) == "e404f51245523bf9"   # the pin before the change
+    _assert_close_to_reference(result.u, result.reports, ref.u, ref.reports)
 
 
 def test_rotation_newton_run_matches_the_mmd_reference(monkeypatch):

@@ -6,6 +6,7 @@ from dmpfem import solvers
 from dmpfem.solvers import (GOLDEN, _anderson_coefficients, anderson_solve,
                             line_search, newton_solve, project_admissible)
 from dmpfem.system import AdmissibleBounds, SingularSystemError, solve_linear
+from test_jacobian_fingerprint import _rotation_newton_run, _steady_newton_run
 
 
 class ScalarPicard:
@@ -409,6 +410,22 @@ def test_newton_solves_with_the_residual_of_the_current_iterate(project,
         assert np.array_equal(b, -sys.inner.residual(u_k))
     assert (sys.jacobian_points[1][0] == 2.1) == project
     assert rep.residual_norm == np.linalg.norm(sys.inner.residual(u))
+
+
+@pytest.mark.parametrize("reports", [
+    lambda: [_steady_newton_run()[1]],
+    lambda: _rotation_newton_run().reports], ids=["steady", "transient"])
+def test_newton_runs_call_solve_linear_once_per_iteration(reports,
+                                                          monkeypatch):
+    # the benchmark's traced runs reconcile system.linear_solves against the
+    # iteration count; the GMRES cycle and its fallback live in one call
+    calls = []
+    monkeypatch.setattr(solvers, "solve_linear",
+                        lambda A, b, **kw: calls.append(1)
+                        or solve_linear(A, b, **kw))
+    reports = reports()
+    assert all(r.converged for r in reports)
+    assert len(calls) == sum(r.iterations for r in reports) > 0
 
 
 def test_report_history_lengths_match_iterations():

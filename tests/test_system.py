@@ -288,6 +288,77 @@ def test_symmetric_mode_solve_of_a_singular_matrix_raises(matrix):
             solve_linear(A, np.ones(A.shape[0]), order=order)
 
 
+@pytest.mark.parametrize("block", [[[1.0, 1.0], [1.0, 1.0]],
+                                   [[1.0, 3.0], [3.0, 9.0]]])
+def test_krylov_solve_of_an_inconsistent_singular_matrix_raises(block):
+    # n > m and a nonzero diagonal, so GMRES is tried first: a singular block
+    # in the corner of the identity, with a right side outside its range.
+    # On the second, GMRES's own residual estimate meets the tolerance; only
+    # the residual of its x shows that it solved nothing.
+    n = 100
+    A = sp.eye(n, format="lil")
+    A[:2, :2] = block
+    b = np.zeros(n)
+    b[0] = 1.0
+    with pytest.raises(SingularSystemError,
+                       match="Factor is exactly singular"):
+        solve_linear(A.tocsr(), b, order=np.arange(n))
+
+
+def _nested_dissection_solve(A, b, order):
+    """The factorization that the J path falls back to, called directly."""
+    P = A.tocsr()[order].tocsc()[:, order]
+    y = spla.splu(P, permc_spec="NATURAL", diag_pivot_thresh=0.01,
+                  options=dict(SymmetricMode=True)).solve(b[order])
+    x = np.empty_like(y)
+    x[order] = y
+    return x
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu",
+                        lambda *a, **kw: calls.append(1) or splu(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(set(CASES) - {"steady_linear_q1"}))
+def test_transient_jacobian_is_solved_without_a_factorization(name,
+                                                              monkeypatch):
+    sys, u = CASES[name]()
+    J, b = sys.jacobian(u), -sys.residual(u)
+    calls = _count_factorizations(monkeypatch)
+    x = solve_linear(J, b, order=sys.jacobian_order)
+    assert calls == []
+    ref = spla.spsolve(J.tocsc(), b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_steady_jacobian_falls_back_to_the_nested_dissection_solve(
+        monkeypatch):
+    sys, u = CASES["steady_linear_q1"]()
+    J, b = sys.jacobian(u), -sys.residual(u)
+    ref = _nested_dissection_solve(J, b, sys.jacobian_order)
+    calls = _count_factorizations(monkeypatch)
+    x = solve_linear(J, b, order=sys.jacobian_order)
+    assert len(calls) == 1
+    assert np.array_equal(x, ref)
+
+
+def test_jacobian_with_a_zero_diagonal_entry_falls_back(monkeypatch):
+    sys, u = CASES["transient_gradual_q1"]()
+    J, b = sys.jacobian(u), -sys.residual(u)
+    i = J.shape[0] // 2
+    J[i, i] = 0.0
+    ref = _nested_dissection_solve(J, b, sys.jacobian_order)
+    calls = _count_factorizations(monkeypatch)
+    with np.errstate(divide="raise", invalid="raise"):   # no 1/0 is tried
+        x = solve_linear(J, b, order=sys.jacobian_order)
+    assert len(calls) == 1
+    assert np.array_equal(x, ref)
+
+
 def test_solve_reuses_the_colamd_ordering_only_for_the_same_structure():
     # a cached ordering reused for another structure gives other bits; a
     # stored zero is a structure of its own, as it is to spsolve, and so is
