@@ -3,10 +3,10 @@ Newton's method with line search, both with optional projection of every
 iterate onto the admissible bounds.
 
 Newton's line search minimizes ||T(u + xi du)|| by golden section, after a
-check of the full step: when phi(1) beats both phi(0) and phi(1 - ls_tol),
-xi = 1 is taken for two residuals instead of about 24.  The residual at the
-accepted point is handed back and reused as the next iterate's T(u) unless
-projection moved that point."""
+check of the full step: when phi(1) <= ls_tol phi(0), or when it beats both
+phi(0) and phi(1 - ls_tol), xi = 1 is taken for one or two residuals instead
+of about 24.  The residual at the accepted point is handed back and reused as
+the next iterate's T(u) unless projection moved that point."""
 
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ class SolverReport:
     omega_or_xi_history: list = field(default_factory=list)
     residual_norm: float = np.nan
     failure: str | None = None
+    factorizations: int = 0     # linear solves that fell back to SuperLU
 
 
 def project_admissible(u, bounds):
@@ -107,11 +108,12 @@ def anderson_solve(sys, u0, m=5, s_min=-0.05, omega0=1.0, omega_min=0.3,
 
     for k in range(1, k_max + 1):
         try:
-            u_tilde = sys.picard_solve(u)
+            u_tilde, factorized = sys.picard_solve(u)
         except SingularSystemError as exc:
             report.failure = f"singular fixed-point operator: {exc}"
             report.iterations = k - 1
             return u, report
+        report.factorizations += factorized
         r = u_tilde - u
         hist_u.append(u)
         hist_ut.append(u_tilde)
@@ -153,15 +155,18 @@ def line_search(sys, u, du, ls_tol=1e-4, T0=None):
 
     The endpoints are sampled first; ``T0``, the residual at u when the
     caller already has it, stands in for T(u + 0 du).  The full step is taken
-    at once when phi(1) < phi(0) and phi(1) <= phi(1 - ls_tol), which costs
-    one probe residual.  Otherwise golden-section search runs down to an
-    interval of width ``ls_tol`` and returns the best evaluated point (the
-    first one sampled among ties), so a strictly decreasing profile yields
-    exactly 1.0.  The probe never takes part in that choice: the search
-    returns the xi it would return without the full-step check.  On a
-    unimodal profile the two rules differ by less than ``ls_tol`` in xi; at
-    the roundoff floor, where the profile is noise, the full step may win
-    over a point golden section would have picked anywhere in [0, 1].
+    at once when phi(1) <= ls_tol phi(0), a decisive decrease, with no
+    further residual; or when phi(1) < phi(0) and phi(1) <= phi(1 - ls_tol),
+    which costs one probe residual.  Otherwise golden-section search runs
+    down to an interval of width ``ls_tol`` and returns the best evaluated
+    point (the first one sampled among ties), so a strictly decreasing
+    profile yields exactly 1.0.  The probe never takes part in that choice:
+    the search returns the xi it would return without the full-step check.
+    On a unimodal profile the probe rule and golden section differ by less
+    than ``ls_tol`` in xi, and where T is affine along du the decisive rule
+    and golden section by a few ``ls_tol``; at the roundoff floor, where the
+    profile is noise, the full step may win over a point golden section
+    would have picked anywhere in [0, 1].
 
     Returns ``(xi, T(u + xi du))``; only the best residual vector is kept.
     """
@@ -182,6 +187,8 @@ def line_search(sys, u, du, ls_tol=1e-4, T0=None):
     phi(0.0, T0)
     phi(1.0)
     if evals[1.0] < evals[0.0]:
+        if evals[1.0] <= ls_tol * evals[0.0]:    # decisive: no probe
+            return 1.0, best_T
         probe = float(np.linalg.norm(sys.residual(u + (1.0 - ls_tol) * du)))
         if evals[1.0] <= probe:
             return 1.0, best_T
@@ -230,11 +237,12 @@ def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, bounds=None,
             report.iterations = k - 1
             return u, report
         try:
-            du = solve_linear(sys.jacobian(u), -T, order=order)
+            du, factorized = solve_linear(sys.jacobian(u), -T, order=order)
         except SingularSystemError as exc:
             report.failure = f"singular Jacobian: {exc}"
             report.iterations = k - 1
             return u, report
+        report.factorizations += factorized
 
         xi, T = line_search(sys, u, du, ls_tol, T)
         step = xi * du

@@ -19,28 +19,32 @@ the distance-2 adjacency because every detector value depends on the whole
 neighborhood.  The residual and the Jacobian take the viscosity from the same
 kernel, ``stabilization.edge_viscosity``, the Jacobian with its partials.
 
-Both solves go through ``solve_linear``.  Newton's J is first given one
+Both solves go through ``solve_linear``, which first gives every matrix one
 cycle of GMRES(60) right-preconditioned by its diagonal (Jacobi), whose
-result is kept only at a relative residual of 1e-12.  A transient J is
-M(alpha)/dt plus transport terms that are small beside it at the time steps
-used (median off-diagonal row sum 0.05 of the diagonal on the
-THREE_BODY_ROTATION benchmark), so the cycle converges in about 30
-iterations: 13 ms against 64 ms for the factorization at 96^2, and all 48
-rotation J were taken.  The steady J has no M/dt term; after 10 iterations
-its rate could not reach the tolerance within 60 on any of the 15 J of the
-STRAIGHT_DISCONTINUITY benchmark, and the cycle gives up after about 2.5 ms.
-Such a J, and any J with n <= 60 or a zero diagonal entry, is factorized in
-SuperLU's symmetric mode on a nested-dissection ordering of the mesh's
-distance-2 graph, computed once per mesh (``jacobian_order``).  The steady J
-has weak diagonals: with a minimum-degree ordering made afresh for each J,
-its pivots left the diagonal on the early iterates and the fill grew to
-2.7 M at 96^2; the separators confine that pivoting to subdomains (at most
-1.5 M), and the ordering is no longer made per factorization.
-A(u) stays on COLAMD with partial pivoting, bit-identical to ``spsolve``:
-symmetric mode moves the last bits of each Picard sweep, and Anderson's
-iteration count follows them (411 -> 522 on the BURGERS2D benchmark), where
-Newton's quadratic convergence absorbs them.  COLAMD's ordering depends on
-the structure only, so it is kept for the last structure factorized.
+result is kept only at a relative residual of 1e-12.  A transient matrix,
+Newton's J or the Picard A(u), is M/dt plus transport terms that are small
+beside it at the time steps used (median off-diagonal row sum 0.05 of the
+diagonal of J on the THREE_BODY_ROTATION benchmark), so M/dt dominates the
+diagonal and the cycle converges in about 30 iterations: 13 ms against 64 ms
+for the factorization of J at 96^2, and every rotation J and every Picard
+A(u) of the BURGERS2D benchmark was taken.  A steady matrix has no M/dt
+term; after 10 iterations the rate of the 15 J of the STRAIGHT_DISCONTINUITY
+benchmark could not reach the tolerance within 60, and the cycle gave up
+after about 2.5 ms.  A steady A(u) of that problem passes this test but
+stalls near a relative residual of 1e-3, so its cycle runs all 60
+iterations (36 ms against 69 ms for the factorization at 96^2).  Such a
+matrix, and any with n <= 60 or a zero diagonal entry, is factorized.
+
+J is factorized in SuperLU's symmetric mode on a nested-dissection ordering
+of the mesh's distance-2 graph, computed once per mesh (``jacobian_order``).
+The steady J has weak diagonals: with a minimum-degree ordering made afresh
+for each J, its pivots left the diagonal on the early iterates and the fill
+grew to 2.7 M at 96^2; the separators confine that pivoting to subdomains
+(at most 1.5 M), and the ordering is no longer made per factorization.
+A(u) is factorized with COLAMD and partial pivoting, bit-identical to
+``spsolve``: symmetric mode moves the last bits of each Picard sweep, and
+Anderson's iteration count follows them (411 -> 522 on the BURGERS2D
+benchmark), where Newton's quadratic convergence absorbs them.
 """
 
 from __future__ import annotations
@@ -81,14 +85,7 @@ class DirichletBC:
     values: np.ndarray
 
 
-# The COLAMD ordering of the last CSC structure that ``solve_linear`` factored
-# without an ordering: (shape, indptr, indices, inverse column permutation).
-# Every hit is checked against the whole structure, so a caller always gets
-# what spsolve would give it; one tuple, replaced whole, so a reader never
-# sees half of an update.
-_colamd = None
-
-_KRYLOV = 60        # GMRES(m): Krylov vectors in the one cycle tried on J
+_KRYLOV = 60        # GMRES(m): Krylov vectors in the one cycle tried
 _PROBE = 10         # iterations after which the observed rate must suffice
 _KRYLOV_RTOL = 1e-12
 
@@ -147,30 +144,25 @@ def _jacobi_gmres(A, b):
 
 
 def solve_linear(A, b, order=None):
-    """Sparse solve of A x = b; raises SingularSystemError on breakdown.
+    """(x, factorized) for A x = b; raises SingularSystemError on breakdown.
 
-    Without ``order``: SuperLU with COLAMD and partial pivoting, the result
-    bit-identical to ``spsolve``, as for A(u).  The column ordering of the
-    last structure factorized is kept, and a matrix of the same structure
-    (stored zeros included) is factorized on its pre-permuted columns with
-    ``permc_spec="NATURAL"``, which skips COLAMD and gives the same bits.
-
-    With ``order``, a permutation of the unknowns, as Newton passes for J:
-    first one cycle of GMRES(60) right-preconditioned by diag(A), skipped
+    First one cycle of GMRES(60) right-preconditioned by diag(A), skipped
     for n <= 60 or a zero diagonal entry, abandoned after 10 iterations when
     their rate cannot reach the tolerance within 60, and its x returned only
-    when ||A x - b|| <= 1e-12 ||b||.  Otherwise, in the same call, A is
-    permuted symmetrically by ``order`` and factorized in SuperLU's
-    symmetric mode, a diagonal pivot kept unless below 0.01 of its column's
-    largest entry (see the module docstring for which J take which path).
-    A singular A raises through the factorization, except that a large,
-    exactly singular A with b in its range may return a GMRES solution
-    instead.
+    when ||A x - b|| <= 1e-12 ||b||; ``factorized`` is then False.
+    Otherwise, in the same call, A is factorized and ``factorized`` is True
+    (see the module docstring for which matrices take which path).  With
+    ``order``, a permutation of the unknowns, as Newton passes for J, A is
+    permuted symmetrically by it and factorized in SuperLU's symmetric mode,
+    a diagonal pivot kept unless below 0.01 of its column's largest entry.
+    Without it, as for A(u), SuperLU with COLAMD and partial pivoting, the
+    result bit-identical to ``spsolve``.  A singular A raises through the
+    factorization, except that a large, exactly singular A with b in its
+    range may return a GMRES solution instead.
     """
-    global _colamd
-    x = None if order is None else _jacobi_gmres(A, b)
+    x = _jacobi_gmres(A, b)
     if x is not None:
-        return x
+        return x, False
     try:
         if order is not None:
             # rows permuted in CSR, columns in CSC: major-axis selections
@@ -180,25 +172,12 @@ def solve_linear(A, b, order=None):
             x = np.empty_like(y)
             x[order] = y
         else:
-            C = A.tocsc()
-            cached = _colamd
-            if (cached is not None and cached[0] == C.shape
-                    and np.array_equal(cached[1], C.indptr)
-                    and np.array_equal(cached[2], C.indices)):
-                p = cached[3]
-                y = spla.splu(C[:, p], permc_spec="NATURAL").solve(b)
-                x = np.empty_like(y)
-                x[p] = y
-            else:
-                lu = spla.splu(C)
-                x = lu.solve(b)
-                _colamd = (C.shape, C.indptr.copy(), C.indices.copy(),
-                           np.argsort(lu.perm_c))
+            x = spla.splu(A.tocsc()).solve(b)
     except (RuntimeError, ValueError) as exc:
         raise SingularSystemError(str(exc)) from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("linear solve produced non-finite values")
-    return x
+    return x, True
 
 
 _LEAF = 16   # parts of at most this many nodes keep their natural order
@@ -365,7 +344,7 @@ class ResidualSystem:
         return A @ np.asarray(u, dtype=float) - G
 
     def picard_solve(self, u):
-        """One fixed-point sweep: solve A(u) u_next = G."""
+        """One fixed-point sweep: (u_next, factorized) for A(u) u_next = G."""
         A, G = self.assemble_operator(u)
         return solve_linear(_without_zeros(A), G)
 

@@ -10,19 +10,22 @@ bit-identical.  The J and T digests were taken before the residual and the
 Jacobian shared one edge-viscosity kernel, from the inline re-derivation it
 replaced; the Picard and end-to-end digests before A(u) was assembled on
 pattern data; the line-search and transient Newton digests before the line
-search checked the full step first.  The Picard sweep also depends on the
-sparsity structure that SuperLU orders: a stored zero changes the column
-ordering and so the last bits of the solution.  The steady Newton-run
-digest pins the symmetric-mode factorization of J on the mesh's
-nested-dissection ordering, the transient one the Jacobi-preconditioned
-GMRES solve that takes the transient J first.  Each has a reference run with
-the former solve of J (symmetric mode, minimum degree on J^T + J made per
+search checked the full step first.  The Picard sweep and Burgers-run
+digests pin the Jacobi-preconditioned GMRES solve that now takes A(u)
+first; each has a reference run with every A(u) factorized, which must
+reproduce the pin from before that change.  The factorized sweep also
+depends on the sparsity structure that SuperLU orders: a stored zero
+changes the column ordering and so the last bits of the solution.  The
+steady Newton-run digest pins the symmetric-mode factorization of J on the
+mesh's nested-dissection ordering, the transient one the GMRES solve that
+takes the transient J first.  Each has a reference run with the former
+solve of J (symmetric mode, minimum degree on J^T + J made per
 factorization) monkeypatched in, and the transient one a second with the
-nested-dissection factorization alone; a reference run must reproduce the
-old digest, the iterations and the step lengths, and stay within 1e-12 of
-the new field.  The digests pin the floating-point results of this
-numpy/scipy build; a different libm may move the last bit of ``pow`` and
-change them.
+nested-dissection factorization alone; a Newton reference run must
+reproduce the old digest, the iterations and the step lengths, and stay
+within 1e-12 of the new field.  The digests pin the floating-point results
+of this numpy/scipy build; a different libm may move the last bit of
+``pow`` and change them.
 """
 
 import hashlib
@@ -105,16 +108,40 @@ def test_jacobian_and_residual_are_bit_identical(name):
     assert fingerprint(*CASES[name]()) == EXPECTED[name]
 
 
-PICARD = {'burgers_p1': '418c6583dda608da',
-          'steady_linear_q1': '986f62b41bfbe3fc',
-          'transient_gradual_q1': '3fb43cf727c901ed',
-          'transient_symmetric_mass_q1': '7fad4e9254bafd0e'}
+PICARD = {'burgers_p1': '7151269b4932a0c4',
+          'steady_linear_q1': '2cbf728a0ec605d0',
+          'transient_gradual_q1': 'f2b07c16a1bc40e4',
+          'transient_symmetric_mass_q1': '9c2b7a5c8f35ffd2'}
+
+# the pins before GMRES took A(u), reproduced by the factorization alone
+PICARD_DIRECT = {'burgers_p1': '418c6583dda608da',
+                 'steady_linear_q1': '986f62b41bfbe3fc',
+                 'transient_gradual_q1': '3fb43cf727c901ed',
+                 'transient_symmetric_mass_q1': '7fad4e9254bafd0e'}
+
+
+def _without_krylov(monkeypatch):
+    """Every matrix factorized, no GMRES cycle, as before it was tried."""
+    monkeypatch.setattr(system, "_jacobi_gmres", lambda A, b: None)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_picard_sweep_is_bit_identical(name):
     sys, u = CASES[name]()
-    assert _digest(sys.picard_solve(u)) == PICARD[name]
+    u_next, factorized = sys.picard_solve(u)
+    assert not factorized
+    assert _digest(u_next) == PICARD[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_picard_sweep_matches_the_direct_reference(name, monkeypatch):
+    sys, u = CASES[name]()
+    u_next, _ = sys.picard_solve(u)
+    _without_krylov(monkeypatch)
+    ref, factorized = sys.picard_solve(u)
+    assert factorized
+    assert _digest(ref) == PICARD_DIRECT[name]
+    assert np.linalg.norm(u_next - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 # (xi, T digest) of one line search per case, see below
@@ -165,7 +192,7 @@ def _with_mmd_jacobian_solve(monkeypatch):
     def solve(A, b, order=None):
         return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.01,
-                         options=dict(SymmetricMode=True)).solve(b)
+                         options=dict(SymmetricMode=True)).solve(b), True
     monkeypatch.setattr(solvers, "solve_linear", solve)
 
 
@@ -191,7 +218,7 @@ def test_steady_newton_solve_matches_the_mmd_reference(monkeypatch):
     _assert_close_to_reference(u, [report], u_ref, [ref])
 
 
-def test_burgers_anderson_run_is_bit_identical():
+def _burgers_anderson_run():
     # the burgers_p1_anderson benchmark's parameters on structured P1 12^2,
     # three steps
     problem = make_problem("BURGERS2D")
@@ -201,9 +228,30 @@ def test_burgers_anderson_run_is_bit_identical():
                         beta_bound=problem.velocity.beta_bound)
     cfg = TimeConfig(stab=params, dt=1e-2, t_end=3e-2, solver=ANDERSON,
                      projection=True, tol=1e-5, k_max=300)
-    result = run_transient(mesh, problem, cfg)
+    return run_transient(mesh, problem, cfg)
+
+
+def test_burgers_anderson_run_is_bit_identical():
+    result = _burgers_anderson_run()
     assert [r.iterations for r in result.reports] == [4, 4, 5]
-    assert _digest(result.u) == "282a3952f0c98700"
+    assert [r.factorizations for r in result.reports] == [0, 0, 0]
+    assert _digest(result.u) == "963fc492627db507"
+
+
+def test_burgers_anderson_run_matches_the_direct_reference(monkeypatch):
+    result = _burgers_anderson_run()
+    _without_krylov(monkeypatch)
+    ref = _burgers_anderson_run()
+    assert _digest(ref.u) == "282a3952f0c98700"   # the pin before the change
+    assert [r.factorizations for r in ref.reports] == [4, 4, 5]
+    # Anderson's field follows the last bits of each sweep, so the runs are
+    # compared by their iterations and the benchmark's range and LED gates
+    assert [r.iterations for r in result.reports] == \
+        [r.iterations for r in ref.reports]
+    for run in (result, ref):
+        assert -1.0 <= np.min(run.u) and np.max(run.u) <= 0.8
+        assert np.all(np.diff(run.max_series) <= 1e-10)
+        assert np.all(np.diff(run.min_series) >= -1e-10)
 
 
 def _rotation_newton_run():
@@ -233,8 +281,8 @@ def test_rotation_newton_run_is_bit_identical():
 
 def test_rotation_newton_run_matches_the_direct_reference(monkeypatch):
     result = _rotation_newton_run()
-    # every J factorized on the nested-dissection ordering, no GMRES cycle
-    monkeypatch.setattr(system, "_jacobi_gmres", lambda A, b: None)
+    # every J factorized on the nested-dissection ordering
+    _without_krylov(monkeypatch)
     ref = _rotation_newton_run()
     assert _digest(ref.u) == "e404f51245523bf9"   # the pin before the change
     _assert_close_to_reference(result.u, result.reports, ref.u, ref.reports)

@@ -17,10 +17,10 @@ class ScalarPicard:
         self.bounds = None
 
     def picard_solve(self, u):
-        return self.a * u + self.b
+        return self.a * u + self.b, False
 
     def residual(self, u):
-        return self.picard_solve(u) - u
+        return self.a * u + self.b - u
 
 
 class ScalarNewton:
@@ -324,7 +324,8 @@ def test_line_search_is_golden_section_unless_full_step_accepted(
 
     xi, T = line_search(sys, u, du, ls_tol)
     ref = _golden_section_reference(sys, u, du, ls_tol)
-    accept = phi(1.0) < phi(0.0) and phi(1.0) <= phi(1.0 - ls_tol)
+    accept = phi(1.0) < phi(0.0) and (phi(1.0) <= ls_tol * phi(0.0)
+                                      or phi(1.0) <= phi(1.0 - ls_tol))
     assert xi == (1.0 if accept else ref)
     assert np.array_equal(T, sys.residual(u + xi * du))
     if unimodal:
@@ -345,6 +346,32 @@ class CountingSystem:
     def jacobian(self, u):
         self.jacobian_points.append(np.array(u, copy=True))
         return self.inner.jacobian(u)
+
+
+class RootSystem:
+    """Residual whose norm is |xi - c| along u = xi * e."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def residual(self, u):
+        return np.array([u[0] - self.c])
+
+
+def test_line_search_takes_a_decisive_full_step_without_the_probe():
+    # phi(1) = 0.6 ls_tol <= ls_tol phi(0), although the probe point, at
+    # 0.4 ls_tol, lies nearer the root: xi = 1 for one residual, where a
+    # full step that the probe accepts costs two
+    ls_tol, u, du = 1e-4, np.zeros(1), np.ones(1)
+    for inner, calls in ((RootSystem(1.0 - 0.6 * ls_tol), 1),
+                         (PhiSystem(2.0), 2)):
+        sys = CountingSystem(inner)
+        xi, T = line_search(sys, u, du, ls_tol, T0=inner.residual(u))
+        assert (xi, sys.calls) == (1.0, calls)
+        assert np.array_equal(T, inner.residual(u + du))
+    root = RootSystem(1.0 - 0.6 * ls_tol)
+    assert abs(root.residual(u + (1.0 - ls_tol) * du)[0]) < \
+        abs(root.residual(u + du)[0])
 
 
 def test_line_search_uses_the_given_residual_at_zero():
@@ -426,6 +453,16 @@ def test_newton_runs_call_solve_linear_once_per_iteration(reports,
     reports = reports()
     assert all(r.converged for r in reports)
     assert len(calls) == sum(r.iterations for r in reports) > 0
+
+
+@pytest.mark.parametrize("solve", [anderson_solve, newton_solve])
+def test_reports_count_the_solves_that_fell_back_to_a_factorization(solve):
+    # n <= 60: the GMRES cycle is skipped and every solve is factorized
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((6, 6)) + 6 * np.eye(6)
+    _, rep = solve(LinearSystem(A, rng.standard_normal(6)), np.zeros(6),
+                   tol=1e-12, k_max=10)
+    assert rep.converged and rep.factorizations == rep.iterations > 0
 
 
 def test_report_history_lengths_match_iterations():

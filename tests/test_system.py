@@ -15,10 +15,10 @@ from dmpfem.mesh import P1, Q1, build_structured
 from dmpfem.stabilization import StabParams
 from dmpfem.system import (AdmissibleBounds, DirichletBC, ResidualSystem,
                            SingularSystemError, _nested_dissection,
-                           jacobian_order, solve_linear)
+                           _without_zeros, jacobian_order, solve_linear)
 from dmpfem.timeloop import ANDERSON, NEWTON, TimeConfig, run_transient
 from test_assembly import constant_velocity
-from test_jacobian_fingerprint import CASES
+from test_jacobian_fingerprint import CASES, _system
 from test_mesh import neighbors
 
 
@@ -136,7 +136,7 @@ def test_residual_zero_at_fixed_point():
     bc = dirichlet_west(mesh, value=0.5)
     sys = ResidualSystem(mesh, vel, params, dirichlet=bc,
                          bounds=AdmissibleBounds(0.0, 1.0))
-    u = sys.picard_solve(np.full(mesh.n_nodes, 0.5))
+    u, _ = sys.picard_solve(np.full(mesh.n_nodes, 0.5))
     # constant inflow data propagates the constant exactly
     assert np.allclose(u, 0.5, atol=1e-12)
     assert np.max(np.abs(sys.residual(u))) < 1e-12
@@ -235,7 +235,7 @@ def test_jacobian_order_is_not_built_by_set_up_or_by_anderson():
 def test_symmetric_mode_solve_of_the_jacobian_matches_spsolve(name):
     sys, u = CASES[name]()
     J, b = sys.jacobian(u), -sys.residual(u)
-    x = solve_linear(J, b, order=sys.jacobian_order)
+    x, _ = solve_linear(J, b, order=sys.jacobian_order)
     ref = spla.spsolve(J.tocsc(), b)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -272,7 +272,7 @@ def test_symmetric_mode_solve_pivots_off_weak_diagonals(diagonal):
         assert (pattern != pattern.T).nnz == 0 and (A != A.T).nnz > 0
         rng = np.random.default_rng(seed + 100)
         b = rng.standard_normal(A.shape[0])
-        x = solve_linear(A, b, order=rng.permutation(A.shape[0]))
+        x, _ = solve_linear(A, b, order=rng.permutation(A.shape[0]))
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -294,15 +294,17 @@ def test_krylov_solve_of_an_inconsistent_singular_matrix_raises(block):
     # n > m and a nonzero diagonal, so GMRES is tried first: a singular block
     # in the corner of the identity, with a right side outside its range.
     # On the second, GMRES's own residual estimate meets the tolerance; only
-    # the residual of its x shows that it solved nothing.
+    # the residual of its x shows that it solved nothing.  Both fallbacks,
+    # J's (with an ordering) and A(u)'s, must then report the singularity.
     n = 100
     A = sp.eye(n, format="lil")
     A[:2, :2] = block
     b = np.zeros(n)
     b[0] = 1.0
-    with pytest.raises(SingularSystemError,
-                       match="Factor is exactly singular"):
-        solve_linear(A.tocsr(), b, order=np.arange(n))
+    for order in (np.arange(n), None):
+        with pytest.raises(SingularSystemError,
+                           match="Factor is exactly singular"):
+            solve_linear(A.tocsr(), b, order=order)
 
 
 def _nested_dissection_solve(A, b, order):
@@ -329,8 +331,8 @@ def test_transient_jacobian_is_solved_without_a_factorization(name,
     sys, u = CASES[name]()
     J, b = sys.jacobian(u), -sys.residual(u)
     calls = _count_factorizations(monkeypatch)
-    x = solve_linear(J, b, order=sys.jacobian_order)
-    assert calls == []
+    x, factorized = solve_linear(J, b, order=sys.jacobian_order)
+    assert calls == [] and not factorized
     ref = spla.spsolve(J.tocsc(), b)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -341,8 +343,8 @@ def test_steady_jacobian_falls_back_to_the_nested_dissection_solve(
     J, b = sys.jacobian(u), -sys.residual(u)
     ref = _nested_dissection_solve(J, b, sys.jacobian_order)
     calls = _count_factorizations(monkeypatch)
-    x = solve_linear(J, b, order=sys.jacobian_order)
-    assert len(calls) == 1
+    x, factorized = solve_linear(J, b, order=sys.jacobian_order)
+    assert len(calls) == 1 and factorized
     assert np.array_equal(x, ref)
 
 
@@ -354,15 +356,40 @@ def test_jacobian_with_a_zero_diagonal_entry_falls_back(monkeypatch):
     ref = _nested_dissection_solve(J, b, sys.jacobian_order)
     calls = _count_factorizations(monkeypatch)
     with np.errstate(divide="raise", invalid="raise"):   # no 1/0 is tried
-        x = solve_linear(J, b, order=sys.jacobian_order)
-    assert len(calls) == 1
+        x, factorized = solve_linear(J, b, order=sys.jacobian_order)
+    assert len(calls) == 1 and factorized
     assert np.array_equal(x, ref)
 
 
-def test_solve_reuses_the_colamd_ordering_only_for_the_same_structure():
-    # a cached ordering reused for another structure gives other bits; a
-    # stored zero is a structure of its own, as it is to spsolve, and so is
-    # an entry moved within its column (the same indptr)
+@pytest.mark.parametrize("name", sorted(set(CASES) - {"steady_linear_q1"}))
+def test_transient_operator_is_solved_without_a_factorization(name,
+                                                              monkeypatch):
+    sys, u = CASES[name]()
+    A, G = sys.assemble_operator(u)
+    calls = _count_factorizations(monkeypatch)
+    x, factorized = sys.picard_solve(u)
+    assert calls == [] and not factorized
+    ref = spla.spsolve(A.tocsc(), G)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_steady_operator_falls_back_to_the_colamd_solve(monkeypatch):
+    # no M/dt term: on STRAIGHT_DISCONTINUITY Q1 12^2 the rate after 10
+    # iterations cannot reach the tolerance, and the cycle gives up
+    sys, u = _system("STRAIGHT_DISCONTINUITY", 12, Q1, None,
+                     stab.GRADUAL_LUMPING)
+    A, G = sys.assemble_operator(u)
+    ref = spla.spsolve(_without_zeros(A).tocsc(), G)
+    calls = _count_factorizations(monkeypatch)
+    x, factorized = sys.picard_solve(u)
+    assert len(calls) == 1 and factorized
+    assert np.array_equal(x, ref)
+
+
+def test_factorized_solve_matches_spsolve_for_each_structure():
+    # n <= 60, so every solve is factorized: bit-identical to spsolve for
+    # each structure, among them a stored zero, which is a structure of its
+    # own to COLAMD, and an entry moved within its column (the same indptr)
     rng = np.random.default_rng(7)
     n = 60
     base = (sp.random(n, n, density=0.06, random_state=rng)
@@ -388,7 +415,8 @@ def test_solve_reuses_the_colamd_ordering_only_for_the_same_structure():
         A.data = rng.standard_normal(A.nnz) * (A.data != 0.0)
         A.data[A.indices == np.repeat(np.arange(n), np.diff(A.indptr))] += 4.0
         b = rng.standard_normal(n)
-        assert np.array_equal(solve_linear(A, b), spla.spsolve(A.tocsc(), b))
+        assert np.array_equal(solve_linear(A, b)[0],
+                              spla.spsolve(A.tocsc(), b))
 
 
 def test_transient_requires_previous_state():
