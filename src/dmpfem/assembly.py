@@ -96,6 +96,14 @@ class SparseOperator:
                            minlength=self.pattern.n)
 
 
+def row_positions(indptr, rows):
+    """Data positions of the stored entries of ``rows`` of a CSR structure."""
+    start = indptr[rows]
+    count = indptr[rows + 1] - start
+    return (np.repeat(start - np.cumsum(count) + count, count)
+            + np.arange(count.sum()))
+
+
 def pattern(mesh):
     """The (cached) adjacency pattern of a mesh."""
     if "pattern" not in mesh._cache:

@@ -233,9 +233,14 @@ def _reference_subcell_rule(kind, refine):
     return np.array(pts), np.array(wts)
 
 
-def _refined_quadrature(mesh, refine):
-    """Per-element quadrature fine enough for discontinuous integrands."""
-    xy = mesh.coords[mesh.elements]
+# elements per block of the refined error quadrature
+_NORM_BLOCK = 1024
+
+
+def _refined_quadrature(mesh, refine, elements=slice(None)):
+    """Per-element quadrature fine enough for discontinuous integrands, on
+    the ``elements`` selected."""
+    xy = mesh.coords[mesh.elements[elements]]
     loc, frac = _reference_subcell_rule(mesh.kind, refine)
     xi, eta = loc[:, 0], loc[:, 1]
     if mesh.kind == Q1:
@@ -254,9 +259,10 @@ def _refined_quadrature(mesh, refine):
     return pts, wts
 
 
-def _fe_values_at(mesh, u, pts_local):
-    """Evaluate u_h at per-element points given in physical coordinates."""
-    conn = mesh.elements
+def _fe_values_at(mesh, u, pts_local, elements=slice(None)):
+    """Evaluate u_h at per-element points given in physical coordinates, on
+    the ``elements`` selected."""
+    conn = mesh.elements[elements]
     xy = mesh.coords[conn]
     u_e = np.asarray(u, dtype=float)[conn]
     if mesh.kind == Q1:
@@ -291,12 +297,21 @@ def error_norms(mesh, u, exact, region=OMEGA, inflow_where=None, refine=4):
         raise ValueError("error norms need an exact solution")
     u = np.asarray(u, dtype=float)
     if region == OMEGA:
-        pts, wts = _refined_quadrature(mesh, refine)
-        uh = _fe_values_at(mesh, u, pts)
-        diff = np.abs(uh - exact(pts[..., 0], pts[..., 1]))
-        l1 = float(np.sum(wts * diff))
-        l2 = float(np.sqrt(np.sum(wts * diff * diff)))
-        return l1, l2
+        # the integrands w |e| and w |e|^2 by blocks of elements, summed
+        # whole: the values of one pass over all elements, a fraction of
+        # its temporaries
+        w1 = w2 = None
+        for lo in range(0, mesh.n_elements, _NORM_BLOCK):
+            block = slice(lo, lo + _NORM_BLOCK)
+            pts, wts = _refined_quadrature(mesh, refine, block)
+            uh = _fe_values_at(mesh, u, pts, block)
+            diff = np.abs(uh - exact(pts[..., 0], pts[..., 1]))
+            if w1 is None:
+                w1 = np.empty((mesh.n_elements, wts.shape[1]))
+                w2 = np.empty_like(w1)
+            w1[block] = wts * diff
+            w2[block] = w1[block] * diff
+        return float(np.sum(w1)), float(np.sqrt(np.sum(w2)))
     if region != OUTFLOW:
         raise ValueError(f"unknown region {region!r}")
     if inflow_where is None:

@@ -10,6 +10,8 @@ admit an exact Jacobian.
 
 ``edge_viscosity`` is the one edge-viscosity kernel: the residual takes nu
 from it, and the exact Jacobian takes nu together with its partials.
+``detector_derivative`` fills d alpha / d u on a ``DerivativeStructure``
+that the first exact Jacobian on a mesh builds.
 
 At a boundary node whose symmetric point does not exist, the missing value
 is replaced by the mirrored ghost value 2 u_i - u_j, so the pair contributes
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import SparseOperator, pattern
+from .assembly import SparseOperator, pattern, row_positions
 from .mesh import row_norms
 
 NONSMOOTH = "nonsmooth"
@@ -93,13 +95,6 @@ def smooth_abs_lower(x, eps):
     return np.divide(np.square(x), den, out=np.zeros_like(den), where=den > 0)
 
 
-def _smooth_abs_lower_d1(x, eps):
-    x = np.asarray(x, dtype=float)
-    den = np.power(np.square(x) + eps, 1.5)
-    num = x * (np.square(x) + 2.0 * eps)
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-
-
 def smooth_max(x, y, sigma):
     """(sqrt((x-y)^2 + sigma) + x + y) / 2 >= max(x, y).
 
@@ -108,12 +103,13 @@ def smooth_max(x, y, sigma):
     return 0.5 * (np.sqrt(np.square(np.asarray(x) - y) + sigma) + (x + y))
 
 
-def _smooth_max_dx(x, y, sigma):
-    """d smooth_max / dx; symmetric subgradient 1/2 at the kink when sigma=0."""
+def _smooth_max_and_dx(x, y, sigma):
+    """smooth_max and its derivative in x, from one square root; the
+    symmetric subgradient 1/2 at the kink when sigma = 0."""
     d = np.asarray(x, dtype=float) - y
-    den = np.sqrt(np.square(d) + sigma)
-    r = np.divide(d, den, out=np.zeros_like(den), where=den > 0)
-    return 0.5 * (1.0 + r)
+    root = np.sqrt(np.square(d) + sigma)
+    r = np.divide(d, root, out=np.zeros_like(root), where=root > 0)
+    return 0.5 * (root + (x + y)), 0.5 * (1.0 + r)
 
 
 def limiter_f(x):
@@ -183,10 +179,6 @@ class DetectorStencil:
         self.term_row = term_row
         self.Z = sp.coo_matrix((vals, (rows, cols)),
                                shape=(t, mesh.n_nodes)).tocsr()
-        ones = np.ones(t)
-        self.aggregate = sp.coo_matrix((ones, (self.term_row, np.arange(t))),
-                                       shape=(mesh.n_nodes, t)).tocsr()
-        self.jump_map = (self.aggregate @ self.Z).tocsr()  # constant d(sum z)/du
         self.n_nodes = mesh.n_nodes
 
 
@@ -201,20 +193,158 @@ def _family(kind):
     return "edge" if kind in _EDGE_KINDS else "sym"
 
 
-def _smooth_ratio(mesh, st, z, params):
-    """Smooth detector ratio (|sum z|_eps + gamma) / (sum |z|_eps + gamma)
-    per node, with the pieces of its derivative: (ratio, sum z, |sum z|_eps,
-    denominator, eps).  The edge variant rescales eps and gamma with the
-    mesh size."""
+# stencil entries per block of the derivative structure's build; keeps its
+# sort temporaries to a few MB
+_BUILD_BLOCK = 1 << 15
+
+
+class DerivativeStructure:
+    """Fixed sparsity of d alpha / d u on a mesh, with the data maps that
+    fill it.
+
+    Row i holds the column of every stencil entry of node i's terms.  With
+    N = aggregate Z, the constant derivative of each node's sum of z, and
+    D = aggregate diag(|z|_eps') Z,
+
+        d alpha = diag(c_num) N + diag(c_den) D,
+
+    so the data is c_num[row] * ``jump`` + c_den[row] * D.  ``jump`` holds N
+    on this structure, zero where the terms of a node cancel in their sum.
+    ``zmap`` sends each stencil entry to its position, so that D is one
+    bincount of Z's data times |z|_eps' of each entry's term.  Both give the
+    values of the former sparse products bit for bit.
+
+    Each row keeps the column order that those products gave it, so that a
+    product with d alpha lists its columns as before.  A sparse product
+    lists a row's columns in reverse order of first appearance
+    (Gustavson's row-by-row scan).  A sparse sum lists the columns of its
+    left operand, then the new ones of its right operand, and reverses that
+    list.  Where c_num is zero the jump term drops out, and a row with
+    cancelled columns lists them in reverse first appearance; ``bare_rows``
+    and ``bare_src`` hold that order.  Built on the first derivative on a
+    mesh, in blocks of nodes, so that the sort temporaries stay small.
+    """
+
+    def __init__(self, st):
+        Z, n = st.Z, st.n_nodes
+        # the terms of a node are consecutive, so are its stencil entries
+        term_ptr = np.searchsorted(st.term_row, np.arange(n + 1))
+        entry_ptr = Z.indptr[term_ptr]
+        self.term_ptr = term_ptr
+        idx = sp.get_index_dtype(maxval=max(Z.nnz, n, st.n_terms))
+        self.zmap = np.empty(Z.nnz, dtype=idx)
+        counts = np.zeros(n, dtype=np.int64)
+        cols, jumps, bare_rows, bare_src = [], [], [], []
+        offset, lo = 0, 0
+        while lo < n:
+            hi = int(np.searchsorted(entry_ptr, entry_ptr[lo] + _BUILD_BLOCK,
+                                     side="right")) - 1
+            hi = min(max(hi, lo + 1), n)
+            e = slice(entry_ptr[lo], entry_ptr[hi])
+            node = np.repeat(st.term_row[term_ptr[lo]:term_ptr[hi]],
+                             np.diff(Z.indptr[term_ptr[lo]:term_ptr[hi] + 1]))
+            key = (node - lo) * n + Z.indices[e]
+            order = np.argsort(key, kind="stable")
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = key[order[1:]] != key[order[:-1]]
+            uid = np.empty(order.size, dtype=np.int64)
+            uid[order] = np.cumsum(first) - 1
+            # per distinct (node, column): first appearance, node, jump
+            seen, ukey = order[first], key[order[first]]
+            unode = ukey // n
+            jump = np.bincount(uid, weights=Z.data[e], minlength=seen.size)
+            # the sum lists the jump's columns in order of first appearance,
+            # then those that cancel in it, and reverses the row
+            by_row = np.lexsort((seen, jump == 0.0, unode))
+            cnt = np.bincount(unode, minlength=hi - lo)
+            start = np.cumsum(cnt) - cnt
+            pos = np.empty(seen.size, dtype=np.int64)
+            pos[by_row] = (2 * start + cnt - 1)[unode[by_row]] \
+                - np.arange(seen.size)
+            self.zmap[e] = offset + pos[uid]
+            # rows with cancelled columns, in the order of their second
+            # operand alone, as a zero c_num left them: reversed first
+            # appearance
+            bare = np.unique(unode[jump == 0.0])
+            sel = np.isin(unode, bare)
+            bare_rows.append(lo + bare)
+            bare_src.append(offset + pos[sel][np.lexsort((-seen[sel],
+                                                          unode[sel]))])
+            col = np.empty(seen.size, dtype=np.int64)
+            col[pos] = ukey - unode * n
+            cols.append(col)
+            jump_at = np.empty_like(jump)
+            jump_at[pos] = jump
+            jumps.append(jump_at)
+            counts[lo:hi] = cnt
+            offset += seen.size
+            lo = hi
+        self.shape = (n, n)
+        self.indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(counts, out=self.indptr[1:])
+        self.indices = np.concatenate(cols).astype(idx)
+        self.jump = np.concatenate(jumps)
+        self.bare_rows = np.concatenate(bare_rows)
+        self.bare_src = np.concatenate(bare_src).astype(idx)
+        self.nnz = offset
+        for a in (self.indptr, self.indices):
+            a.flags.writeable = False
+
+    def matrix(self, Z, live, terms, c_num, c_den, d1):
+        """d alpha as zero-free CSR, as the former sparse sums left it.
+
+        Only the ``live`` nodes, where the limiter is not flat, have entries;
+        ``terms`` are their terms (``row_positions(term_ptr, live)``) and
+        ``d1`` is |z|_eps' there.  c_num and c_den are per node.
+        """
+        n = self.shape[0]
+        entries = row_positions(Z.indptr, terms)
+        d_den = np.bincount(self.zmap[entries], minlength=self.nnz,
+                            weights=Z.data[entries]
+                            * np.repeat(d1, np.diff(Z.indptr)[terms]))
+        pos = row_positions(self.indptr, live)
+        rows = np.repeat(live, np.diff(self.indptr)[live])
+        data = c_num[rows] * self.jump[pos] + c_den[rows] * d_den[pos]
+        indices = self.indices[pos]
+        bare = (c_num[self.bare_rows] == 0.0) & (c_den[self.bare_rows] != 0.0)
+        if bare.any():
+            at = np.repeat(bare, np.diff(self.indptr)[self.bare_rows])
+            dst = np.searchsorted(pos, row_positions(self.indptr,
+                                                     self.bare_rows[bare]))
+            src = np.searchsorted(pos, self.bare_src[at])
+            indices[dst], data[dst] = indices[src], data[src]
+        keep = data != 0.0
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+        return sp.csr_matrix((data[keep], indices[keep], indptr),
+                             shape=self.shape)
+
+
+def _derivative_structure(mesh, family):
+    key = ("derivative_structure", family)
+    if key not in mesh._cache:
+        mesh._cache[key] = DerivativeStructure(_stencil(mesh, family))
+    return mesh._cache[key]
+
+
+def _smooth_eps(mesh, params):
+    """(eps, gamma) of the smooth ratio; the edge variant rescales both with
+    the mesh size."""
     eps, gamma = params.eps, params.gamma
     if params.detector == SIMPLIFIED_SMOOTH:
         h = mesh.h_mean
         eps, gamma = h * h * eps, h * gamma
+    return eps, gamma
+
+
+def _smooth_ratio(st, z, lower, eps, gamma):
+    """Smooth detector ratio (|sum z|_eps + gamma) / (sum |z|_eps + gamma)
+    per node from the terms' |z|_eps, ``lower``, with the pieces of its
+    derivative: (ratio, sum z, |sum z|_eps, denominator)."""
     num_sum = np.bincount(st.term_row, weights=z, minlength=st.n_nodes)
-    den = np.bincount(st.term_row, weights=smooth_abs_lower(z, eps),
-                      minlength=st.n_nodes) + gamma
+    den = np.bincount(st.term_row, weights=lower, minlength=st.n_nodes) + gamma
     upper = smooth_abs_upper(num_sum, eps)
-    return (upper + gamma) / den, num_sum, upper, den, eps
+    return (upper + gamma) / den, num_sum, upper, den
 
 
 def detector_values(mesh, u, params):
@@ -224,7 +354,9 @@ def detector_values(mesh, u, params):
     st = _stencil(mesh, _family(params.detector))
     z = st.Z @ np.asarray(u, dtype=float)
     if params.is_smooth:
-        return limiter_f(_smooth_ratio(mesh, st, z, params)[0]) ** params.q
+        eps, gamma = _smooth_eps(mesh, params)
+        ratio = _smooth_ratio(st, z, smooth_abs_lower(z, eps), eps, gamma)[0]
+        return limiter_f(ratio) ** params.q
 
     num_sum = np.bincount(st.term_row, weights=z, minlength=st.n_nodes)
     den = np.bincount(st.term_row, weights=np.abs(z), minlength=st.n_nodes)
@@ -234,27 +366,47 @@ def detector_values(mesh, u, params):
 
 
 def detector_derivative(mesh, u, params):
-    """(alpha, d alpha / d u) for the smooth variants.
+    """(alpha, d alpha / d u) for the smooth variants; raises for the
+    non-differentiable ones.
 
-    The derivative is a CSR matrix supported on the adjacency graph; raises
-    for the non-differentiable variants.
+    d alpha is zero-free CSR data on the mesh's ``DerivativeStructure``,
+    built on the first call: row i couples node i to the nodes of its terms,
+    its neighbors and the nodes that interpolate its symmetric points.  The
+    rows of nodes where the limiter is flat are empty, and |z|_eps' is
+    computed only for the terms of the other nodes.  Structure and row
+    order are those of the former sparse products diag(c_num) N +
+    diag(c_den) D, and so are the values, except that |z|_eps and its
+    derivative now share one square root, which moves d alpha in the last
+    bits.  alpha is bit-identical to ``detector_values``.
     """
     if not params.is_smooth:
         raise ValueError("exact derivatives require a smooth detector variant")
-    st = _stencil(mesh, _family(params.detector))
+    family = _family(params.detector)
+    st = _stencil(mesh, family)
     z = st.Z @ np.asarray(u, dtype=float)
-    ratio, num_sum, upper, den, eps = _smooth_ratio(mesh, st, z, params)
+    eps, gamma = _smooth_eps(mesh, params)
+    # |z|_eps = z^2 / root as in smooth_abs_lower; its derivative
+    # z (z^2 + 2 eps) / (z^2 + eps)^1.5 takes the same square root
+    sq = np.square(z)
+    a = sq + eps
+    root = np.sqrt(a)
+    lower = np.divide(sq, root, out=np.zeros_like(root), where=root > 0)
+    ratio, num_sum, upper, den = _smooth_ratio(st, z, lower, eps, gamma)
     fr = limiter_f(ratio)
     alpha = fr ** params.q
 
     common = params.q * fr ** (params.q - 1.0) * limiter_df(ratio)
-    # d ratio = upper'/den dJ - ratio/den dD
+    # d ratio = upper'/den d(sum z) - ratio/den d(sum |z|_eps)
     c_num = common * np.divide(num_sum, upper, out=np.zeros_like(upper),
                                where=upper > 0) / den
     c_den = -common * ratio / den
-    d_den = st.aggregate @ st.Z.multiply(_smooth_abs_lower_d1(z, eps)[:, None])
-    dalpha = (sp.diags(c_num) @ st.jump_map + sp.diags(c_den) @ d_den).tocsr()
-    return alpha, dalpha
+    # |z|_eps' only where the limiter is not flat
+    ds = _derivative_structure(mesh, family)
+    live = np.flatnonzero(common)
+    t = row_positions(ds.term_ptr, live)
+    d1 = np.divide(z[t] * (sq[t] + 2.0 * eps), a[t] * root[t],
+                   out=np.zeros(t.size), where=root[t] > 0)
+    return alpha, ds.matrix(st.Z, live, t, c_num, c_den, d1)
 
 
 # ----------------------------------------------------------------------
@@ -278,12 +430,10 @@ def edge_viscosity(pat, K, alphas, params, partials=False):
         if partials:
             raise ValueError("edge viscosity partials need a smooth variant")
         return np.maximum(np.maximum(a, b), 0.0)
-    c = smooth_max(a, b, params.sigma)
-    nu = smooth_max(c, 0.0, params.sigma)
     if not partials:
-        return nu
-    dc_da = _smooth_max_dx(a, b, params.sigma)
-    dnu_dc = _smooth_max_dx(c, 0.0, params.sigma)
+        return smooth_max(smooth_max(a, b, params.sigma), 0.0, params.sigma)
+    c, dc_da = _smooth_max_and_dx(a, b, params.sigma)
+    nu, dnu_dc = _smooth_max_and_dx(c, 0.0, params.sigma)
     return nu, (dnu_dc * dc_da, dnu_dc * (1.0 - dc_da))
 
 

@@ -19,6 +19,20 @@ the distance-2 adjacency because every detector value depends on the whole
 neighborhood.  The residual and the Jacobian take the viscosity from the same
 kernel, ``stabilization.edge_viscosity``, the Jacobian with its partials.
 
+J is one sparse product and one sum, J = A_on + P @ d alpha, where A_on is
+data on the pattern and d alpha is data on a structure built once per mesh,
+on the first Jacobian (``stabilization.DerivativeStructure``); set-up and
+Anderson never build it.  Its values are those of the former assembly, a
+chain of four to seven sparse sums and products, up to the order of the
+summation.  J keeps that assembly's zero-free structure: the same ``indptr``
+and ``indices``, row order included, because scipy's sum and product list a
+row's columns in an order that depends on their operands
+(``_former_row_order``).  GMRES sums each row of J @ x in that order, so it
+sees the same matrix up to the last bits.  The structure can differ only
+where a partial sum of the former assembly, such as F + F' + B with
+sigma = 0, was exactly zero and dropped early, or where the two summation
+orders round an entry to zero differently.
+
 Both solves go through ``solve_linear``, which first gives every matrix one
 cycle of GMRES(60) right-preconditioned by its diagonal (Jacobi), whose
 result is kept only at a relative residual of 1e-12.  A transient matrix,
@@ -28,12 +42,16 @@ diagonal of J on the THREE_BODY_ROTATION benchmark), so M/dt dominates the
 diagonal and the cycle converges in about 30 iterations: 13 ms against 64 ms
 for the factorization of J at 96^2, and every rotation J and every Picard
 A(u) of the BURGERS2D benchmark was taken.  A steady matrix has no M/dt
-term; after 10 iterations the rate of the 15 J of the STRAIGHT_DISCONTINUITY
-benchmark could not reach the tolerance within 60, and the cycle gave up
-after about 2.5 ms.  A steady A(u) of that problem passes this test but
-stalls near a relative residual of 1e-3, so its cycle runs all 60
-iterations (36 ms against 69 ms for the factorization at 96^2).  Such a
-matrix, and any with n <= 60 or a zero diagonal entry, is factorized.
+term.  Every 10 iterations the cycle checks that the rate of the last 10,
+kept up, reaches the tolerance within 60.  The 15 J of the
+STRAIGHT_DISCONTINUITY benchmark fail the first check, after about 2.5 ms.
+A steady A(u) of that problem passes it, then stalls near a relative
+residual of 1e-3 and fails the second: 6 ms per operator at 96^2, against
+54 ms for all 60 iterations (the first 60 Picard operators of the STRAIGHT
+q=4 refinement study).  A cycle that would leave such a plateau late is
+given up too: one operator at 24^2, which GMRES solved in 48 iterations.
+Such a matrix, and any with n <= 60 or a zero diagonal entry, is
+factorized.
 
 J is factorized in SuperLU's symmetric mode on a nested-dissection ordering
 of the mesh's distance-2 graph, computed once per mesh (``jacobian_order``).
@@ -54,13 +72,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import stabilization as stab
 from .assembly import (SparseOperator, assemble_convection,
                        assemble_convection_state_derivative, assemble_mass,
-                       convection_entry_derivative_tensor, pattern)
+                       convection_entry_derivative_tensor, pattern,
+                       row_positions)
 
 
 class SingularSystemError(RuntimeError):
@@ -86,7 +104,7 @@ class DirichletBC:
 
 
 _KRYLOV = 60        # GMRES(m): Krylov vectors in the one cycle tried
-_PROBE = 10         # iterations after which the observed rate must suffice
+_PROBE = 10         # iterations between checks that the recent rate suffices
 _KRYLOV_RTOL = 1e-12
 
 
@@ -98,9 +116,10 @@ def _jacobi_gmres(A, b):
     run twice, Givens rotations for the least-squares residual.  None when
     n <= m (within n iterations GMRES would solve a small singular but
     consistent system instead of letting the factorization report it), when
-    a diagonal entry is zero, when the rate after ``_PROBE`` iterations
-    cannot reach the tolerance within m, when m iterations do not reach it,
-    or when the residual of the formed x misses it.
+    a diagonal entry is zero, when at a multiple of ``_PROBE`` iterations
+    the rate of the last ``_PROBE`` cannot reach the tolerance within m, when
+    m iterations do not reach it, or when the residual of the formed x
+    misses it.
     """
     n, m = b.size, _KRYLOV
     d = A.diagonal()
@@ -113,6 +132,7 @@ def _jacobi_gmres(A, b):
     cs, sn = np.empty(m), np.empty(m)
     g = np.zeros(m + 1)
     V[0], g[0] = b / beta, beta
+    checked = 1.0   # relative residual at the last rate check
     for k in range(m):
         w = A @ (V[k] / d)
         h = V[:k + 1] @ w
@@ -135,10 +155,13 @@ def _jacobi_gmres(A, b):
             y = scipy.linalg.solve_triangular(R[:k + 1, :k + 1], g[:k + 1])
             x = (y @ V[:k + 1]) / d
             return x if np.linalg.norm(A @ x - b) <= target else None
-        # the rate so far, kept for all m iterations, would not get there
-        if k + 1 == _PROBE and (abs(g[k + 1]) / beta) ** (m / _PROBE) > \
-                _KRYLOV_RTOL:
-            return None
+        # every _PROBE iterations: the rate of the last _PROBE, kept for the
+        # rest of the cycle, would not get there
+        if (k + 1) % _PROBE == 0:
+            rel = abs(g[k + 1]) / beta
+            if rel * (rel / checked) ** ((m - k - 1) / _PROBE) > _KRYLOV_RTOL:
+                return None
+            checked = rel
         V[k + 1] = w / h_next
     return None
 
@@ -147,8 +170,9 @@ def solve_linear(A, b, order=None):
     """(x, factorized) for A x = b; raises SingularSystemError on breakdown.
 
     First one cycle of GMRES(60) right-preconditioned by diag(A), skipped
-    for n <= 60 or a zero diagonal entry, abandoned after 10 iterations when
-    their rate cannot reach the tolerance within 60, and its x returned only
+    for n <= 60 or a zero diagonal entry, abandoned at every tenth iteration
+    when the rate of the last ten cannot reach the tolerance within 60, and
+    its x returned only
     when ||A x - b|| <= 1e-12 ||b||; ``factorized`` is then False.
     Otherwise, in the same call, A is factorized and ``factorized`` is True
     (see the module docstring for which matrices take which path).  With
@@ -267,17 +291,16 @@ class ResidualSystem:
 
         self.pattern = pattern(mesh)
         self.n = mesh.n_nodes
-        self.mass = assemble_mass(mesh)
-        self.lumped = self.mass.row_sums()
+        self.mass, self.lumped = _mass(mesh)
         self.g = np.zeros(self.n) if g is None else np.asarray(g, dtype=float)
 
         if dirichlet is None:
             dirichlet = DirichletBC(np.empty(0, dtype=np.int64), np.empty(0))
         self.dirichlet = dirichlet
-        self._dir_pos = _row_positions(self.pattern.indptr, dirichlet.nodes)
+        self._dir_pos = row_positions(self.pattern.indptr, dirichlet.nodes)
         self._dir_diag = self.pattern.diag_pos[dirichlet.nodes]
 
-        self._F_linear = assemble_convection(mesh, velocity, np.zeros(self.n)) \
+        self._F_linear = _linear_convection(mesh, velocity) \
             if velocity.is_linear else None
 
     # ------------------------------------------------------------------
@@ -353,6 +376,19 @@ class ResidualSystem:
     # ------------------------------------------------------------------
 
     def jacobian(self, u):
+        """Exact Jacobian J(u) of T(u) as zero-free CSR (smooth variants and
+        Galerkin only).
+
+        J = A_on + P @ d alpha, one sparse product and one sum.  A_on is data
+        on the mesh pattern: F, its state derivative, B(nu), the mass term
+        and, for a nonlinear flux, F's state dependence inside the viscosity,
+        summed element by element.  P holds the viscosity's partials, and
+        its diagonal the gradually lumped mass's diag(w) d alpha.  d alpha is
+        data on its per-mesh structure (``stabilization.detector_derivative``).
+        The rows are then put in the column order that the former chain of
+        sparse sums left them in (``_former_row_order``), and the Dirichlet
+        rows become identity rows by index.
+        """
         galerkin = self.params.detector == stab.GALERKIN
         if not (galerkin or self.params.is_smooth):
             raise ValueError(
@@ -380,8 +416,7 @@ class ResidualSystem:
             nu, (w_a, w_b) = stab.edge_viscosity(pat, K, alphas, self.params,
                                                  partials=True)
             if K is F:  # F's partials also weight the flux term below
-                W = (du_edge * w_a * alphas[pat.edge_rows],
-                     du_edge * w_b * alphas[pat.edge_cols])
+                w_F = (w_a, w_b)
             parts.append((
                 nu / scale,
                 du_edge * w_b * K.data[pat.edge_transpose_pos] / scale,
@@ -393,58 +428,135 @@ class ResidualSystem:
                                   for x in zip(*parts))
 
         B = stab.assemble_B(self.mesh, stab._edge_operator(pat, nu_edge))
-        # the on-pattern terms as one data vector, zero-free like a sparse sum
-        J = _without_zeros(pat.csr(F.data + Fp.data + B.data))
-        P = stab._edge_operator(pat, p_off, diag=p_diag).to_csr()
-        J = J + P @ dalpha
-
+        data = F.data + Fp.data + B.data
+        # per sum that the former assembly made after F + F' + B + P d alpha:
+        # whether its right operand was canonical
+        later = []
         # state dependence of F inside the viscosity (nonlinear flux only)
         T3 = convection_entry_derivative_tensor(self.mesh, self.velocity, u)
         if T3 is not None:
-            J = J + self._viscosity_flux_term(*W, T3)
-
-        # time term
+            w_a, w_b = w_F
+            data += self._viscosity_flux_term(
+                du_edge * w_a * alphas[pat.edge_rows],
+                du_edge * w_b * alphas[pat.edge_cols], T3)
+            later.append(_canonical)
         if not self.steady:
-            J = J + self._mass_operator(alphas).to_csr() / self.dt
+            data += self._mass_operator(alphas).data * (1.0 / self.dt)
+            later.append(_canonical)
             if not (symmetric_mass or self.freeze_mass_alpha):
                 du = u - self.u_old
-                wvec = (self.lumped * du - self.mass.matvec(du)) / self.dt
-                J = J + sp.diags(wvec) @ dalpha
+                w = (self.lumped * du - self.mass.matvec(du)) / self.dt
+                p_diag += w
+                # diag(w) d alpha lists each row of d alpha reversed
+                later.append(lambda: _rows_decreasing(dalpha, w != 0.0))
 
-        # identity Dirichlet rows, by index; J keeps the row order that the
-        # sparse sums gave it
+        P = stab._edge_operator(pat, p_off, diag=p_diag).to_csr()
+        J = pat.csr(data) + P @ dalpha
+        _former_row_order(J, later)
+        # identity Dirichlet rows, by index
         nodes = self.dirichlet.nodes
-        J.data[_row_positions(J.indptr, nodes)] = 0.0
+        J.data[row_positions(J.indptr, nodes)] = 0.0
         J[nodes, nodes] = 1.0
         J.eliminate_zeros()
         return J
 
     def _viscosity_flux_term(self, W1, W2, T3):
-        """Rows sum_j du_ij [w_a alpha_i dF_ij/du + w_b alpha_j dF_ji/du]."""
+        """Pattern data of rows sum_j du_ij [w_a alpha_i dF_ij/du
+        + w_b alpha_j dF_ji/du], summed element by element."""
         pat = self.pattern
         w1_data = np.zeros(pat.nnz)
         w1_data[pat.edge_pos] = W1
         w2_data = np.zeros(pat.nnz)
         w2_data[pat.edge_pos] = W2
         emap = pat.element_map
-        W1e = w1_data[emap]            # (ne, nloc, nloc)
-        W2e = w2_data[emap]
-        contrib = np.einsum("eab,eabc->eac", W1e, T3)
-        contrib += np.einsum("eab,ebac->eac", W2e, T3)
-        conn = self.mesh.elements
-        nloc = conn.shape[1]
-        rows = np.repeat(conn, nloc, axis=1).ravel()
-        cols = np.tile(conn, (1, nloc)).ravel()
-        return sp.coo_matrix((contrib.ravel(), (rows, cols)),
-                             shape=(self.n, self.n)).tocsr()
+        contrib = np.einsum("eab,eabc->eac", w1_data[emap], T3)
+        contrib += np.einsum("eab,ebac->eac", w2_data[emap], T3)
+        return np.bincount(emap.ravel(), weights=contrib.ravel(),
+                           minlength=pat.nnz)
 
 
-def _row_positions(indptr, rows):
-    """Data positions of the stored entries of ``rows`` of a CSR matrix."""
-    start = indptr[rows]
-    count = indptr[rows + 1] - start
-    return (np.repeat(start - np.cumsum(count) + count, count)
-            + np.arange(count.sum()))
+def _canonical():
+    return True
+
+
+def _rows_decreasing(A, rows=None):
+    """Whether every row of CSR ``A`` (or of the ``rows`` it marks) lists
+    its columns in strictly decreasing order."""
+    ptr, idx = A.indptr, A.indices
+    counts = np.diff(ptr)
+    pairs = counts > 1 if rows is None else rows & (counts > 1)
+    # the first two entries of each row decide most cases
+    heads = ptr[:-1][pairs]
+    if np.any(idx[heads] < idx[heads + 1]):
+        return False
+    inner = np.repeat(pairs, counts)[1:]
+    inner[ptr[1:-1][(ptr[1:-1] > 0) & (ptr[1:-1] < A.nnz)] - 1] = False
+    return bool(np.all(np.diff(idx)[inner] < 0))
+
+
+def _former_row_order(J, later):
+    """Put each row of the sum J = A + P @ d alpha in the column order that
+    the former chain of sparse sums, J + B_1 + B_2 + ..., gave it.
+
+    scipy's sum of two canonical (sorted) operands merges them into sorted
+    rows; otherwise it lists the left operand's columns and then the right
+    one's new ones, and reverses that list (Gustavson's linked list).  The
+    later operands B_k add no new columns, so each one either sorts the rows
+    or reverses them.  ``later`` holds, per B_k, a callable that tells
+    whether it was canonical.
+    """
+    descending = None
+    state = "sum"
+    for canonical_b in later:
+        if state == "sorted":
+            ok = True
+        elif state == "sum":
+            ok = J.has_canonical_format
+        elif state == "reversed":
+            if descending is None:
+                descending = _rows_decreasing(J)
+            ok = descending
+        else:   # sorted and reversed
+            ok = bool(np.all(np.diff(J.indptr) <= 1))
+        if ok and canonical_b():
+            state = "sorted"
+        else:
+            state = {"sum": "reversed", "reversed": "sum", "sorted": "desc",
+                     "desc": "sorted"}[state]
+    if state in ("sorted", "desc"):
+        J.sort_indices()
+    if state in ("reversed", "desc"):
+        ptr = J.indptr
+        perm = (np.repeat(ptr[:-1] + ptr[1:] - 1, np.diff(ptr))
+                - np.arange(J.nnz, dtype=ptr.dtype))
+        J.indices = J.indices[perm]
+        J.data = J.data[perm]
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _mass(mesh):
+    """(M, lumped masses) of a mesh, assembled once per mesh; read-only."""
+    if "mass" not in mesh._cache:
+        M = assemble_mass(mesh)
+        lumped = M.row_sums()
+        _read_only(M.data, lumped)
+        mesh._cache["mass"] = M, lumped
+    return mesh._cache["mass"]
+
+
+def _linear_convection(mesh, velocity):
+    """F of a linear velocity model, assembled once per mesh and model;
+    read-only."""
+    key = ("linear_convection", velocity)
+    if key not in mesh._cache:
+        F = assemble_convection(mesh, velocity, np.zeros(mesh.n_nodes))
+        _read_only(F.data)
+        mesh._cache[key] = F
+    return mesh._cache[key]
 
 
 def _without_zeros(A):

@@ -23,9 +23,14 @@ solve of J (symmetric mode, minimum degree on J^T + J made per
 factorization) monkeypatched in, and the transient one a second with the
 nested-dissection factorization alone; a Newton reference run must
 reproduce the old digest, the iterations and the step lengths, and stay
-within 1e-12 of the new field.  The digests pin the floating-point results
-of this numpy/scipy build; a different libm may move the last bit of
-``pow`` and change them.
+within 1e-12 of the new field.  The J digests and the Newton-run digests
+pin J assembled on per-mesh structures (one sparse product, one sum); its
+data moved in the last bits.  The former assembly, kept in
+``former_jacobian``, must reproduce the pins from before that change, give
+the same ``indptr`` and ``indices``, and agree to 1e-13 on the data; every
+Newton reference run above uses it.  The digests pin the floating-point
+results of this numpy/scipy build; a different libm may move the last bit
+of ``pow`` and change them.
 """
 
 import hashlib
@@ -43,6 +48,7 @@ from dmpfem.stabilization import StabParams
 from dmpfem.system import ResidualSystem
 from dmpfem.timeloop import (ANDERSON, NEWTON, TimeConfig, admissible_bounds,
                              dirichlet_bc, run_steady, run_transient)
+from former_jacobian import former_jacobian
 
 
 def _system(problem_name, n, kind, dt, mass):
@@ -85,19 +91,19 @@ def fingerprint(sys, u):
             "J.indptr": _digest(J.indptr), "T": _digest(sys.residual(u))}
 
 
-EXPECTED = {'burgers_p1': {'J.data': '0e0835a7381df65c',
+EXPECTED = {'burgers_p1': {'J.data': '96684dbeade5424e',
                            'J.indices': '7bc76883de4a1563',
                            'J.indptr': '2a667069890b38bb',
                            'T': 'e920a319f8bfb80c'},
-            'steady_linear_q1': {'J.data': '0de1880d5769aa66',
+            'steady_linear_q1': {'J.data': '18a41623ba4c5897',
                                  'J.indices': 'c70db806a90a8972',
                                  'J.indptr': '5bb14efb8e83732a',
                                  'T': '96ffab583aaee2f3'},
-            'transient_gradual_q1': {'J.data': 'e513235f085a613c',
+            'transient_gradual_q1': {'J.data': '5589320e17179f62',
                                      'J.indices': '30450712ffa396fd',
                                      'J.indptr': 'd473fcdf3fd054e3',
                                      'T': '17b2668cde1df658'},
-            'transient_symmetric_mass_q1': {'J.data': 'c75a2817ce1e01fe',
+            'transient_symmetric_mass_q1': {'J.data': '93d9cb72f948d192',
                                             'J.indices': '59a2e79c478bb675',
                                             'J.indptr': '8a954f05dc6c65a0',
                                             'T': '25077f42653399cf'}}
@@ -106,6 +112,31 @@ EXPECTED = {'burgers_p1': {'J.data': '0e0835a7381df65c',
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_jacobian_and_residual_are_bit_identical(name):
     assert fingerprint(*CASES[name]()) == EXPECTED[name]
+
+
+# J.data pins before J moved onto per-mesh structures
+FORMER_J_DATA = {'burgers_p1': '0e0835a7381df65c',
+                 'steady_linear_q1': '0de1880d5769aa66',
+                 'transient_gradual_q1': 'e513235f085a613c',
+                 'transient_symmetric_mass_q1': 'c75a2817ce1e01fe'}
+
+
+def assert_same_jacobian(J, ref):
+    """Same stored structure, row order included; data to 1e-13."""
+    assert np.array_equal(J.indptr, ref.indptr)
+    assert np.array_equal(J.indices, ref.indices)
+    assert np.max(np.abs(J.data - ref.data)) <= 1e-13 * np.max(np.abs(ref.data))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_jacobian_matches_the_former_assembly(name):
+    sys, u = CASES[name]()
+    ref = former_jacobian(sys, u)
+    assert {"J.data": _digest(ref.data), "J.indices": _digest(ref.indices),
+            "J.indptr": _digest(ref.indptr)} == \
+        {**{k: EXPECTED[name][k] for k in ("J.indices", "J.indptr")},
+         "J.data": FORMER_J_DATA[name]}
+    assert_same_jacobian(sys.jacobian(u), ref)
 
 
 PICARD = {'burgers_p1': '7151269b4932a0c4',
@@ -185,6 +216,11 @@ def _steady_newton_run():
     return run_steady(mesh, problem, cfg)
 
 
+def _with_former_jacobian(monkeypatch):
+    """J assembled the former way, by a chain of sparse products and sums."""
+    monkeypatch.setattr(ResidualSystem, "jacobian", former_jacobian)
+
+
 def _with_mmd_jacobian_solve(monkeypatch):
     """Newton's J solved in symmetric mode on a minimum-degree ordering of
     J^T + J made per factorization, as before the nested-dissection
@@ -207,11 +243,20 @@ def _assert_close_to_reference(u, reports, u_ref, refs):
 def test_steady_newton_solve_is_bit_identical():
     u, report = _steady_newton_run()
     assert (report.converged, report.iterations) == (True, 14)
-    assert _digest(u) == "ec023be52f5310b8"
+    assert _digest(u) == "410862fcf6e7aacc"
+
+
+def test_steady_newton_solve_matches_the_former_jacobian(monkeypatch):
+    u, report = _steady_newton_run()
+    _with_former_jacobian(monkeypatch)
+    u_ref, ref = _steady_newton_run()
+    assert _digest(u_ref) == "ec023be52f5310b8"   # the pin before the change
+    _assert_close_to_reference(u, [report], u_ref, [ref])
 
 
 def test_steady_newton_solve_matches_the_mmd_reference(monkeypatch):
     u, report = _steady_newton_run()
+    _with_former_jacobian(monkeypatch)
     _with_mmd_jacobian_solve(monkeypatch)
     u_ref, ref = _steady_newton_run()
     assert _digest(u_ref) == "ff736873be74d1b3"   # the pin before the change
@@ -276,12 +321,21 @@ def test_rotation_newton_run_is_bit_identical():
     assert [r.iterations for r in result.reports] == [3, 3, 3]
     assert [r.omega_or_xi_history for r in result.reports] == [
         [0.9998269297282878, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
-    assert _digest(result.u) == "8f4f46930c7e4e4c"
+    assert _digest(result.u) == "faa23202219724ea"
+
+
+def test_rotation_newton_run_matches_the_former_jacobian(monkeypatch):
+    result = _rotation_newton_run()
+    _with_former_jacobian(monkeypatch)
+    ref = _rotation_newton_run()
+    assert _digest(ref.u) == "8f4f46930c7e4e4c"   # the pin before the change
+    _assert_close_to_reference(result.u, result.reports, ref.u, ref.reports)
 
 
 def test_rotation_newton_run_matches_the_direct_reference(monkeypatch):
     result = _rotation_newton_run()
     # every J factorized on the nested-dissection ordering
+    _with_former_jacobian(monkeypatch)
     _without_krylov(monkeypatch)
     ref = _rotation_newton_run()
     assert _digest(ref.u) == "e404f51245523bf9"   # the pin before the change
@@ -290,6 +344,7 @@ def test_rotation_newton_run_matches_the_direct_reference(monkeypatch):
 
 def test_rotation_newton_run_matches_the_mmd_reference(monkeypatch):
     result = _rotation_newton_run()
+    _with_former_jacobian(monkeypatch)
     _with_mmd_jacobian_solve(monkeypatch)
     ref = _rotation_newton_run()
     assert _digest(ref.u) == "fb0f3ed30d86cea1"   # the pin before the change

@@ -18,7 +18,9 @@ from dmpfem.system import (AdmissibleBounds, DirichletBC, ResidualSystem,
                            _without_zeros, jacobian_order, solve_linear)
 from dmpfem.timeloop import ANDERSON, NEWTON, TimeConfig, run_transient
 from test_assembly import constant_velocity
-from test_jacobian_fingerprint import CASES, _system
+from former_jacobian import former_jacobian
+from meshes import jittered_p1
+from test_jacobian_fingerprint import CASES, _system, assert_same_jacobian
 from test_mesh import neighbors
 
 
@@ -81,6 +83,38 @@ def test_jacobian_matches_finite_differences(case, n):
     J_fd = fd_jacobian(sys, u)
     scale = np.max(np.abs(J_fd))
     assert np.max(np.abs(J - J_fd)) / scale < 1e-6
+
+
+@pytest.mark.parametrize("case", SMOOTH_CASES, ids=lambda c: c["label"])
+def test_jacobian_matches_finite_differences_on_a_jittered_mesh(case):
+    # geometric symmetric points: the sym family's terms interpolate at
+    # points inside macroelement sides; the edge family's ghost terms cancel
+    # in each boundary node's jump
+    mesh = jittered_p1(5, 0)
+    sys = build_system(mesh, case, seed=5)
+    u = random_state(mesh, seed=35)
+    J = sys.jacobian(u).toarray()
+    J_fd = fd_jacobian(sys, u)
+    assert np.max(np.abs(J - J_fd)) / np.max(np.abs(J_fd)) < 1e-6
+
+
+def _states(mesh):
+    x, y = mesh.coords.T
+    return {"random": random_state(mesh, 9),
+            # plateaus: rows of d alpha vanish or lose entries
+            "clipped_ramp": np.clip(3.0 * x - 1.0, 0.0, 1.0),
+            "disc": np.where((x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.1, 1.0, 0.0)}
+
+
+@pytest.mark.parametrize("state", ["random", "clipped_ramp", "disc"])
+@pytest.mark.parametrize("case", SMOOTH_CASES, ids=lambda c: c["label"])
+@pytest.mark.parametrize("mesh", ["jittered_p1", "q1"])
+def test_jacobian_matches_the_former_assembly(mesh, case, state):
+    mesh = jittered_p1(6, 1) if mesh == "jittered_p1" else \
+        build_structured(7, 6)
+    sys = build_system(mesh, case, seed=6)
+    u = _states(mesh)[state]
+    assert_same_jacobian(sys.jacobian(u), former_jacobian(sys, u))
 
 
 def test_jacobian_galerkin_is_mass_plus_convection():
@@ -222,13 +256,14 @@ def test_jacobian_order_is_not_built_by_set_up_or_by_anderson():
                         beta_bound=problem.velocity.beta_bound)
     pattern(mesh)
     stab.detector_values(mesh, np.zeros(mesh.n_nodes), params)
-    assert "jacobian_order" not in mesh._cache
+    newton_only = ("jacobian_order", ("derivative_structure", "sym"))
+    assert not any(key in mesh._cache for key in newton_only)
     cfg = TimeConfig(stab=params, dt=1e-2, t_end=1e-2, solver=ANDERSON,
                      projection=True, tol=1e-5, k_max=300)
     run_transient(mesh, problem, cfg)
-    assert "jacobian_order" not in mesh._cache
+    assert not any(key in mesh._cache for key in newton_only)
     run_transient(mesh, problem, replace(cfg, solver=NEWTON, projection=False))
-    assert "jacobian_order" in mesh._cache
+    assert all(key in mesh._cache for key in newton_only)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
