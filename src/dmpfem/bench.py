@@ -300,15 +300,14 @@ def error_norms(mesh, u, exact, region=OMEGA, inflow_where=None, refine=4):
         # the integrands w |e| and w |e|^2 by blocks of elements, summed
         # whole: the values of one pass over all elements, a fraction of
         # its temporaries
-        w1 = w2 = None
+        n_pts = _reference_subcell_rule(mesh.kind, refine)[1].size
+        w1 = np.empty((mesh.n_elements, n_pts))
+        w2 = np.empty_like(w1)
         for lo in range(0, mesh.n_elements, _NORM_BLOCK):
             block = slice(lo, lo + _NORM_BLOCK)
             pts, wts = _refined_quadrature(mesh, refine, block)
             uh = _fe_values_at(mesh, u, pts, block)
             diff = np.abs(uh - exact(pts[..., 0], pts[..., 1]))
-            if w1 is None:
-                w1 = np.empty((mesh.n_elements, wts.shape[1]))
-                w2 = np.empty_like(w1)
             w1[block] = wts * diff
             w2[block] = w1[block] * diff
         return float(np.sum(w1)), float(np.sqrt(np.sum(w2)))

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from dmpfem import bench
 from dmpfem import stabilization as stab
 from dmpfem.assembly import assemble_convection
 from dmpfem.bench import (OMEGA, OUTFLOW, PROBLEM_NAMES, dissipation,
                           dmp_audit, eoc, error_norms, local_dmp_audit,
                           make_problem)
-from dmpfem.mesh import build_structured
+from dmpfem.mesh import P1, Q1, build_structured
 from dmpfem.stabilization import StabParams, detector_values, viscosity
 from dmpfem.system import AdmissibleBounds
 from dmpfem.timeloop import dirichlet_bc
@@ -104,6 +105,20 @@ def test_error_norms_constant_offset():
     l1o, _ = error_norms(mesh, u, exact, region=OUTFLOW,
                          inflow_where=prob.inflow_where)
     assert l1o == pytest.approx(c * 1.0, abs=1e-13)          # length 1
+
+
+@pytest.mark.parametrize("kind", [Q1, P1])
+def test_error_norms_do_not_depend_on_the_block_size(kind, monkeypatch):
+    # the integrands are filled block by block and summed whole, so the
+    # norms are those of one pass over all elements, bit for bit
+    prob = make_problem("STRAIGHT_DISCONTINUITY")
+    mesh = build_structured(9, 7, kind=kind)
+    u = np.random.default_rng(3).uniform(0.0, 1.0, mesh.n_nodes)
+    norms = []
+    for block in (mesh.n_elements, 10):
+        monkeypatch.setattr(bench, "_NORM_BLOCK", block)
+        norms.append(error_norms(mesh, u, prob.exact, region=OMEGA))
+    assert norms[0] == norms[1]
 
 
 def test_error_norms_require_exact():

@@ -14,9 +14,11 @@ from dmpfem.bench import make_problem
 from dmpfem.mesh import P1, Q1, build_structured
 from dmpfem.stabilization import StabParams
 from dmpfem.system import (AdmissibleBounds, DirichletBC, ResidualSystem,
-                           SingularSystemError, _nested_dissection,
-                           _without_zeros, jacobian_order, solve_linear)
-from dmpfem.timeloop import ANDERSON, NEWTON, TimeConfig, run_transient
+                           SingularSystemError, _jacobi_gmres,
+                           _nested_dissection, _without_zeros, jacobian_order,
+                           solve_linear)
+from dmpfem.timeloop import (ANDERSON, NEWTON, TimeConfig, dirichlet_bc,
+                             forcing_vector, run_transient)
 from test_assembly import constant_velocity
 from former_jacobian import former_jacobian
 from meshes import jittered_p1
@@ -419,6 +421,38 @@ def test_steady_operator_falls_back_to_the_colamd_solve(monkeypatch):
     x, factorized = sys.picard_solve(u)
     assert len(calls) == 1 and factorized
     assert np.array_equal(x, ref)
+
+
+def test_krylov_cycle_gives_up_when_the_recent_rate_stalls():
+    # the first Picard operator of STRAIGHT_DISCONTINUITY q=4 on Q1 48^2:
+    # the rate of the first 10 iterations would reach the tolerance, the
+    # residual then stalls near 3e-3, and the check at 20 gives up instead
+    # of running all 60 iterations
+    problem = make_problem("STRAIGHT_DISCONTINUITY")
+    mesh = build_structured(48, 48)
+    beta = problem.velocity.beta_bound
+    params = StabParams(q=4.0, eps=1e-2, sigma=beta * 1e-9, gamma=1e-10,
+                        detector=stab.SMOOTH, beta_bound=beta)
+    bc = dirichlet_bc(mesh, problem, 0.0)
+    sys = ResidualSystem(mesh, problem.velocity, params,
+                         g=forcing_vector(mesh, problem), dirichlet=bc)
+    u = np.zeros(mesh.n_nodes)
+    u[bc.nodes] = bc.values
+    A, G = sys.assemble_operator(u)
+
+    class Counting:
+        products = 0
+
+        def diagonal(self):
+            return A.diagonal()
+
+        def __matmul__(self, x):
+            self.products += 1
+            return A @ x
+
+    counting = Counting()
+    assert _jacobi_gmres(counting, G) is None
+    assert counting.products == 20
 
 
 def test_factorized_solve_matches_spsolve_for_each_structure():
