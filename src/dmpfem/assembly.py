@@ -6,6 +6,19 @@ operators (mass, convection, viscosity, stabilization, ...) share one
 entry (i, j) exists iff j is in the neighborhood of i.  Explicit zeros are
 kept so that structural identities (symmetry, row sums) can be checked
 entrywise.
+
+The element blocks of the mass, the convection F(w), its state derivative
+and the entry-derivative tensor are formed by ``_element_blocks`` on a
+per-mesh copy of the quadrature with the element index last, so each numpy
+operation runs over contiguous arrays of length n_elements rather than over
+the 3 or 4 quadrature points.  The helper keeps the summation order of the
+generic ``np.einsum`` it replaced: the same products, formed left to right,
+added one quadrature point at a time.  That order matters because Anderson
+follows the last bits of every F(u): a reordering that moves them changes
+its iteration counts.  The two-operand einsums (quadrature-point values and
+gradients of a state, the forcing) stay einsums: numpy reduces them in SIMD
+lanes whose order depends on the CPU, and a sequential loop in their place
+would change the last bits.
 """
 
 from __future__ import annotations
@@ -169,6 +182,40 @@ def quadrature(mesh):
     return mesh._cache["quadrature"]
 
 
+def _element_last(mesh):
+    """The quadrature weights (nq, ne) and the x- and y-gradients
+    (nq, nloc, ne) of ``quadrature``, laid out with the element index last;
+    built once per mesh, read-only."""
+    if "element_last" not in mesh._cache:
+        _, weights, _, grads = quadrature(mesh)
+        arrays = (np.ascontiguousarray(weights.T),
+                  *(np.ascontiguousarray(grads[..., d].transpose(1, 2, 0))
+                    for d in (0, 1)))
+        for a in arrays:
+            a.flags.writeable = False
+        mesh._cache["element_last"] = arrays
+    return mesh._cache["element_last"]
+
+
+def _element_blocks(phi, coef, *factors):
+    """Element blocks sum_q coef[q] phi_q,a f1[q, b] f2[q, c] ... as a
+    C-contiguous (ne, nloc, nloc, ...) array.
+
+    ``coef`` is (nq, ne) and each factor (nq, nloc, ne), or (nq, nloc, 1)
+    for a shape function.  Every product is formed left to right,
+    ((coef phi_a) f1_b) f2_c, and added into a zero block one quadrature
+    point at a time, in order: the arithmetic of ``np.einsum`` on these
+    operands, so the result is the same to the bit.
+    """
+    out = np.zeros(phi.shape[1:] * (1 + len(factors)) + coef.shape[1:])
+    for q, phi_q in enumerate(phi):
+        term = coef[q] * phi_q[:, None]
+        for f in factors:
+            term = term[..., None, :] * f[q]
+        out += term
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0))
+
+
 def _assemble_pairs(mesh, elem_vals):
     """Sum per-element (nloc x nloc) blocks into pattern data (deterministic)."""
     pat = pattern(mesh)
@@ -183,9 +230,9 @@ def _assemble_pairs(mesh, elem_vals):
 
 def assemble_mass(mesh):
     """Consistent mass matrix M_ij = integral of phi_j phi_i."""
-    _, w, shape, _ = quadrature(mesh)
-    elem = np.einsum("eq,qa,qb->eab", w, shape, shape)
-    return _assemble_pairs(mesh, elem)
+    shape = quadrature(mesh)[2]
+    w = _element_last(mesh)[0]
+    return _assemble_pairs(mesh, _element_blocks(shape, w, shape[..., None]))
 
 
 def lumped_masses(mesh):
@@ -234,12 +281,13 @@ def assemble_convection(mesh, vel, w):
     scheme.  At w = u this gives the conservative residual, F(u)u =
     (div f(u), phi_i) up to the (here exact) quadrature.
     """
-    pts, wq, shape, grads = quadrature(mesh)
+    pts, _, shape, _ = quadrature(mesh)
+    wq, gx, gy = _element_last(mesh)
     w = np.asarray(w, dtype=float)
     wq_vals = np.einsum("qa,ea->eq", shape, w[mesh.elements])
     vx, vy = vel.velocity(pts[..., 0], pts[..., 1], wq_vals)
-    elem = np.einsum("eq,qa,eqb->eab", wq * vx, shape, grads[..., 0])
-    elem += np.einsum("eq,qa,eqb->eab", wq * vy, shape, grads[..., 1])
+    elem = _element_blocks(shape, wq * vx.T, gx)
+    elem += _element_blocks(shape, wq * vy.T, gy)
     return _assemble_pairs(mesh, elem)
 
 
@@ -248,16 +296,15 @@ def assemble_convection_state_derivative(mesh, vel, w):
     pat = pattern(mesh)
     if vel.is_linear:
         return SparseOperator.zeros(pat)
-    pts, wq, shape, grads = quadrature(mesh)
+    pts, _, shape, grads = quadrature(mesh)
     w = np.asarray(w, dtype=float)
     we = w[mesh.elements]
     wq_vals = np.einsum("qa,ea->eq", shape, we)
     gx = np.einsum("eqa,ea->eq", grads[..., 0], we)
     gy = np.einsum("eqa,ea->eq", grads[..., 1], we)
     dvx, dvy = vel.dvelocity_dw(pts[..., 0], pts[..., 1], wq_vals)
-    coef = wq * (dvx * gx + dvy * gy)
-    elem = np.einsum("eq,qa,qb->eab", coef, shape, shape)
-    return _assemble_pairs(mesh, elem)
+    coef = _element_last(mesh)[0] * (dvx * gx + dvy * gy).T
+    return _assemble_pairs(mesh, _element_blocks(shape, coef, shape[..., None]))
 
 
 def convection_entry_derivative_tensor(mesh, vel, w):
@@ -268,12 +315,13 @@ def convection_entry_derivative_tensor(mesh, vel, w):
     """
     if vel.is_linear:
         return None
-    pts, wq, shape, grads = quadrature(mesh)
+    pts, _, shape, _ = quadrature(mesh)
+    wq, gx, gy = _element_last(mesh)
     w = np.asarray(w, dtype=float)
     wq_vals = np.einsum("qa,ea->eq", shape, w[mesh.elements])
     dvx, dvy = vel.dvelocity_dw(pts[..., 0], pts[..., 1], wq_vals)
-    t = np.einsum("eq,qa,eqb,qc->eabc", wq * dvx, shape, grads[..., 0], shape)
-    t += np.einsum("eq,qa,eqb,qc->eabc", wq * dvy, shape, grads[..., 1], shape)
+    t = _element_blocks(shape, wq * dvx.T, gx, shape[..., None])
+    t += _element_blocks(shape, wq * dvy.T, gy, shape[..., None])
     return t
 
 

@@ -234,6 +234,23 @@ def write_log(report, path):
                                _fmt(report.omega_or_xi_history[k])]) + "\n")
 
 
+# lines formatted per write: bounds the memory of the string objects
+_LINES_PER_WRITE = 1024
+
+
+def _fmt_column(values):
+    """``_fmt`` of every entry of a float array (NaN, where v != v, as
+    the empty string), from one ``tolist``."""
+    return ["" if v != v else repr(v)
+            for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _write_blocks(fh, n, lines):
+    """Write ``lines(block)`` for consecutive slices of ``n`` rows."""
+    for start in range(0, n, _LINES_PER_WRITE):
+        fh.write("".join(lines(slice(start, start + _LINES_PER_WRITE))))
+
+
 def write_field(mesh, u, path, t=None):
     """Scalar nodal field as legacy ASCII VTK.
 
@@ -253,22 +270,23 @@ def write_field(mesh, u, path, t=None):
         else:
             fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.n_nodes} double\n")
-        for x, y in mesh.coords:
-            fh.write(f"{_fmt(x)} {_fmt(y)} 0.0\n")
+        _write_blocks(fh, mesh.n_nodes, lambda rows: [
+            f"{x} {y} 0.0\n"
+            for x, y in zip(*map(_fmt_column, mesh.coords[rows].T))])
         if mesh.structured_shape is None:
             nloc = mesh.elements.shape[1]
             cell_type = 9 if nloc == 4 else 5
             fh.write(f"CELLS {mesh.n_elements} {mesh.n_elements * (nloc + 1)}\n")
-            for conn in mesh.elements:
-                fh.write(" ".join([str(nloc)] + [str(int(c)) for c in conn]) + "\n")
+            _write_blocks(fh, mesh.n_elements, lambda rows: [
+                " ".join(map(str, [nloc] + conn)) + "\n"
+                for conn in mesh.elements[rows].tolist()])
             fh.write(f"CELL_TYPES {mesh.n_elements}\n")
-            for _ in range(mesh.n_elements):
-                fh.write(f"{cell_type}\n")
+            fh.write(f"{cell_type}\n" * mesh.n_elements)
         fh.write(f"POINT_DATA {mesh.n_nodes}\n")
         fh.write("SCALARS u double 1\n")
         fh.write("LOOKUP_TABLE default\n")
-        for v in u:
-            fh.write(_fmt(v) + "\n")
+        _write_blocks(fh, mesh.n_nodes,
+                      lambda rows: [v + "\n" for v in _fmt_column(u[rows])])
 
 
 def read_field(path):

@@ -1,0 +1,55 @@
+"""The element kernels as they were assembled before they moved onto the
+element-last layout: one generic three- or four-operand ``np.einsum`` per
+block.  Kept as the bit-for-bit reference of ``assemble_mass``,
+``assemble_convection``, ``assemble_convection_state_derivative`` and
+``convection_entry_derivative_tensor``.
+"""
+
+import numpy as np
+
+from dmpfem.assembly import (SparseOperator, _assemble_pairs, pattern,
+                             quadrature)
+
+
+def former_mass(mesh):
+    _, w, shape, _ = quadrature(mesh)
+    elem = np.einsum("eq,qa,qb->eab", w, shape, shape)
+    return _assemble_pairs(mesh, elem)
+
+
+def former_convection(mesh, vel, w):
+    pts, wq, shape, grads = quadrature(mesh)
+    w = np.asarray(w, dtype=float)
+    wq_vals = np.einsum("qa,ea->eq", shape, w[mesh.elements])
+    vx, vy = vel.velocity(pts[..., 0], pts[..., 1], wq_vals)
+    elem = np.einsum("eq,qa,eqb->eab", wq * vx, shape, grads[..., 0])
+    elem += np.einsum("eq,qa,eqb->eab", wq * vy, shape, grads[..., 1])
+    return _assemble_pairs(mesh, elem)
+
+
+def former_convection_state_derivative(mesh, vel, w):
+    pat = pattern(mesh)
+    if vel.is_linear:
+        return SparseOperator.zeros(pat)
+    pts, wq, shape, grads = quadrature(mesh)
+    w = np.asarray(w, dtype=float)
+    we = w[mesh.elements]
+    wq_vals = np.einsum("qa,ea->eq", shape, we)
+    gx = np.einsum("eqa,ea->eq", grads[..., 0], we)
+    gy = np.einsum("eqa,ea->eq", grads[..., 1], we)
+    dvx, dvy = vel.dvelocity_dw(pts[..., 0], pts[..., 1], wq_vals)
+    coef = wq * (dvx * gx + dvy * gy)
+    elem = np.einsum("eq,qa,qb->eab", coef, shape, shape)
+    return _assemble_pairs(mesh, elem)
+
+
+def former_convection_entry_derivative_tensor(mesh, vel, w):
+    if vel.is_linear:
+        return None
+    pts, wq, shape, grads = quadrature(mesh)
+    w = np.asarray(w, dtype=float)
+    wq_vals = np.einsum("qa,ea->eq", shape, w[mesh.elements])
+    dvx, dvy = vel.dvelocity_dw(pts[..., 0], pts[..., 1], wq_vals)
+    t = np.einsum("eq,qa,eqb,qc->eabc", wq * dvx, shape, grads[..., 0], shape)
+    t += np.einsum("eq,qa,eqb,qc->eabc", wq * dvy, shape, grads[..., 1], shape)
+    return t

@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from dmpfem import assembly
 from dmpfem.assembly import (VelocityModel, assemble_convection,
-                             assemble_forcing, assemble_mass, graph_seminorm,
-                             lumped_masses, pattern)
+                             assemble_convection_state_derivative,
+                             assemble_forcing, assemble_mass,
+                             convection_entry_derivative_tensor,
+                             graph_seminorm, lumped_masses, pattern)
+from dmpfem.bench import PROBLEM_NAMES, make_problem
 from dmpfem.mesh import P1, Q1, build_structured
+from former_assembly import (former_convection,
+                             former_convection_entry_derivative_tensor,
+                             former_convection_state_derivative, former_mass)
+from meshes import jittered_p1
 
 
 def constant_velocity(vx, vy, beta=None):
@@ -186,6 +194,79 @@ def test_pattern_is_exactly_adjacency():
         cols = pat.indices[pat.indptr[i]:pat.indptr[i + 1]]
         touching = mesh.elements[np.any(mesh.elements == i, axis=1)]
         assert list(cols) == sorted(set(touching.ravel()))
+
+
+# ----------------------------------------------------------------------
+# element-last kernels against the former einsum kernels
+# ----------------------------------------------------------------------
+
+KERNEL_MESHES = {
+    "q1": lambda: build_structured(9, 7),
+    "p1": lambda: build_structured(8, 8, kind=P1),
+    "jittered-p1": lambda: jittered_p1(10, 5),
+}
+
+
+def assert_same_bits(a, b):
+    # stricter than np.array_equal: -0.0 and +0.0 differ here
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def kernel_states(mesh, seed):
+    """Random states with exact zeros and -0.0 among the nodal values, and a
+    state that is zero everywhere but for one -0.0."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(3):
+        u = rng.uniform(-1.5, 1.5, mesh.n_nodes)
+        u[rng.random(mesh.n_nodes) < 0.2] = 0.0
+        u[rng.random(mesh.n_nodes) < 0.2] = -0.0
+        states.append(u)
+    zero = np.zeros(mesh.n_nodes)
+    zero[mesh.n_nodes // 2] = -0.0
+    return states + [zero]
+
+
+@pytest.mark.parametrize("mesh_name", sorted(KERNEL_MESHES))
+def test_mass_kernel_matches_the_former_einsum(mesh_name):
+    mesh = KERNEL_MESHES[mesh_name]()
+    assert_same_bits(assemble_mass(mesh).data, former_mass(mesh).data)
+
+
+@pytest.mark.parametrize("problem", PROBLEM_NAMES)
+@pytest.mark.parametrize("mesh_name", sorted(KERNEL_MESHES))
+def test_convection_kernels_match_the_former_einsum(mesh_name, problem):
+    mesh = KERNEL_MESHES[mesh_name]()
+    vel = make_problem(problem).velocity
+    for u in kernel_states(mesh, seed=len(problem)):
+        assert_same_bits(assemble_convection(mesh, vel, u).data,
+                         former_convection(mesh, vel, u).data)
+        assert_same_bits(
+            assemble_convection_state_derivative(mesh, vel, u).data,
+            former_convection_state_derivative(mesh, vel, u).data)
+        t = convection_entry_derivative_tensor(mesh, vel, u)
+        ref = former_convection_entry_derivative_tensor(mesh, vel, u)
+        if vel.is_linear:
+            assert t is None and ref is None
+        else:
+            assert t.flags.c_contiguous
+            assert_same_bits(t, ref)
+
+
+def test_element_last_layout_is_built_once_and_read_only():
+    mesh = build_structured(4, 3)
+    assert "element_last" not in mesh._cache
+    assemble_convection(mesh, VelocityModel.burgers(), np.ones(mesh.n_nodes))
+    arrays = mesh._cache["element_last"]
+    assemble_mass(mesh)
+    assert assembly._element_last(mesh) is arrays
+    weights, gx, gy = arrays
+    assert weights.shape == (4, mesh.n_elements)
+    assert gx.shape == gy.shape == (4, 4, mesh.n_elements)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 # ----------------------------------------------------------------------

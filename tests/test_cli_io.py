@@ -129,6 +129,58 @@ def test_vtk_unstructured_for_patches(tmp_path):
     assert np.array_equal(values, np.arange(7.0))
 
 
+def former_write_field(mesh, u, path, t=None):
+    """``write_field`` as it was: one ``_fmt`` and one write per number."""
+    fmt = dio._fmt
+    u = np.asarray(u, dtype=float)
+    title = "dmpfem field" if t is None else f"dmpfem field t={fmt(float(t))}"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write(title + "\n")
+        fh.write("ASCII\n")
+        if mesh.structured_shape is not None:
+            nx, ny = mesh.structured_shape
+            fh.write("DATASET STRUCTURED_GRID\n")
+            fh.write(f"DIMENSIONS {nx + 1} {ny + 1} 1\n")
+        else:
+            fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {mesh.n_nodes} double\n")
+        for x, y in mesh.coords:
+            fh.write(f"{fmt(x)} {fmt(y)} 0.0\n")
+        if mesh.structured_shape is None:
+            nloc = mesh.elements.shape[1]
+            cell_type = 9 if nloc == 4 else 5
+            fh.write(f"CELLS {mesh.n_elements} {mesh.n_elements * (nloc + 1)}\n")
+            for conn in mesh.elements:
+                fh.write(" ".join([str(nloc)] + [str(int(c)) for c in conn]) + "\n")
+            fh.write(f"CELL_TYPES {mesh.n_elements}\n")
+            for _ in range(mesh.n_elements):
+                fh.write(f"{cell_type}\n")
+        fh.write(f"POINT_DATA {mesh.n_nodes}\n")
+        fh.write("SCALARS u double 1\n")
+        fh.write("LOOKUP_TABLE default\n")
+        for v in u:
+            fh.write(fmt(v) + "\n")
+
+
+@pytest.mark.parametrize("kind", ["Q1", "P1"])
+def test_write_field_bytes_match_the_former_writer(tmp_path, kind):
+    from meshes import jittered_p1
+    rng = np.random.default_rng(4)
+    # more nodes and cells than the writer formats per write
+    if kind == "Q1":
+        mesh, t = build_structured(40, 30), None
+        u = rng.standard_normal(mesh.n_nodes)
+    else:
+        mesh, t = jittered_p1(33, 2), 0.30000000000000004
+        u = rng.standard_normal(mesh.n_nodes)
+        u[:6] = [np.nan, -0.0, 0.0, 5e-324, 1e300, -np.inf]
+    new, old = tmp_path / "new.vtk", tmp_path / "old.vtk"
+    write_field(mesh, u, str(new), t)
+    former_write_field(mesh, u, str(old), t)
+    assert new.read_bytes() == old.read_bytes()
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------

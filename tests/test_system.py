@@ -260,10 +260,13 @@ def test_jacobian_order_is_not_built_by_set_up_or_by_anderson():
     stab.detector_values(mesh, np.zeros(mesh.n_nodes), params)
     newton_only = ("jacobian_order", ("derivative_structure", "sym"))
     assert not any(key in mesh._cache for key in newton_only)
+    # nor the element-last quadrature, which the first convection builds
+    assert "element_last" not in mesh._cache
     cfg = TimeConfig(stab=params, dt=1e-2, t_end=1e-2, solver=ANDERSON,
                      projection=True, tol=1e-5, k_max=300)
     run_transient(mesh, problem, cfg)
     assert not any(key in mesh._cache for key in newton_only)
+    assert "element_last" in mesh._cache
     run_transient(mesh, problem, replace(cfg, solver=NEWTON, projection=False))
     assert all(key in mesh._cache for key in newton_only)
 
