@@ -101,9 +101,6 @@ class SparseOperator:
     def matvec(self, x):
         return self.to_csr() @ x
 
-    def entry(self, i, j):
-        return self.data[self.pattern.position(i, j)]
-
     def row_sums(self):
         return np.bincount(self.pattern.rows, weights=self.data,
                            minlength=self.pattern.n)

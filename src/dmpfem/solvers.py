@@ -145,8 +145,7 @@ def anderson_solve(sys, u0, m=5, s_min=-0.05, omega0=1.0, omega_min=0.3,
         if slope < s_min and omega > omega_min:
             omega = max(omega - 0.1, omega_min)
 
-    report.residual_norm = float(np.linalg.norm(sys.residual(u))) \
-        if hasattr(sys, "residual") else np.nan
+    report.residual_norm = float(np.linalg.norm(sys.residual(u)))
     return u, report
 
 

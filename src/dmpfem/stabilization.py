@@ -202,9 +202,9 @@ class DerivativeStructure:
     """Fixed sparsity of d alpha / d u on a mesh, with the data maps that
     fill it.
 
-    Row i holds the column of every stencil entry of node i's terms.  With
-    N = aggregate Z, the constant derivative of each node's sum of z, and
-    D = aggregate diag(|z|_eps') Z,
+    Row i holds the column of every stencil entry of node i's terms, in
+    increasing order.  With N = aggregate Z, the constant derivative of each
+    node's sum of z, and D = aggregate diag(|z|_eps') Z,
 
         d alpha = diag(c_num) N + diag(c_den) D,
 
@@ -212,17 +212,9 @@ class DerivativeStructure:
     on this structure, zero where the terms of a node cancel in their sum.
     ``zmap`` sends each stencil entry to its position, so that D is one
     bincount of Z's data times |z|_eps' of each entry's term.  Both give the
-    values of the former sparse products bit for bit.
-
-    Each row keeps the column order that those products gave it, so that a
-    product with d alpha lists its columns as before.  A sparse product
-    lists a row's columns in reverse order of first appearance
-    (Gustavson's row-by-row scan).  A sparse sum lists the columns of its
-    left operand, then the new ones of its right operand, and reverses that
-    list.  Where c_num is zero the jump term drops out, and a row with
-    cancelled columns lists them in reverse first appearance; ``bare_rows``
-    and ``bare_src`` hold that order.  Built on the first derivative on a
-    mesh, in blocks of nodes, so that the sort temporaries stay small.
+    values of the former sparse products bit for bit.  Built on the first
+    derivative on a mesh, in blocks of nodes, so that the sort temporaries
+    stay small.
     """
 
     def __init__(self, st):
@@ -234,7 +226,7 @@ class DerivativeStructure:
         idx = sp.get_index_dtype(maxval=max(Z.nnz, n, st.n_terms))
         self.zmap = np.empty(Z.nnz, dtype=idx)
         counts = np.zeros(n, dtype=np.int64)
-        cols, jumps, bare_rows, bare_src = [], [], [], []
+        cols, jumps = [], []
         offset, lo = 0, 0
         while lo < n:
             hi = int(np.searchsorted(entry_ptr, entry_ptr[lo] + _BUILD_BLOCK,
@@ -243,55 +235,28 @@ class DerivativeStructure:
             e = slice(entry_ptr[lo], entry_ptr[hi])
             node = np.repeat(st.term_row[term_ptr[lo]:term_ptr[hi]],
                              np.diff(Z.indptr[term_ptr[lo]:term_ptr[hi] + 1]))
-            key = (node - lo) * n + Z.indices[e]
-            order = np.argsort(key, kind="stable")
-            first = np.ones(order.size, dtype=bool)
-            first[1:] = key[order[1:]] != key[order[:-1]]
-            uid = np.empty(order.size, dtype=np.int64)
-            uid[order] = np.cumsum(first) - 1
-            # per distinct (node, column): first appearance, node, jump
-            seen, ukey = order[first], key[order[first]]
-            unode = ukey // n
-            jump = np.bincount(uid, weights=Z.data[e], minlength=seen.size)
-            # the sum lists the jump's columns in order of first appearance,
-            # then those that cancel in it, and reverses the row
-            by_row = np.lexsort((seen, jump == 0.0, unode))
-            cnt = np.bincount(unode, minlength=hi - lo)
-            start = np.cumsum(cnt) - cnt
-            pos = np.empty(seen.size, dtype=np.int64)
-            pos[by_row] = (2 * start + cnt - 1)[unode[by_row]] \
-                - np.arange(seen.size)
-            self.zmap[e] = offset + pos[uid]
-            # rows with cancelled columns, in the order of their second
-            # operand alone, as a zero c_num left them: reversed first
-            # appearance
-            bare = np.unique(unode[jump == 0.0])
-            sel = np.isin(unode, bare)
-            bare_rows.append(lo + bare)
-            bare_src.append(offset + pos[sel][np.lexsort((-seen[sel],
-                                                          unode[sel]))])
-            col = np.empty(seen.size, dtype=np.int64)
-            col[pos] = ukey - unode * n
+            # distinct (node, column) pairs, sorted by node, then column
+            ukey, inverse = np.unique((node - lo) * n + Z.indices[e],
+                                      return_inverse=True)
+            unode, col = np.divmod(ukey, n)
+            self.zmap[e] = offset + inverse
+            jumps.append(np.bincount(inverse, weights=Z.data[e],
+                                     minlength=ukey.size))
             cols.append(col)
-            jump_at = np.empty_like(jump)
-            jump_at[pos] = jump
-            jumps.append(jump_at)
-            counts[lo:hi] = cnt
-            offset += seen.size
+            counts[lo:hi] = np.bincount(unode, minlength=hi - lo)
+            offset += ukey.size
             lo = hi
         self.shape = (n, n)
         self.indptr = np.zeros(n + 1, dtype=idx)
         np.cumsum(counts, out=self.indptr[1:])
         self.indices = np.concatenate(cols).astype(idx)
         self.jump = np.concatenate(jumps)
-        self.bare_rows = np.concatenate(bare_rows)
-        self.bare_src = np.concatenate(bare_src).astype(idx)
         self.nnz = offset
         for a in (self.indptr, self.indices):
             a.flags.writeable = False
 
     def matrix(self, Z, live, terms, c_num, c_den, d1):
-        """d alpha as zero-free CSR, as the former sparse sums left it.
+        """d alpha as zero-free CSR with sorted rows.
 
         Only the ``live`` nodes, where the limiter is not flat, have entries;
         ``terms`` are their terms (``row_positions(term_ptr, live)``) and
@@ -305,18 +270,10 @@ class DerivativeStructure:
         pos = row_positions(self.indptr, live)
         rows = np.repeat(live, np.diff(self.indptr)[live])
         data = c_num[rows] * self.jump[pos] + c_den[rows] * d_den[pos]
-        indices = self.indices[pos]
-        bare = (c_num[self.bare_rows] == 0.0) & (c_den[self.bare_rows] != 0.0)
-        if bare.any():
-            at = np.repeat(bare, np.diff(self.indptr)[self.bare_rows])
-            dst = np.searchsorted(pos, row_positions(self.indptr,
-                                                     self.bare_rows[bare]))
-            src = np.searchsorted(pos, self.bare_src[at])
-            indices[dst], data[dst] = indices[src], data[src]
         keep = data != 0.0
         indptr = np.zeros_like(self.indptr)
         np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
-        return sp.csr_matrix((data[keep], indices[keep], indptr),
+        return sp.csr_matrix((data[keep], self.indices[pos][keep], indptr),
                              shape=self.shape)
 
 
@@ -371,13 +328,14 @@ def detector_derivative(mesh, u, params):
 
     d alpha is zero-free CSR data on the mesh's ``DerivativeStructure``,
     built on the first call: row i couples node i to the nodes of its terms,
-    its neighbors and the nodes that interpolate its symmetric points.  The
-    rows of nodes where the limiter is flat are empty, and |z|_eps' is
-    computed only for the terms of the other nodes.  Structure and row
-    order are those of the former sparse products diag(c_num) N +
-    diag(c_den) D, and so are the values, except that |z|_eps and its
-    derivative now share one square root, which moves d alpha in the last
-    bits.  alpha is bit-identical to ``detector_values``.
+    its neighbors and the nodes that interpolate its symmetric points, in
+    increasing column order.  The rows of nodes where the limiter is flat
+    are empty, and |z|_eps' is computed only for the terms of the other
+    nodes.  The structure is that of the former sparse products
+    diag(c_num) N + diag(c_den) D, and so are the values, except that
+    |z|_eps and its derivative now share one square root, which moves
+    d alpha in the last bits.  alpha is bit-identical to
+    ``detector_values``.
     """
     if not params.is_smooth:
         raise ValueError("exact derivatives require a smooth detector variant")

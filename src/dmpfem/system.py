@@ -24,14 +24,11 @@ data on the pattern and d alpha is data on a structure built once per mesh,
 on the first Jacobian (``stabilization.DerivativeStructure``); set-up and
 Anderson never build it.  Its values are those of the former assembly, a
 chain of four to seven sparse sums and products, up to the order of the
-summation.  J keeps that assembly's zero-free structure: the same ``indptr``
-and ``indices``, row order included, because scipy's sum and product list a
-row's columns in an order that depends on their operands
-(``_former_row_order``).  GMRES sums each row of J @ x in that order, so it
-sees the same matrix up to the last bits.  The structure can differ only
-where a partial sum of the former assembly, such as F + F' + B with
-sigma = 0, was exactly zero and dropped early, or where the two summation
-orders round an entry to zero differently.
+summation.  J is canonical CSR: zero-free, each row's columns sorted.  It
+stores the entries of the former assembly, except where a partial sum of
+that assembly, such as F + F' + B with sigma = 0, was exactly zero and
+dropped early, or where the two summation orders round an entry to zero
+differently.
 
 Both solves go through ``solve_linear``, which first gives every matrix one
 cycle of GMRES(60) right-preconditioned by its diagonal (Jacobi), whose
@@ -376,7 +373,7 @@ class ResidualSystem:
     # ------------------------------------------------------------------
 
     def jacobian(self, u):
-        """Exact Jacobian J(u) of T(u) as zero-free CSR (smooth variants and
+        """Exact Jacobian J(u) of T(u) as canonical CSR (smooth variants and
         Galerkin only).
 
         J = A_on + P @ d alpha, one sparse product and one sum.  A_on is data
@@ -385,9 +382,8 @@ class ResidualSystem:
         summed element by element.  P holds the viscosity's partials, and
         its diagonal the gradually lumped mass's diag(w) d alpha.  d alpha is
         data on its per-mesh structure (``stabilization.detector_derivative``).
-        The rows are then put in the column order that the former chain of
-        sparse sums left them in (``_former_row_order``), and the Dirichlet
-        rows become identity rows by index.
+        J is canonical CSR, each row's columns sorted, and its Dirichlet rows
+        become identity rows by index.
         """
         galerkin = self.params.detector == stab.GALERKIN
         if not (galerkin or self.params.is_smooth):
@@ -429,9 +425,6 @@ class ResidualSystem:
 
         B = stab.assemble_B(self.mesh, stab._edge_operator(pat, nu_edge))
         data = F.data + Fp.data + B.data
-        # per sum that the former assembly made after F + F' + B + P d alpha:
-        # whether its right operand was canonical
-        later = []
         # state dependence of F inside the viscosity (nonlinear flux only)
         T3 = convection_entry_derivative_tensor(self.mesh, self.velocity, u)
         if T3 is not None:
@@ -439,20 +432,16 @@ class ResidualSystem:
             data += self._viscosity_flux_term(
                 du_edge * w_a * alphas[pat.edge_rows],
                 du_edge * w_b * alphas[pat.edge_cols], T3)
-            later.append(_canonical)
         if not self.steady:
             data += self._mass_operator(alphas).data * (1.0 / self.dt)
-            later.append(_canonical)
             if not (symmetric_mass or self.freeze_mass_alpha):
                 du = u - self.u_old
                 w = (self.lumped * du - self.mass.matvec(du)) / self.dt
                 p_diag += w
-                # diag(w) d alpha lists each row of d alpha reversed
-                later.append(lambda: _rows_decreasing(dalpha, w != 0.0))
 
         P = stab._edge_operator(pat, p_off, diag=p_diag).to_csr()
         J = pat.csr(data) + P @ dalpha
-        _former_row_order(J, later)
+        J.sort_indices()
         # identity Dirichlet rows, by index
         nodes = self.dirichlet.nodes
         J.data[row_positions(J.indptr, nodes)] = 0.0
@@ -473,64 +462,6 @@ class ResidualSystem:
         contrib += np.einsum("eab,ebac->eac", w2_data[emap], T3)
         return np.bincount(emap.ravel(), weights=contrib.ravel(),
                            minlength=pat.nnz)
-
-
-def _canonical():
-    return True
-
-
-def _rows_decreasing(A, rows=None):
-    """Whether every row of CSR ``A`` (or of the ``rows`` it marks) lists
-    its columns in strictly decreasing order."""
-    ptr, idx = A.indptr, A.indices
-    counts = np.diff(ptr)
-    pairs = counts > 1 if rows is None else rows & (counts > 1)
-    # the first two entries of each row decide most cases
-    heads = ptr[:-1][pairs]
-    if np.any(idx[heads] < idx[heads + 1]):
-        return False
-    inner = np.repeat(pairs, counts)[1:]
-    inner[ptr[1:-1][(ptr[1:-1] > 0) & (ptr[1:-1] < A.nnz)] - 1] = False
-    return bool(np.all(np.diff(idx)[inner] < 0))
-
-
-def _former_row_order(J, later):
-    """Put each row of the sum J = A + P @ d alpha in the column order that
-    the former chain of sparse sums, J + B_1 + B_2 + ..., gave it.
-
-    scipy's sum of two canonical (sorted) operands merges them into sorted
-    rows; otherwise it lists the left operand's columns and then the right
-    one's new ones, and reverses that list (Gustavson's linked list).  The
-    later operands B_k add no new columns, so each one either sorts the rows
-    or reverses them.  ``later`` holds, per B_k, a callable that tells
-    whether it was canonical.
-    """
-    descending = None
-    state = "sum"
-    for canonical_b in later:
-        if state == "sorted":
-            ok = True
-        elif state == "sum":
-            ok = J.has_canonical_format
-        elif state == "reversed":
-            if descending is None:
-                descending = _rows_decreasing(J)
-            ok = descending
-        else:   # sorted and reversed
-            ok = bool(np.all(np.diff(J.indptr) <= 1))
-        if ok and canonical_b():
-            state = "sorted"
-        else:
-            state = {"sum": "reversed", "reversed": "sum", "sorted": "desc",
-                     "desc": "sorted"}[state]
-    if state in ("sorted", "desc"):
-        J.sort_indices()
-    if state in ("reversed", "desc"):
-        ptr = J.indptr
-        perm = (np.repeat(ptr[:-1] + ptr[1:] - 1, np.diff(ptr))
-                - np.arange(J.nnz, dtype=ptr.dtype))
-        J.indices = J.indices[perm]
-        J.data = J.data[perm]
 
 
 def _read_only(*arrays):

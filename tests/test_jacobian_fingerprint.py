@@ -25,12 +25,16 @@ nested-dissection factorization alone; a Newton reference run must
 reproduce the old digest, the iterations and the step lengths, and stay
 within 1e-12 of the new field.  The J digests and the Newton-run digests
 pin J assembled on per-mesh structures (one sparse product, one sum); its
-data moved in the last bits.  The former assembly, kept in
-``former_jacobian``, must reproduce the pins from before that change, give
-the same ``indptr`` and ``indices``, and agree to 1e-13 on the data; every
-Newton reference run above uses it.  The digests pin the floating-point
-results of this numpy/scipy build; a different libm may move the last bit
-of ``pow`` and change them.
+data moved in the last bits.  They also pin J as canonical CSR, each row's
+columns sorted: the entries kept their values bit for bit, but the J
+digests and the transient Newton-run digest, whose GMRES sums each row of
+J @ x in stored order, moved.  The former assembly, kept in
+``former_jacobian``, must reproduce the pins from before both changes, its
+own row order included; with its rows sorted it must give the same
+``indptr`` and ``indices`` and agree to 1e-13 on the data.  Every Newton
+reference run above uses it.  The digests pin the floating-point results of
+this numpy/scipy build; a different libm may move the last bit of ``pow``
+and change them.
 """
 
 import hashlib
@@ -91,20 +95,20 @@ def fingerprint(sys, u):
             "J.indptr": _digest(J.indptr), "T": _digest(sys.residual(u))}
 
 
-EXPECTED = {'burgers_p1': {'J.data': '96684dbeade5424e',
-                           'J.indices': '7bc76883de4a1563',
+EXPECTED = {'burgers_p1': {'J.data': '68c81a2dfff4b401',
+                           'J.indices': 'ef80c82e7b4db6b8',
                            'J.indptr': '2a667069890b38bb',
                            'T': 'e920a319f8bfb80c'},
-            'steady_linear_q1': {'J.data': '18a41623ba4c5897',
-                                 'J.indices': 'c70db806a90a8972',
+            'steady_linear_q1': {'J.data': 'fdded26ed2885495',
+                                 'J.indices': '725a02cb032b2ac3',
                                  'J.indptr': '5bb14efb8e83732a',
                                  'T': '96ffab583aaee2f3'},
-            'transient_gradual_q1': {'J.data': '5589320e17179f62',
-                                     'J.indices': '30450712ffa396fd',
+            'transient_gradual_q1': {'J.data': '66da4a0dec005582',
+                                     'J.indices': '4ff43f127956cc14',
                                      'J.indptr': 'd473fcdf3fd054e3',
                                      'T': '17b2668cde1df658'},
-            'transient_symmetric_mass_q1': {'J.data': '93d9cb72f948d192',
-                                            'J.indices': '59a2e79c478bb675',
+            'transient_symmetric_mass_q1': {'J.data': '237a55d85896b556',
+                                            'J.indices': '304c49a669f3d443',
                                             'J.indptr': '8a954f05dc6c65a0',
                                             'T': '25077f42653399cf'}}
 
@@ -114,15 +118,22 @@ def test_jacobian_and_residual_are_bit_identical(name):
     assert fingerprint(*CASES[name]()) == EXPECTED[name]
 
 
-# J.data pins before J moved onto per-mesh structures
-FORMER_J_DATA = {'burgers_p1': '0e0835a7381df65c',
-                 'steady_linear_q1': '0de1880d5769aa66',
-                 'transient_gradual_q1': 'e513235f085a613c',
-                 'transient_symmetric_mass_q1': 'c75a2817ce1e01fe'}
+# J.data pins before J moved onto per-mesh structures, and J.indices pins
+# before J's rows were sorted: the former assembly's row order
+FORMER_J = {'burgers_p1': {'J.data': '0e0835a7381df65c',
+                           'J.indices': '7bc76883de4a1563'},
+            'steady_linear_q1': {'J.data': '0de1880d5769aa66',
+                                 'J.indices': 'c70db806a90a8972'},
+            'transient_gradual_q1': {'J.data': 'e513235f085a613c',
+                                     'J.indices': '30450712ffa396fd'},
+            'transient_symmetric_mass_q1': {'J.data': 'c75a2817ce1e01fe',
+                                            'J.indices': '59a2e79c478bb675'}}
 
 
 def assert_same_jacobian(J, ref):
-    """Same stored structure, row order included; data to 1e-13."""
+    """Same stored structure as ``ref`` with its rows sorted; data to
+    1e-13."""
+    ref = ref.sorted_indices()
     assert np.array_equal(J.indptr, ref.indptr)
     assert np.array_equal(J.indices, ref.indices)
     assert np.max(np.abs(J.data - ref.data)) <= 1e-13 * np.max(np.abs(ref.data))
@@ -134,8 +145,7 @@ def test_jacobian_matches_the_former_assembly(name):
     ref = former_jacobian(sys, u)
     assert {"J.data": _digest(ref.data), "J.indices": _digest(ref.indices),
             "J.indptr": _digest(ref.indptr)} == \
-        {**{k: EXPECTED[name][k] for k in ("J.indices", "J.indptr")},
-         "J.data": FORMER_J_DATA[name]}
+        {**FORMER_J[name], "J.indptr": EXPECTED[name]["J.indptr"]}
     assert_same_jacobian(sys.jacobian(u), ref)
 
 
@@ -321,7 +331,7 @@ def test_rotation_newton_run_is_bit_identical():
     assert [r.iterations for r in result.reports] == [3, 3, 3]
     assert [r.omega_or_xi_history for r in result.reports] == [
         [0.9998269297282878, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
-    assert _digest(result.u) == "faa23202219724ea"
+    assert _digest(result.u) == "85ec43cb19dbf14e"
 
 
 def test_rotation_newton_run_matches_the_former_jacobian(monkeypatch):

@@ -108,15 +108,34 @@ def _states(mesh):
             "disc": np.where((x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.1, 1.0, 0.0)}
 
 
+def _state_system(mesh, case, state):
+    mesh = jittered_p1(6, 1) if mesh == "jittered_p1" else \
+        build_structured(7, 6)
+    return build_system(mesh, case, seed=6), _states(mesh)[state]
+
+
 @pytest.mark.parametrize("state", ["random", "clipped_ramp", "disc"])
 @pytest.mark.parametrize("case", SMOOTH_CASES, ids=lambda c: c["label"])
 @pytest.mark.parametrize("mesh", ["jittered_p1", "q1"])
 def test_jacobian_matches_the_former_assembly(mesh, case, state):
-    mesh = jittered_p1(6, 1) if mesh == "jittered_p1" else \
-        build_structured(7, 6)
-    sys = build_system(mesh, case, seed=6)
-    u = _states(mesh)[state]
+    sys, u = _state_system(mesh, case, state)
     assert_same_jacobian(sys.jacobian(u), former_jacobian(sys, u))
+
+
+def _rows_strictly_increasing(A):
+    row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    return bool(np.all(np.diff(row * A.shape[1] + A.indices) > 0))
+
+
+@pytest.mark.parametrize("state", ["random", "clipped_ramp", "disc"])
+@pytest.mark.parametrize("case", SMOOTH_CASES, ids=lambda c: c["label"])
+@pytest.mark.parametrize("mesh", ["jittered_p1", "q1"])
+def test_jacobian_and_detector_derivative_have_sorted_rows(mesh, case, state):
+    sys, u = _state_system(mesh, case, state)
+    J = sys.jacobian(u)
+    assert J.has_canonical_format and _rows_strictly_increasing(J)
+    dalpha = stab.detector_derivative(sys.mesh, u, sys.params)[1]
+    assert _rows_strictly_increasing(dalpha)
 
 
 def test_jacobian_galerkin_is_mass_plus_convection():
