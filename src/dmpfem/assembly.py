@@ -7,18 +7,24 @@ entry (i, j) exists iff j is in the neighborhood of i.  Explicit zeros are
 kept so that structural identities (symmetry, row sums) can be checked
 entrywise.
 
-The element blocks of the mass, the convection F(w), its state derivative
-and the entry-derivative tensor are formed by ``_element_blocks`` on a
-per-mesh copy of the quadrature with the element index last, so each numpy
-operation runs over contiguous arrays of length n_elements rather than over
-the 3 or 4 quadrature points.  The helper keeps the summation order of the
-generic ``np.einsum`` it replaced: the same products, formed left to right,
-added one quadrature point at a time.  That order matters because Anderson
-follows the last bits of every F(u): a reordering that moves them changes
-its iteration counts.  The two-operand einsums (quadrature-point values and
-gradients of a state, the forcing) stay einsums: numpy reduces them in SIMD
-lanes whose order depends on the CPU, and a sequential loop in their place
-would change the last bits.
+The per-mesh quadrature is held once, with the element index last, so each
+numpy operation runs over contiguous arrays of length n_elements rather than
+over the 3 or 4 quadrature points.  On it ``_element_blocks`` forms the
+element blocks of the mass, the convection F(w), its state derivative and
+the entry-derivative tensor, in the summation order of a generic
+``np.einsum``: the same products, formed left to right, added one quadrature
+point at a time.  That order matters because Anderson follows the last bits
+of every F(u): a reordering that moves them changes its iteration counts.
+The two-operand einsums (quadrature-point values and gradients of a state,
+the forcing) stay einsums: numpy reduces them in SIMD lanes whose order
+depends on the CPU and on the operands' strides, and a sequential loop in
+their place would change the last bits.  They read the quadrature in
+place, as ``"qae,ea->qe"`` or through a transposed view: a contiguous
+(element, point, node) copy of the gradients is reduced in another order.
+
+The consistent mass, its row sums and the F of a linear velocity model
+depend on the mesh alone and are assembled once per mesh (``_mass``,
+``_linear_convection``).
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ class Pattern:
     """Adjacency-graph sparsity pattern with transpose and edge index maps.
 
     ``indptr``/``indices`` are the mesh's CSR adjacency; the off-diagonal
-    entries ``edge_pos`` are the mesh's node pairs, in the same order.
+    entries ``edge_pos`` are the mesh's node pairs, in the same order, so
+    ``edge_rows``/``edge_cols`` are the mesh's ``pair_i``/``pair_j``.
     """
 
     def __init__(self, mesh):
@@ -52,8 +59,7 @@ class Pattern:
         diag = self.rows == self.cols
         self.diag_pos = np.nonzero(diag)[0]
         self.edge_pos = np.nonzero(~diag)[0]
-        self.edge_rows = self.rows[self.edge_pos]
-        self.edge_cols = self.cols[self.edge_pos]
+        self.edge_rows, self.edge_cols = mesh.pair_i, mesh.pair_j
         self.edge_transpose_pos = self.transpose_pos[self.edge_pos]
         # stored entries in row-major order are sorted by row*n + col
         self._keys = self.rows * n + self.cols
@@ -116,9 +122,12 @@ def row_positions(indptr, rows):
 
 def pattern(mesh):
     """The (cached) adjacency pattern of a mesh."""
-    if "pattern" not in mesh._cache:
-        mesh._cache["pattern"] = Pattern(mesh)
-    return mesh._cache["pattern"]
+    return mesh.cached("pattern", lambda: Pattern(mesh))
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
 
 
 # ----------------------------------------------------------------------
@@ -126,37 +135,37 @@ def pattern(mesh):
 # ----------------------------------------------------------------------
 
 def quadrature(mesh):
-    """Per-element quadrature: points, weights, shapes, gradients.
+    """Per-element quadrature, element index last; built once per mesh,
+    C-contiguous and read-only.
 
     Q1 uses a 2x2 Gauss rule on the rectangle, P1 the 3-point edge-midpoint
     rule; both integrate the Galerkin bilinear forms of this package without
     quadrature error for the velocity fields supported here.
 
-    Returns (points (ne, nq, 2), weights (ne, nq), shape (nq, nloc),
-    grads (ne, nq, nloc, 2)).
+    Returns (points (2, nq, ne), weights (nq, ne), shape (nq, nloc),
+    grads (2, nq, nloc, ne)): the x and y coordinates of the points and the
+    x- and y-derivatives of the shape functions.
     """
-    if "quadrature" in mesh._cache:
-        return mesh._cache["quadrature"]
+    return mesh.cached("quadrature", lambda: _build_quadrature(mesh))
 
-    conn = mesh.elements
-    pts = mesh.coords[conn]
+
+def _build_quadrature(mesh):
+    pts = mesh.coords[mesh.elements]
     ne = mesh.n_elements
     if mesh.kind == Q1:
         wx, wy = mesh.element_rect_sides()
         ref = np.array([(gx, gy) for gy in _G2 for gx in _G2])
         nq = 4
         shape = np.empty((nq, 4))
-        dshape = np.empty((nq, 4, 2))
+        dshape = np.empty((2, nq, 4))
         for q, (xi, eta) in enumerate(ref):
             shape[q] = [(1 - xi) * (1 - eta), xi * (1 - eta), xi * eta, (1 - xi) * eta]
-            dshape[q, :, 0] = [-(1 - eta), (1 - eta), eta, -eta]
-            dshape[q, :, 1] = [-(1 - xi), -xi, xi, (1 - xi)]
-        points = (pts[:, None, 0, :]
-                  + ref[None, :, :] * np.stack([wx, wy], axis=1)[:, None, :])
-        weights = np.broadcast_to((wx * wy)[:, None] / 4.0, (ne, nq)).copy()
-        grads = np.empty((ne, nq, 4, 2))
-        grads[..., 0] = dshape[None, :, :, 0] / wx[:, None, None]
-        grads[..., 1] = dshape[None, :, :, 1] / wy[:, None, None]
+            dshape[0, q] = [-(1 - eta), (1 - eta), eta, -eta]
+            dshape[1, q] = [-(1 - xi), -xi, xi, (1 - xi)]
+        sides = np.stack([wx, wy])                           # (2, ne)
+        points = pts[:, 0].T[:, None, :] + ref.T[:, :, None] * sides[:, None, :]
+        weights = np.broadcast_to((wx * wy) / 4.0, (nq, ne)).copy()
+        grads = dshape[..., None] / sides[:, None, None, :]
     else:
         # reference midpoints (1/2,0), (1/2,1/2), (0,1/2); weight area/3 each
         ref = np.array([(0.5, 0.0), (0.5, 0.5), (0.0, 0.5)])
@@ -166,32 +175,19 @@ def quadrature(mesh):
         jac = np.stack([v1 - v0, v2 - v0], axis=2)        # (ne, 2, 2), cols are edges
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         area = 0.5 * np.abs(det)
-        points = (v0[:, None, :]
-                  + ref[None, :, 0, None] * (v1 - v0)[:, None, :]
-                  + ref[None, :, 1, None] * (v2 - v0)[:, None, :])
-        weights = np.broadcast_to(area[:, None] / 3.0, (ne, nq)).copy()
+        points = (v0.T[:, None, :]
+                  + ref[:, 0, None] * (v1 - v0).T[:, None, :]
+                  + ref[:, 1, None] * (v2 - v0).T[:, None, :])
+        weights = np.broadcast_to(area / 3.0, (nq, ne)).copy()
         dref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])  # (nloc, 2)
         inv = np.linalg.inv(jac)                                  # (ne, 2, 2)
         g = np.einsum("ld,edk->elk", dref, inv)                   # (ne, nloc, 2)
-        grads = np.broadcast_to(g[:, None, :, :], (ne, nq, 3, 2)).copy()
-
-    mesh._cache["quadrature"] = (points, weights, shape, grads)
-    return mesh._cache["quadrature"]
-
-
-def _element_last(mesh):
-    """The quadrature weights (nq, ne) and the x- and y-gradients
-    (nq, nloc, ne) of ``quadrature``, laid out with the element index last;
-    built once per mesh, read-only."""
-    if "element_last" not in mesh._cache:
-        _, weights, _, grads = quadrature(mesh)
-        arrays = (np.ascontiguousarray(weights.T),
-                  *(np.ascontiguousarray(grads[..., d].transpose(1, 2, 0))
-                    for d in (0, 1)))
-        for a in arrays:
-            a.flags.writeable = False
-        mesh._cache["element_last"] = arrays
-    return mesh._cache["element_last"]
+        grads = np.broadcast_to(g.transpose(2, 1, 0)[:, None],
+                                (2, nq, 3, ne)).copy()
+    arrays = tuple(np.ascontiguousarray(a)
+                   for a in (points, weights, shape, grads))
+    _read_only(*arrays)
+    return arrays
 
 
 def _element_blocks(phi, coef, *factors):
@@ -227,14 +223,24 @@ def _assemble_pairs(mesh, elem_vals):
 
 def assemble_mass(mesh):
     """Consistent mass matrix M_ij = integral of phi_j phi_i."""
-    shape = quadrature(mesh)[2]
-    w = _element_last(mesh)[0]
+    _, w, shape, _ = quadrature(mesh)
     return _assemble_pairs(mesh, _element_blocks(shape, w, shape[..., None]))
 
 
+def _mass(mesh):
+    """(M, lumped masses) of a mesh, assembled once per mesh; read-only."""
+    def build():
+        M = assemble_mass(mesh)
+        lumped = M.row_sums()
+        _read_only(M.data, lumped)
+        return M, lumped
+    return mesh.cached("mass", build)
+
+
 def lumped_masses(mesh):
-    """Row sums of the consistent mass: m_i = integral of phi_i."""
-    return assemble_mass(mesh).row_sums()
+    """Row sums of the consistent mass: m_i = integral of phi_i (cached,
+    read-only)."""
+    return _mass(mesh)[1]
 
 
 @dataclass(frozen=True)
@@ -278,14 +284,23 @@ def assemble_convection(mesh, vel, w):
     scheme.  At w = u this gives the conservative residual, F(u)u =
     (div f(u), phi_i) up to the (here exact) quadrature.
     """
-    pts, _, shape, _ = quadrature(mesh)
-    wq, gx, gy = _element_last(mesh)
+    (x, y), wq, shape, (gx, gy) = quadrature(mesh)
     w = np.asarray(w, dtype=float)
-    wq_vals = np.einsum("qa,ea->eq", shape, w[mesh.elements])
-    vx, vy = vel.velocity(pts[..., 0], pts[..., 1], wq_vals)
-    elem = _element_blocks(shape, wq * vx.T, gx)
-    elem += _element_blocks(shape, wq * vy.T, gy)
+    wq_vals = np.einsum("qa,ea->qe", shape, w[mesh.elements])
+    vx, vy = vel.velocity(x, y, wq_vals)
+    elem = _element_blocks(shape, wq * vx, gx)
+    elem += _element_blocks(shape, wq * vy, gy)
     return _assemble_pairs(mesh, elem)
+
+
+def _linear_convection(mesh, velocity):
+    """F of a linear velocity model, assembled once per mesh and model;
+    read-only."""
+    def build():
+        F = assemble_convection(mesh, velocity, np.zeros(mesh.n_nodes))
+        _read_only(F.data)
+        return F
+    return mesh.cached(("linear_convection", velocity), build)
 
 
 def assemble_convection_state_derivative(mesh, vel, w):
@@ -293,14 +308,14 @@ def assemble_convection_state_derivative(mesh, vel, w):
     pat = pattern(mesh)
     if vel.is_linear:
         return SparseOperator.zeros(pat)
-    pts, _, shape, grads = quadrature(mesh)
+    (x, y), wq, shape, (gx, gy) = quadrature(mesh)
     w = np.asarray(w, dtype=float)
     we = w[mesh.elements]
-    wq_vals = np.einsum("qa,ea->eq", shape, we)
-    gx = np.einsum("eqa,ea->eq", grads[..., 0], we)
-    gy = np.einsum("eqa,ea->eq", grads[..., 1], we)
-    dvx, dvy = vel.dvelocity_dw(pts[..., 0], pts[..., 1], wq_vals)
-    coef = _element_last(mesh)[0] * (dvx * gx + dvy * gy).T
+    wq_vals = np.einsum("qa,ea->qe", shape, we)
+    dwx = np.einsum("qae,ea->qe", gx, we)
+    dwy = np.einsum("qae,ea->qe", gy, we)
+    dvx, dvy = vel.dvelocity_dw(x, y, wq_vals)
+    coef = wq * (dvx * dwx + dvy * dwy)
     return _assemble_pairs(mesh, _element_blocks(shape, coef, shape[..., None]))
 
 
@@ -312,21 +327,19 @@ def convection_entry_derivative_tensor(mesh, vel, w):
     """
     if vel.is_linear:
         return None
-    pts, _, shape, _ = quadrature(mesh)
-    wq, gx, gy = _element_last(mesh)
+    (x, y), wq, shape, (gx, gy) = quadrature(mesh)
     w = np.asarray(w, dtype=float)
-    wq_vals = np.einsum("qa,ea->eq", shape, w[mesh.elements])
-    dvx, dvy = vel.dvelocity_dw(pts[..., 0], pts[..., 1], wq_vals)
-    t = _element_blocks(shape, wq * dvx.T, gx, shape[..., None])
-    t += _element_blocks(shape, wq * dvy.T, gy, shape[..., None])
+    wq_vals = np.einsum("qa,ea->qe", shape, w[mesh.elements])
+    dvx, dvy = vel.dvelocity_dw(x, y, wq_vals)
+    t = _element_blocks(shape, wq * dvx, gx, shape[..., None])
+    t += _element_blocks(shape, wq * dvy, gy, shape[..., None])
     return t
 
 
 def assemble_forcing(mesh, g):
     """Load vector g_i = integral of g phi_i, by element quadrature."""
-    pts, wq, shape, _ = quadrature(mesh)
-    gq = g(pts[..., 0], pts[..., 1])
-    vals = np.einsum("eq,qa->ea", wq * gq, shape)
+    (x, y), wq, shape, _ = quadrature(mesh)
+    vals = np.einsum("eq,qa->ea", (wq * g(x, y)).T, shape)
     return np.bincount(mesh.elements.ravel(), weights=vals.ravel(),
                        minlength=mesh.n_nodes)
 

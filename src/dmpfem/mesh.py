@@ -2,9 +2,11 @@
 adjacency and symmetric-point geometry needed by the shock detector, held in
 flat arrays.
 
-A mesh is immutable after construction.  For every node ``i`` the
-macroelement ``Omega_i`` is the union of elements touching ``i``; its nodes,
-``i`` itself included, are row ``i`` of the CSR adjacency
+A mesh is immutable after construction, so the structures built from it
+alone (pattern, quadrature, mass, detector stencils, ...) are made once and
+held by ``Mesh2D.cached``.  For every node ``i`` the macroelement
+``Omega_i`` is the union of elements touching ``i``; its nodes, ``i`` itself
+included, are row ``i`` of the CSR adjacency
 ``adj_idx[adj_ptr[i]:adj_ptr[i + 1]]``, sorted ascending.  The off-diagonal
 adjacency entries, in row-major order, are the node *pairs*: pair ``p`` joins
 ``pair_i[p]`` to its neighbor ``pair_j[p]``.
@@ -156,7 +158,6 @@ class Mesh2D:
         self.boundary_edges = sides[counts == 1]
         self.is_boundary = np.zeros(self.n_nodes, dtype=bool)
         self.is_boundary[self.boundary_edges] = True
-        self.boundary_nodes = np.nonzero(self.is_boundary)[0]
         self.interior_nodes = np.nonzero(~self.is_boundary)[0]
 
     def _store_sym(self, has, dist, point, counts, cols, coefs):
@@ -261,6 +262,14 @@ class Mesh2D:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+
+    def cached(self, key, build):
+        """The per-mesh value stored under ``key``, made by ``build()`` on
+        the first call.  A mesh is immutable, so the value holds for the
+        mesh's life; callers that share it make its arrays read-only."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def element_rect_sides(self):
         """(width, height) per element; Q1 elements must be axis-aligned."""

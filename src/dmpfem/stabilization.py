@@ -183,10 +183,8 @@ class DetectorStencil:
 
 
 def _stencil(mesh, family):
-    key = ("detector_stencil", family)
-    if key not in mesh._cache:
-        mesh._cache[key] = DetectorStencil(mesh, family)
-    return mesh._cache[key]
+    return mesh.cached(("detector_stencil", family),
+                       lambda: DetectorStencil(mesh, family))
 
 
 def _family(kind):
@@ -211,10 +209,9 @@ class DerivativeStructure:
     so the data is c_num[row] * ``jump`` + c_den[row] * D.  ``jump`` holds N
     on this structure, zero where the terms of a node cancel in their sum.
     ``zmap`` sends each stencil entry to its position, so that D is one
-    bincount of Z's data times |z|_eps' of each entry's term.  Both give the
-    values of the former sparse products bit for bit.  Built on the first
-    derivative on a mesh, in blocks of nodes, so that the sort temporaries
-    stay small.
+    bincount of Z's data times |z|_eps' of each entry's term.  Built on the
+    first derivative on a mesh, in blocks of nodes, so that the sort
+    temporaries stay small.
     """
 
     def __init__(self, st):
@@ -278,10 +275,8 @@ class DerivativeStructure:
 
 
 def _derivative_structure(mesh, family):
-    key = ("derivative_structure", family)
-    if key not in mesh._cache:
-        mesh._cache[key] = DerivativeStructure(_stencil(mesh, family))
-    return mesh._cache[key]
+    return mesh.cached(("derivative_structure", family),
+                       lambda: DerivativeStructure(_stencil(mesh, family)))
 
 
 def _smooth_eps(mesh, params):
@@ -331,11 +326,8 @@ def detector_derivative(mesh, u, params):
     its neighbors and the nodes that interpolate its symmetric points, in
     increasing column order.  The rows of nodes where the limiter is flat
     are empty, and |z|_eps' is computed only for the terms of the other
-    nodes.  The structure is that of the former sparse products
-    diag(c_num) N + diag(c_den) D, and so are the values, except that
-    |z|_eps and its derivative now share one square root, which moves
-    d alpha in the last bits.  alpha is bit-identical to
-    ``detector_values``.
+    nodes.  |z|_eps and its derivative share one square root.  alpha is
+    bit-identical to ``detector_values``.
     """
     if not params.is_smooth:
         raise ValueError("exact derivatives require a smooth detector variant")

@@ -22,13 +22,8 @@ kernel, ``stabilization.edge_viscosity``, the Jacobian with its partials.
 J is one sparse product and one sum, J = A_on + P @ d alpha, where A_on is
 data on the pattern and d alpha is data on a structure built once per mesh,
 on the first Jacobian (``stabilization.DerivativeStructure``); set-up and
-Anderson never build it.  Its values are those of the former assembly, a
-chain of four to seven sparse sums and products, up to the order of the
-summation.  J is canonical CSR: zero-free, each row's columns sorted.  It
-stores the entries of the former assembly, except where a partial sum of
-that assembly, such as F + F' + B with sigma = 0, was exactly zero and
-dropped early, or where the two summation orders round an entry to zero
-differently.
+Anderson never build it.  J is canonical CSR: zero-free, each row's columns
+sorted.
 
 Both solves go through ``solve_linear``, which first gives every matrix one
 cycle of GMRES(60) right-preconditioned by its diagonal (Jacobi), whose
@@ -52,10 +47,10 @@ factorized.
 
 J is factorized in SuperLU's symmetric mode on a nested-dissection ordering
 of the mesh's distance-2 graph, computed once per mesh (``jacobian_order``).
-The steady J has weak diagonals: with a minimum-degree ordering made afresh
-for each J, its pivots left the diagonal on the early iterates and the fill
-grew to 2.7 M at 96^2; the separators confine that pivoting to subdomains
-(at most 1.5 M), and the ordering is no longer made per factorization.
+The steady J has weak diagonals: under a minimum-degree ordering its pivots
+leave the diagonal on the early iterates and the fill grows to 2.7 M at
+96^2; the separators confine that pivoting to subdomains (at most 1.5 M),
+and no ordering is made per factorization.
 A(u) is factorized with COLAMD and partial pivoting, bit-identical to
 ``spsolve``: symmetric mode moves the last bits of each Picard sweep, and
 Anderson's iteration count follows them (411 -> 522 on the BURGERS2D
@@ -72,8 +67,9 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from . import stabilization as stab
-from .assembly import (SparseOperator, assemble_convection,
-                       assemble_convection_state_derivative, assemble_mass,
+from .assembly import (SparseOperator, _linear_convection, _mass,
+                       assemble_convection,
+                       assemble_convection_state_derivative,
                        convection_entry_derivative_tensor, pattern,
                        row_positions)
 
@@ -218,10 +214,8 @@ def jacobian_order(mesh):
     distance-2 graph is never formed.  Built on the first Newton solve on a
     mesh, never during set-up.
     """
-    if "jacobian_order" not in mesh._cache:
-        mesh._cache["jacobian_order"] = _nested_dissection(
-            pattern(mesh), mesh.coords)
-    return mesh._cache["jacobian_order"]
+    return mesh.cached("jacobian_order",
+                       lambda: _nested_dissection(pattern(mesh), mesh.coords))
 
 
 def _nested_dissection(pat, coords):
@@ -273,7 +267,7 @@ class ResidualSystem:
     """Assembles A(u), G, T(u) and the exact Jacobian for one solve."""
 
     def __init__(self, mesh, velocity, params, g=None, dirichlet=None,
-                 dt=None, u_old=None, bounds=None, freeze_mass_alpha=False):
+                 dt=None, u_old=None, bounds=None):
         if dt is not None and dt <= 0:
             raise ValueError("dt must be positive")
         self.mesh = mesh
@@ -284,7 +278,6 @@ class ResidualSystem:
         if dt is not None and self.u_old is None:
             raise ValueError("transient systems need the previous state")
         self.bounds = bounds
-        self.freeze_mass_alpha = freeze_mass_alpha
 
         self.pattern = pattern(mesh)
         self.n = mesh.n_nodes
@@ -434,7 +427,7 @@ class ResidualSystem:
                 du_edge * w_b * alphas[pat.edge_cols], T3)
         if not self.steady:
             data += self._mass_operator(alphas).data * (1.0 / self.dt)
-            if not (symmetric_mass or self.freeze_mass_alpha):
+            if not symmetric_mass:
                 du = u - self.u_old
                 w = (self.lumped * du - self.mass.matvec(du)) / self.dt
                 p_diag += w
@@ -462,32 +455,6 @@ class ResidualSystem:
         contrib += np.einsum("eab,ebac->eac", w2_data[emap], T3)
         return np.bincount(emap.ravel(), weights=contrib.ravel(),
                            minlength=pat.nnz)
-
-
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-
-
-def _mass(mesh):
-    """(M, lumped masses) of a mesh, assembled once per mesh; read-only."""
-    if "mass" not in mesh._cache:
-        M = assemble_mass(mesh)
-        lumped = M.row_sums()
-        _read_only(M.data, lumped)
-        mesh._cache["mass"] = M, lumped
-    return mesh._cache["mass"]
-
-
-def _linear_convection(mesh, velocity):
-    """F of a linear velocity model, assembled once per mesh and model;
-    read-only."""
-    key = ("linear_convection", velocity)
-    if key not in mesh._cache:
-        F = assemble_convection(mesh, velocity, np.zeros(mesh.n_nodes))
-        _read_only(F.data)
-        mesh._cache[key] = F
-    return mesh._cache[key]
 
 
 def _without_zeros(A):

@@ -37,7 +37,6 @@ class TimeConfig:
     omega0: float = 1.0
     omega_min: float = 0.3
     ls_tol: float = 1e-4
-    freeze_mass_alpha: bool = False
 
     def __post_init__(self):
         if self.solver not in (ANDERSON, NEWTON):
@@ -112,8 +111,7 @@ def step_backward_euler(mesh, problem, u_n, t_next, cfg, g=None, bounds=None):
     if bounds is None:
         bounds = admissible_bounds(mesh, problem, steady=False)
     sys = ResidualSystem(mesh, problem.velocity, cfg.stab, g=g, dirichlet=bc,
-                         dt=cfg.dt, u_old=u_n, bounds=bounds,
-                         freeze_mass_alpha=cfg.freeze_mass_alpha)
+                         dt=cfg.dt, u_old=u_n, bounds=bounds)
     u_init = np.asarray(u_n, dtype=float).copy()
     u_init[bc.nodes] = bc.values
     return _solve(sys, u_init, cfg)

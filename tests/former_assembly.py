@@ -1,14 +1,25 @@
 """The element kernels as they were assembled before they moved onto the
-element-last layout: one generic three- or four-operand ``np.einsum`` per
-block.  Kept as the bit-for-bit reference of ``assemble_mass``,
-``assemble_convection``, ``assemble_convection_state_derivative`` and
-``convection_entry_derivative_tensor``.
+element-last layout: one generic ``np.einsum`` per block, on the quadrature
+in its former (element, point, ...) layout.  Kept as the bit-for-bit
+reference of ``assemble_mass``, ``assemble_convection``,
+``assemble_convection_state_derivative``,
+``convection_entry_derivative_tensor`` and ``assemble_forcing``.
 """
 
 import numpy as np
 
-from dmpfem.assembly import (SparseOperator, _assemble_pairs, pattern,
-                             quadrature)
+from dmpfem.assembly import SparseOperator, _assemble_pairs, pattern
+from dmpfem.assembly import quadrature as element_last_quadrature
+
+
+def quadrature(mesh):
+    """``assembly.quadrature`` rebuilt in its former layout, with the same
+    strides: points (ne, nq, 2), weights (ne, nq), shape (nq, nloc) and
+    gradients (ne, nq, nloc, 2), each a C-contiguous array."""
+    points, weights, shape, grads = element_last_quadrature(mesh)
+    return (np.ascontiguousarray(points.transpose(2, 1, 0)),
+            np.ascontiguousarray(weights.T), shape,
+            np.ascontiguousarray(grads.transpose(3, 1, 2, 0)))
 
 
 def former_mass(mesh):
@@ -53,3 +64,11 @@ def former_convection_entry_derivative_tensor(mesh, vel, w):
     t = np.einsum("eq,qa,eqb,qc->eabc", wq * dvx, shape, grads[..., 0], shape)
     t += np.einsum("eq,qa,eqb,qc->eabc", wq * dvy, shape, grads[..., 1], shape)
     return t
+
+
+def former_forcing(mesh, g):
+    pts, wq, shape, _ = quadrature(mesh)
+    gq = g(pts[..., 0], pts[..., 1])
+    vals = np.einsum("eq,qa->ea", wq * gq, shape)
+    return np.bincount(mesh.elements.ravel(), weights=vals.ravel(),
+                       minlength=mesh.n_nodes)

@@ -108,7 +108,7 @@ def former_jacobian(sys, u):
         J = J + _former_flux_term(sys, *W, T3)
     if not sys.steady:
         J = J + sys._mass_operator(alphas).to_csr() / sys.dt
-        if not (symmetric_mass or sys.freeze_mass_alpha):
+        if not symmetric_mass:
             du = u - sys.u_old
             wvec = (sys.lumped * du - sys.mass.matvec(du)) / sys.dt
             J = J + sp.diags(wvec) @ dalpha

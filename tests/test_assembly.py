@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from dmpfem import assembly
 from dmpfem.assembly import (VelocityModel, assemble_convection,
                              assemble_convection_state_derivative,
                              assemble_forcing, assemble_mass,
                              convection_entry_derivative_tensor,
-                             graph_seminorm, lumped_masses, pattern)
+                             graph_seminorm, lumped_masses, pattern,
+                             quadrature)
 from dmpfem.bench import PROBLEM_NAMES, make_problem
 from dmpfem.mesh import P1, Q1, build_structured
 from former_assembly import (former_convection,
                              former_convection_entry_derivative_tensor,
-                             former_convection_state_derivative, former_mass)
+                             former_convection_state_derivative,
+                             former_forcing, former_mass)
 from meshes import jittered_p1
 
 
@@ -119,6 +120,15 @@ def test_mass_spd(kind):
         assert x @ A @ x > 0
 
 
+def test_lumped_masses_are_the_cached_row_sums_of_the_mass():
+    mesh = jittered_p1(6, 2)
+    m = lumped_masses(mesh)
+    assert lumped_masses(mesh) is m
+    assert m.tobytes() == assemble_mass(mesh).row_sums().tobytes()
+    with pytest.raises(ValueError):
+        m[0] = 1.0
+
+
 def test_lumped_masses():
     h = 0.4
     single = build_structured(1, 1, domain=(0, h, 0, h), kind=Q1)
@@ -174,17 +184,23 @@ def test_burgers_residual_is_conservative_divergence():
     F = assemble_convection(mesh, VelocityModel.burgers(), w)
     lhs = F.matvec(w)
 
-    from dmpfem.assembly import quadrature
-    pts, wq, shape, grads = quadrature(mesh)
+    _, wq, shape, (gx, gy) = quadrature(mesh)
     we = w[mesh.elements]
-    wq_vals = np.einsum("qa,ea->eq", shape, we)
-    gx = np.einsum("eqa,ea->eq", grads[..., 0], we)
-    gy = np.einsum("eqa,ea->eq", grads[..., 1], we)
-    div_f = wq_vals * (gx + gy)
+    wq_vals = np.einsum("qa,ea->qe", shape, we)
+    div_f = wq_vals * (np.einsum("qae,ea->qe", gx, we)
+                       + np.einsum("qae,ea->qe", gy, we))
     rhs = np.bincount(mesh.elements.ravel(),
-                      weights=np.einsum("eq,qa->ea", wq * div_f, shape).ravel(),
+                      weights=np.einsum("qe,qa->ea", wq * div_f, shape).ravel(),
                       minlength=mesh.n_nodes)
     assert np.max(np.abs(lhs - rhs)) < 1e-13
+
+
+def test_pattern_edges_are_the_mesh_pairs():
+    mesh = jittered_p1(5, 1)
+    pat = pattern(mesh)
+    assert pat.edge_rows is mesh.pair_i and pat.edge_cols is mesh.pair_j
+    assert np.array_equal(pat.rows[pat.edge_pos], mesh.pair_i)
+    assert np.array_equal(pat.cols[pat.edge_pos], mesh.pair_j)
 
 
 def test_pattern_is_exactly_adjacency():
@@ -254,17 +270,36 @@ def test_convection_kernels_match_the_former_einsum(mesh_name, problem):
             assert_same_bits(t, ref)
 
 
-def test_element_last_layout_is_built_once_and_read_only():
-    mesh = build_structured(4, 3)
-    assert "element_last" not in mesh._cache
+FORCINGS = {
+    "polynomial": lambda x, y: x * x - 0.5 * x * y + 0.25,
+    "transcendental": lambda x, y: np.sin(x) * np.exp(y),
+}
+
+
+@pytest.mark.parametrize("forcing", sorted(FORCINGS))
+@pytest.mark.parametrize("mesh_name", sorted(KERNEL_MESHES))
+def test_forcing_matches_the_former_einsum(mesh_name, forcing):
+    mesh = KERNEL_MESHES[mesh_name]()
+    g = FORCINGS[forcing]
+    assert_same_bits(assemble_forcing(mesh, g), former_forcing(mesh, g))
+
+
+@pytest.mark.parametrize("kind", [Q1, P1])
+def test_quadrature_is_built_once_element_last_and_read_only(kind):
+    mesh = build_structured(4, 3, kind=kind)
+    assert "quadrature" not in mesh._cache
     assemble_convection(mesh, VelocityModel.burgers(), np.ones(mesh.n_nodes))
-    arrays = mesh._cache["element_last"]
+    arrays = mesh._cache["quadrature"]
     assemble_mass(mesh)
-    assert assembly._element_last(mesh) is arrays
-    weights, gx, gy = arrays
-    assert weights.shape == (4, mesh.n_elements)
-    assert gx.shape == gy.shape == (4, 4, mesh.n_elements)
+    assert quadrature(mesh) is arrays
+    points, weights, shape, grads = arrays
+    nq, nloc, ne = (4, 4, 12) if kind == Q1 else (3, 3, 24)
+    assert points.shape == (2, nq, ne)
+    assert weights.shape == (nq, ne)
+    assert shape.shape == (nq, nloc)
+    assert grads.shape == (2, nq, nloc, ne)
     for a in arrays:
+        assert a.flags.c_contiguous
         with pytest.raises(ValueError):
             a[0] = 1.0
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,27 @@ def test_mesh_is_frozen_after_build():
     before = mesh.coords.copy()
     _ = mesh.adj_idx, mesh.sym_point
     assert np.array_equal(mesh.coords, before)
+
+
+def test_cached_builds_once_per_key():
+    mesh = build_structured(2, 2)
+    calls = []
+
+    def build():
+        calls.append(1)
+        return object()
+
+    first = mesh.cached("value", build)
+    assert mesh.cached("value", build) is first
+    assert mesh.cached(("value", 2), build) is not first
+    assert len(calls) == 2
+
+
+def test_only_the_mesh_module_names_its_cache():
+    # every per-mesh memo goes through Mesh2D.cached
+    src = Path(__file__).resolve().parent.parent / "src" / "dmpfem"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    offenders = [m.name for m in modules
+                 if m.name != "mesh.py" and "_cache" in m.read_text()]
+    assert offenders == []

@@ -167,22 +167,6 @@ def test_jacobian_rejects_nonsmooth_detector():
         sys.jacobian(np.zeros(mesh.n_nodes))
 
 
-def test_frozen_mass_alpha_drops_only_that_term():
-    mesh = build_structured(4, 4)
-    case = SMOOTH_CASES[1]
-    sys_exact = build_system(mesh, case, seed=1)
-    sys_frozen = ResidualSystem(mesh, sys_exact.velocity, sys_exact.params,
-                                dirichlet=sys_exact.dirichlet, dt=sys_exact.dt,
-                                u_old=sys_exact.u_old, bounds=sys_exact.bounds,
-                                freeze_mass_alpha=True)
-    u = random_state(mesh, 5)
-    # residuals agree; only the Jacobian differs by the mass-detector coupling
-    assert np.allclose(sys_exact.residual(u), sys_frozen.residual(u))
-    J1 = sys_exact.jacobian(u).toarray()
-    J2 = sys_frozen.jacobian(u).toarray()
-    assert np.max(np.abs(J1 - J2)) > 0
-
-
 def test_residual_zero_at_fixed_point():
     mesh = build_structured(6, 6)
     vel = constant_velocity(1.0, 0.0)
@@ -279,13 +263,13 @@ def test_jacobian_order_is_not_built_by_set_up_or_by_anderson():
     stab.detector_values(mesh, np.zeros(mesh.n_nodes), params)
     newton_only = ("jacobian_order", ("derivative_structure", "sym"))
     assert not any(key in mesh._cache for key in newton_only)
-    # nor the element-last quadrature, which the first convection builds
-    assert "element_last" not in mesh._cache
+    # nor the quadrature, which the first convection builds
+    assert "quadrature" not in mesh._cache
     cfg = TimeConfig(stab=params, dt=1e-2, t_end=1e-2, solver=ANDERSON,
                      projection=True, tol=1e-5, k_max=300)
     run_transient(mesh, problem, cfg)
     assert not any(key in mesh._cache for key in newton_only)
-    assert "element_last" in mesh._cache
+    assert "quadrature" in mesh._cache
     run_transient(mesh, problem, replace(cfg, solver=NEWTON, projection=False))
     assert all(key in mesh._cache for key in newton_only)
 
