@@ -1,11 +1,10 @@
 """Monotonicity-preserving nonlinear stabilization for 2D FE transport."""
 
 from .assembly import (SparseOperator, VelocityModel, assemble_convection,
-                       assemble_forcing, assemble_mass, graph_seminorm,
-                       lumped_masses)
-from .bench import (ProblemSpec, convergence_study, dissipation, dmp_audit,
-                    error_norms, local_dmp_audit, make_problem)
-from .mesh import Mesh2D, P1, Q1, build_structured, triangle_fan
+                       assemble_forcing, assemble_mass, lumped_masses)
+from .bench import (ProblemSpec, convergence_study, dmp_audit, error_norms,
+                    local_dmp_audit, make_problem)
+from .mesh import Mesh2D, P1, Q1, build_structured
 from .solvers import (SolverReport, anderson_solve, line_search, newton_solve,
                       project_admissible)
 from .stabilization import (StabParams, assemble_B, assemble_nonlinear_mass,
@@ -23,10 +22,9 @@ __all__ = [
     "TimeConfig", "VelocityModel", "anderson_solve", "assemble_B",
     "assemble_convection", "assemble_forcing", "assemble_mass",
     "assemble_nonlinear_mass", "build_structured", "convergence_study",
-    "detector_values", "dissipation", "dmp_audit", "error_norms",
-    "graph_seminorm", "limiter_f", "line_search", "local_dmp_audit",
-    "lumped_masses", "make_problem", "newton_solve", "project_admissible",
-    "run_steady", "run_transient", "smooth_abs_lower", "smooth_abs_upper",
-    "smooth_max", "step_backward_euler", "triangle_fan",
-    "viscosity", "viscosity_symmetric_mass",
+    "detector_values", "dmp_audit", "error_norms", "limiter_f", "line_search",
+    "local_dmp_audit", "lumped_masses", "make_problem", "newton_solve",
+    "project_admissible", "run_steady", "run_transient", "smooth_abs_lower",
+    "smooth_abs_upper", "smooth_max", "step_backward_euler", "viscosity",
+    "viscosity_symmetric_mass",
 ]

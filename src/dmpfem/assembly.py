@@ -54,32 +54,28 @@ class Pattern:
         self.nnz = int(self.indptr[-1])
         self.rows = np.repeat(np.arange(n), np.diff(self.indptr))
         self.cols = self.indices
-        # pattern is symmetric: position of (j, i) for each stored (i, j)
-        self.transpose_pos = np.lexsort((self.rows, self.cols))
         diag = self.rows == self.cols
         self.diag_pos = np.nonzero(diag)[0]
         self.edge_pos = np.nonzero(~diag)[0]
         self.edge_rows, self.edge_cols = mesh.pair_i, mesh.pair_j
-        self.edge_transpose_pos = self.transpose_pos[self.edge_pos]
-        # stored entries in row-major order are sorted by row*n + col
-        self._keys = self.rows * n + self.cols
-        # map element-local (a, b) pairs to data positions, for bincount assembly
+        # pattern is symmetric: position of (j, i) for each stored edge (i, j)
+        transpose_pos = np.lexsort((self.rows, self.cols))
+        self.edge_transpose_pos = transpose_pos[self.edge_pos]
+        # map element-local (a, b) pairs to data positions, for bincount
+        # assembly; stored entries in row-major order are sorted by row*n + col
+        keys = self.rows * n + self.cols
         conn = mesh.elements
-        self.element_map = self.position(conn[:, :, None], conn[:, None, :])
+        pair_keys = conn[:, :, None] * n + conn[:, None, :]
+        self.element_map = np.searchsorted(keys, pair_keys)
+        if not np.array_equal(keys[np.minimum(self.element_map, self.nnz - 1)],
+                              pair_keys):
+            raise KeyError("an element node pair is not in the pattern")
         # index arrays in scipy's dtype that every CSR view of pattern data
         # shares; read-only, so an in-place sparse operation on a view raises
         idx = sp.get_index_dtype(maxval=self.nnz)
         self.csr_indices, self.csr_indptr = (
             a.astype(idx) for a in (self.indices, self.indptr))
         self.csr_indices.flags.writeable = self.csr_indptr.flags.writeable = False
-
-    def position(self, i, j):
-        """Data position of each stored entry (i, j); KeyError if absent."""
-        key = np.asarray(i) * self.n + np.asarray(j)
-        pos = np.searchsorted(self._keys, key)
-        if not np.array_equal(self._keys[np.minimum(pos, self.nnz - 1)], key):
-            raise KeyError((i, j))
-        return pos
 
     def csr(self, data):
         """CSR matrix of pattern data, sharing the read-only index arrays."""
@@ -97,9 +93,6 @@ class SparseOperator:
     @classmethod
     def zeros(cls, pattern):
         return cls(pattern, np.zeros(pattern.nnz))
-
-    def copy(self):
-        return SparseOperator(self.pattern, self.data.copy())
 
     def to_csr(self):
         return self.pattern.csr(self.data)
@@ -342,11 +335,3 @@ def assemble_forcing(mesh, g):
     vals = np.einsum("eq,qa->ea", (wq * g(x, y)).T, shape)
     return np.bincount(mesh.elements.ravel(), weights=vals.ravel(),
                        minlength=mesh.n_nodes)
-
-
-def graph_seminorm(mesh, w):
-    """sqrt(1/2 sum_i sum_{j in N_i} (w_i - w_j)^2), the graph-Laplacian seminorm."""
-    pat = pattern(mesh)
-    w = np.asarray(w, dtype=float)
-    d = w[pat.edge_rows] - w[pat.edge_cols]
-    return float(np.sqrt(0.5 * (d @ d)))

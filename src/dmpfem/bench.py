@@ -9,6 +9,7 @@ import numpy as np
 
 from .assembly import VelocityModel, pattern
 from .mesh import Q1, build_structured, row_norms
+from .solvers import dmp_audit
 from .timeloop import run_steady
 
 STEADY_PARABOLIC = "STEADY_PARABOLIC"
@@ -373,13 +374,6 @@ def convergence_study(problem, sizes, make_cfg, kind=Q1):
     return [(h, e, o) for h, e, o in zip(hs, errs, orders)]
 
 
-def dmp_audit(u, bounds):
-    """Positive parts of the global bound violations (max side, min side)."""
-    u = np.asarray(u, dtype=float)
-    return (max(float(np.max(u) - bounds.upper), 0.0),
-            max(float(bounds.lower - np.min(u)), 0.0))
-
-
 def local_dmp_audit(mesh, u, tol=1e-10):
     """Interior nodes whose value leaves the hull of their neighbors."""
     u = np.asarray(u, dtype=float)
@@ -391,15 +385,3 @@ def local_dmp_audit(mesh, u, tol=1e-10):
     ui = u[mesh.interior_nodes]
     bad = (ui > hi[mesh.interior_nodes] + tol) | (ui < lo[mesh.interior_nodes] - tol)
     return mesh.interior_nodes[bad].tolist()
-
-
-def dissipation(mesh, nu, u):
-    """sum_i sum_{j in N_i} nu_ij (u_i - u_j)^2 over the stored edges.
-
-    Counts each unordered pair twice (once per row), so it equals twice the
-    quadratic form <B u, u>.
-    """
-    pat = nu.pattern
-    u = np.asarray(u, dtype=float)
-    d = u[pat.edge_rows] - u[pat.edge_cols]
-    return float(np.sum(nu.data[pat.edge_pos] * d * d))

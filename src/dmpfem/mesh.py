@@ -313,15 +313,3 @@ def build_structured(nx, ny, domain=(0.0, 1.0, 0.0, 1.0), kind=Q1):
                           np.column_stack([n00, n11, n01])], axis=1).reshape(-1, 3)
     return Mesh2D(coords, elems, kind,
                   structured_shape=(nx, ny), domain=tuple(map(float, domain)))
-
-
-def triangle_fan(center_xy, ring_xy):
-    """Single-ring P1 fan patch: one interior node surrounded by ring nodes."""
-    ring = np.asarray(ring_xy, dtype=float)
-    n = ring.shape[0]
-    if n < 3:
-        raise ValueError("a fan needs at least 3 ring nodes")
-    coords = np.vstack([np.asarray(center_xy, dtype=float)[None, :], ring])
-    k = np.arange(n)
-    elems = np.column_stack([np.zeros(n, dtype=np.int64), 1 + k, 1 + (k + 1) % n])
-    return Mesh2D(coords, elems, P1)

@@ -2,6 +2,13 @@
 Newton's method with line search, both with optional projection of every
 iterate onto the admissible bounds.
 
+One driver, ``_iterate``, owns the loop: projection, nlerr, the histories,
+the stop tests, the failure reasons and the report.  Each solver supplies
+only its step.  nlerr stays asymmetric: Newton's is ||xi du|| / ||u_next||,
+the step before projection, Anderson's ||P(mix) - u|| / ||u_next||, the
+update after it.  Projection moves most iterates of the benchmark runs, so
+one formula for both would change their iteration counts and logs.
+
 Newton's line search minimizes ||T(u + xi du)|| by golden section, after a
 check of the full step: when phi(1) <= ls_tol phi(0), or when it beats both
 phi(0) and phi(1 - ls_tol), xi = 1 is taken for one or two residuals instead
@@ -38,18 +45,11 @@ def project_admissible(u, bounds):
     return np.clip(u, bounds.lower, bounds.upper)
 
 
-def _dmp_violation(u, bounds):
-    if bounds is None:
-        return (0.0, 0.0)
+def dmp_audit(u, bounds):
+    """Positive parts of the global bound violations (max side, min side)."""
+    u = np.asarray(u, dtype=float)
     return (max(float(np.max(u) - bounds.upper), 0.0),
             max(float(bounds.lower - np.min(u)), 0.0))
-
-
-def _rel_update(delta_norm, u_new):
-    scale = float(np.linalg.norm(u_new))
-    if scale == 0.0:
-        return float(delta_norm)
-    return float(delta_norm) / scale
 
 
 def _anderson_coefficients(residuals):
@@ -81,57 +81,51 @@ def _log_slope(errors):
     return float(k @ (vals - vals.mean()) / denom) if denom > 0 else 0.0
 
 
-def anderson_solve(sys, u0, m=5, s_min=-0.05, omega0=1.0, omega_min=0.3,
-                   tol=1e-6, k_max=500, project=False, bounds=None):
-    """Fixed-point iterations with windowed Anderson acceleration.
+class _StepFailed(Exception):
+    """No step could be taken; the message is the report's failure."""
 
-    Each sweep solves A(u_k) u~ = G, combines the last m residuals by
-    constrained least squares, blends the accelerated point with relaxation
-    omega, and optionally projects onto the admissible bounds.  The
-    relaxation is reduced by 0.1 (down to omega_min) whenever the fitted
-    slope of log10(nlerr) over the window drops below s_min.
+
+def _iterate(sys, u0, step, tol, k_max, project):
+    """Iterate ``step`` from u0 until nlerr < tol or k_max iterations.
+
+    ``step(u, T, report)`` gets the iterate, the residual there when known
+    (else None) and the report so far.  It returns ``(u_next, T_next,
+    update, weight, factorized)``: the next point before projection, the
+    residual there or None, the update that nlerr measures (None for the
+    projected update u_next - u), the step length or relaxation to record,
+    and whether its linear solve fell back to a factorization, or raises
+    _StepFailed.  The admissible bounds are ``sys.bounds``.
     """
-    if m < 1:
-        raise ValueError("window size m must be >= 1")
-    if not (0 < omega_min <= omega0 <= 1):
-        raise ValueError("need 0 < omega_min <= omega0 <= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    bounds = bounds if bounds is not None else getattr(sys, "bounds", None)
+    bounds = getattr(sys, "bounds", None)
     if project and bounds is None:
         raise ValueError("projection requested without admissible bounds")
 
     u = np.asarray(u0, dtype=float).copy()
     report = SolverReport()
-    omega = omega0
-    hist_u, hist_ut, hist_r = [], [], []
-
+    T = None
     for k in range(1, k_max + 1):
         try:
-            u_tilde, factorized = sys.picard_solve(u)
-        except SingularSystemError as exc:
-            report.failure = f"singular fixed-point operator: {exc}"
+            u_next, T, update, weight, factorized = step(u, T, report)
+        except _StepFailed as exc:
+            report.failure = str(exc)
             report.iterations = k - 1
             return u, report
         report.factorizations += factorized
-        r = u_tilde - u
-        hist_u.append(u)
-        hist_ut.append(u_tilde)
-        hist_r.append(r)
-        m_hat = min(k, m)
-        hist_u, hist_ut, hist_r = hist_u[-m_hat:], hist_ut[-m_hat:], hist_r[-m_hat:]
-
-        xi = _anderson_coefficients(hist_r)
-        mix_u = sum(x * v for x, v in zip(xi, hist_u))
-        mix_ut = sum(x * v for x, v in zip(xi, hist_ut))
-        u_next = (1.0 - omega) * mix_u + omega * mix_ut
         if project:
-            u_next = project_admissible(u_next, bounds)
+            u_proj = project_admissible(u_next, bounds)
+            if not np.array_equal(u_proj, u_next):
+                T = None    # the step's residual is at the unprojected point
+            u_next = u_proj
 
-        nlerr = _rel_update(np.linalg.norm(u_next - u), u_next)
+        delta = u_next - u if update is None else update
+        scale = float(np.linalg.norm(u_next)) or 1.0   # absolute at u = 0
+        nlerr = float(np.linalg.norm(delta)) / scale
         report.nlerr_history.append(nlerr)
-        report.dmp_violation_history.append(_dmp_violation(u_next, bounds))
-        report.omega_or_xi_history.append(omega)
+        report.dmp_violation_history.append(
+            (0.0, 0.0) if bounds is None else dmp_audit(u_next, bounds))
+        report.omega_or_xi_history.append(weight)
         report.iterations = k
         u = u_next
 
@@ -141,12 +135,56 @@ def anderson_solve(sys, u0, m=5, s_min=-0.05, omega0=1.0, omega_min=0.3,
         if nlerr < tol:
             report.converged = True
             break
-        slope = _log_slope(report.nlerr_history[-(m_hat + 1):])
-        if slope < s_min and omega > omega_min:
-            omega = max(omega - 0.1, omega_min)
 
-    report.residual_norm = float(np.linalg.norm(sys.residual(u)))
+    if T is None:
+        T = sys.residual(u)
+    report.residual_norm = float(np.linalg.norm(T))
+    # a vanishing accepted step with a large residual is a stall of the line
+    # search, not convergence
+    if report.converged and weight == 0.0 and \
+            report.residual_norm > tol * max(1.0, float(np.linalg.norm(u))):
+        report.converged = False
+        report.failure = "line search stalled"
     return u, report
+
+
+def anderson_solve(sys, u0, m=5, s_min=-0.05, omega0=1.0, omega_min=0.3,
+                   tol=1e-6, k_max=500, project=False):
+    """Fixed-point iterations with windowed Anderson acceleration.
+
+    Each sweep solves A(u_k) u~ = G, combines the last m residuals by
+    constrained least squares, blends the accelerated point with relaxation
+    omega, and optionally projects onto the admissible ``sys.bounds``.  The
+    relaxation is reduced by 0.1 (down to omega_min) whenever the fitted
+    slope of log10(nlerr) over the window drops below s_min.
+    """
+    if m < 1:
+        raise ValueError("window size m must be >= 1")
+    if not (0 < omega_min <= omega0 <= 1):
+        raise ValueError("need 0 < omega_min <= omega0 <= 1")
+    omega = omega0
+    hist_u, hist_ut, hist_r = [], [], []
+
+    def step(u, T, report):
+        nonlocal omega, hist_u, hist_ut, hist_r
+        # relax when log10(nlerr) fell too slowly over the last window
+        if hist_r and omega > omega_min and \
+                _log_slope(report.nlerr_history[-(len(hist_r) + 1):]) < s_min:
+            omega = max(omega - 0.1, omega_min)
+        try:
+            u_tilde, factorized = sys.picard_solve(u)
+        except SingularSystemError as exc:
+            raise _StepFailed(f"singular fixed-point operator: {exc}") from exc
+        hist_u = (hist_u + [u])[-m:]
+        hist_ut = (hist_ut + [u_tilde])[-m:]
+        hist_r = (hist_r + [u_tilde - u])[-m:]
+        xi = _anderson_coefficients(hist_r)
+        mix_u = sum(x * v for x, v in zip(xi, hist_u))
+        mix_ut = sum(x * v for x, v in zip(xi, hist_ut))
+        u_next = (1.0 - omega) * mix_u + omega * mix_ut
+        return u_next, None, None, omega, factorized
+
+    return _iterate(sys, u0, step, tol, k_max, project)
 
 
 def line_search(sys, u, du, ls_tol=1e-4, T0=None):
@@ -207,72 +245,27 @@ def line_search(sys, u, du, ls_tol=1e-4, T0=None):
     return best_xi, best_T
 
 
-def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, bounds=None,
-                 ls_tol=1e-4):
+def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, ls_tol=1e-4):
     """Newton's method with residual-norm line search and optional projection.
 
-    The line search hands back the residual at its accepted point; it serves
-    as the next iteration's T(u) whenever projection leaves that point
-    unchanged, so a residual is evaluated afresh only after projection moved
-    the iterate.
+    Projection is onto the admissible ``sys.bounds``.  The line search hands
+    back the residual at its accepted point; it serves as the next
+    iteration's T(u) whenever projection leaves that point unchanged, so a
+    residual is evaluated afresh only after projection moved the iterate.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    bounds = bounds if bounds is not None else getattr(sys, "bounds", None)
-    if project and bounds is None:
-        raise ValueError("projection requested without admissible bounds")
-
     order = getattr(sys, "jacobian_order", None)
 
-    u = np.asarray(u0, dtype=float).copy()
-    report = SolverReport()
-    T = None
-
-    for k in range(1, k_max + 1):
+    def step(u, T, report):
         if T is None:
             T = sys.residual(u)
         if not np.all(np.isfinite(T)):
-            report.failure = "non-finite residual"
-            report.iterations = k - 1
-            return u, report
+            raise _StepFailed("non-finite residual")
         try:
             du, factorized = solve_linear(sys.jacobian(u), -T, order=order)
         except SingularSystemError as exc:
-            report.failure = f"singular Jacobian: {exc}"
-            report.iterations = k - 1
-            return u, report
-        report.factorizations += factorized
-
+            raise _StepFailed(f"singular Jacobian: {exc}") from exc
         xi, T = line_search(sys, u, du, ls_tol, T)
-        step = xi * du
-        u_next = u + step   # the point at which the line search took T
-        if project:
-            u_proj = project_admissible(u_next, bounds)
-            if not np.array_equal(u_proj, u_next):
-                T = None
-            u_next = u_proj
+        update = xi * du
+        return u + update, T, update, xi, factorized
 
-        nlerr = _rel_update(np.linalg.norm(step), u_next)
-        report.nlerr_history.append(nlerr)
-        report.dmp_violation_history.append(_dmp_violation(u_next, bounds))
-        report.omega_or_xi_history.append(xi)
-        report.iterations = k
-        u = u_next
-
-        if nlerr < tol:
-            if T is None:
-                T = sys.residual(u)
-            resid = float(np.linalg.norm(T))
-            report.residual_norm = resid
-            # a vanishing accepted step with a large residual is a stall of
-            # the line search, not convergence
-            if xi == 0.0 and resid > tol * max(1.0, float(np.linalg.norm(u))):
-                report.failure = "line search stalled"
-                return u, report
-            report.converged = True
-            return u, report
-
-    if T is None:
-        T = sys.residual(u)
-    report.residual_norm = float(np.linalg.norm(T))
-    return u, report
+    return _iterate(sys, u0, step, tol, k_max, project)

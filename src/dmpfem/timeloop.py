@@ -94,12 +94,11 @@ def forcing_vector(mesh, problem):
 def _solve(sys, u_init, cfg):
     if cfg.solver == NEWTON:
         return newton_solve(sys, u_init, tol=cfg.tol, k_max=cfg.k_max,
-                            project=cfg.projection, bounds=sys.bounds,
-                            ls_tol=cfg.ls_tol)
+                            project=cfg.projection, ls_tol=cfg.ls_tol)
     return anderson_solve(sys, u_init, m=cfg.m, s_min=cfg.s_min,
                           omega0=cfg.omega0, omega_min=cfg.omega_min,
                           tol=cfg.tol, k_max=cfg.k_max,
-                          project=cfg.projection, bounds=sys.bounds)
+                          project=cfg.projection)
 
 
 def step_backward_euler(mesh, problem, u_n, t_next, cfg, g=None, bounds=None):

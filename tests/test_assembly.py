@@ -6,14 +6,14 @@ from dmpfem.assembly import (VelocityModel, assemble_convection,
                              assemble_convection_state_derivative,
                              assemble_forcing, assemble_mass,
                              convection_entry_derivative_tensor,
-                             graph_seminorm, lumped_masses, pattern,
-                             quadrature)
+                             lumped_masses, pattern, quadrature)
 from dmpfem.bench import PROBLEM_NAMES, make_problem
 from dmpfem.mesh import P1, Q1, build_structured
 from former_assembly import (former_convection,
                              former_convection_entry_derivative_tensor,
                              former_convection_state_derivative,
                              former_forcing, former_mass)
+from helpers import graph_seminorm, transpose_pos
 from meshes import jittered_p1
 
 
@@ -107,7 +107,7 @@ def test_mass_partition_of_unity(kind):
     mesh = build_structured(3, 4, kind=kind)
     M = assemble_mass(mesh)
     assert M.data.sum() == pytest.approx(1.0, abs=1e-13)
-    assert np.max(np.abs(M.data - M.data[M.pattern.transpose_pos])) < 1e-15
+    assert np.max(np.abs(M.data - M.data[transpose_pos(M.pattern)])) < 1e-15
 
 
 @pytest.mark.parametrize("kind", [Q1, P1])

@@ -4,13 +4,13 @@ import pytest
 from dmpfem import bench
 from dmpfem import stabilization as stab
 from dmpfem.assembly import assemble_convection
-from dmpfem.bench import (OMEGA, OUTFLOW, PROBLEM_NAMES, dissipation,
-                          dmp_audit, eoc, error_norms, local_dmp_audit,
-                          make_problem)
+from dmpfem.bench import (OMEGA, OUTFLOW, PROBLEM_NAMES, dmp_audit, eoc,
+                          error_norms, local_dmp_audit, make_problem)
 from dmpfem.mesh import P1, Q1, build_structured
 from dmpfem.stabilization import StabParams, detector_values, viscosity
 from dmpfem.system import AdmissibleBounds
 from dmpfem.timeloop import dirichlet_bc
+from helpers import dissipation
 from test_assembly import constant_velocity
 
 

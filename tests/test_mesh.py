@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmpfem.mesh import P1, Q1, build_structured, triangle_fan
+from dmpfem.mesh import P1, Q1, build_structured
+from helpers import triangle_fan
 
 
 def neighbors(mesh, i):

@@ -1,12 +1,21 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from dmpfem import solvers
+from dmpfem import stabilization as stab
+from dmpfem.bench import make_problem
+from dmpfem.mesh import Q1, build_structured
 from dmpfem.solvers import (GOLDEN, _anderson_coefficients, anderson_solve,
                             line_search, newton_solve, project_admissible)
+from dmpfem.stabilization import StabParams
 from dmpfem.system import AdmissibleBounds, SingularSystemError, solve_linear
-from test_jacobian_fingerprint import _rotation_newton_run, _steady_newton_run
+from dmpfem.timeloop import NEWTON, TimeConfig, run_steady
+from test_jacobian_fingerprint import (_digest, _rotation_newton_run,
+                                       _steady_newton_run)
 
 
 class ScalarPicard:
@@ -108,9 +117,9 @@ def test_anderson_linear_problem_immediate():
 
 def test_anderson_projection_clips_iterates():
     sys = ScalarPicard(0.0, 1.2)   # jumps straight to 1.2
-    bounds = AdmissibleBounds(0.0, 1.0)
+    sys.bounds = AdmissibleBounds(0.0, 1.0)
     u, rep = anderson_solve(sys, np.array([0.0]), m=1, tol=1e-14, k_max=10,
-                            project=True, bounds=bounds)
+                            project=True)
     assert np.all([v[0] == 0.0 for v in rep.dmp_violation_history])
     assert u[0] <= 1.0
 
@@ -423,14 +432,14 @@ def test_newton_solves_with_the_residual_of_the_current_iterate(project,
                                                                 monkeypatch):
     # from u = 3 the first Newton step lands on 13/6; the bound 2.1 clips it,
     # so T must be evaluated afresh at the projected iterate
-    bounds = AdmissibleBounds(0.0, 2.1)
     sys = CountingSystem(ScalarNewton())
+    sys.bounds = AdmissibleBounds(0.0, 2.1)
     rhs = []
     monkeypatch.setattr(solvers, "solve_linear",
                         lambda A, b, **kw: rhs.append(b)
                         or solve_linear(A, b, **kw))
     u, rep = newton_solve(sys, np.array([3.0]), tol=1e-10, k_max=30,
-                          project=project, bounds=bounds)
+                          project=project)
     assert rep.converged
     assert len(sys.jacobian_points) == len(rhs) == rep.iterations
     for u_k, b in zip(sys.jacobian_points, rhs):
@@ -477,3 +486,62 @@ def test_report_history_lengths_match_iterations():
     for hist in (rep.nlerr_history, rep.dmp_violation_history,
                  rep.omega_or_xi_history):
         assert len(hist) == rep.iterations
+
+
+# ----------------------------------------------------------------------
+# the projected Newton path and the shared iteration loop
+# ----------------------------------------------------------------------
+
+def _projected_steady_newton_run(n):
+    # the steady_newton benchmark's stabilization and solver on Q1 n^2
+    problem = make_problem("STRAIGHT_DISCONTINUITY")
+    mesh = build_structured(n, n, domain=problem.domain, kind=Q1)
+    beta, eps = problem.velocity.beta_bound, 1e-4
+    params = StabParams(q=25.0, eps=eps, sigma=beta * eps * eps * 1e-5,
+                        gamma=1e-10, detector=stab.SMOOTH, beta_bound=beta)
+    cfg = TimeConfig(stab=params, steady=True, solver=NEWTON,
+                     projection=True, tol=1e-6)
+    return run_steady(mesh, problem, cfg)
+
+
+@pytest.mark.parametrize("n, iterations, failure, digests", [
+    (48, 19, None, {"u": "24fef025965f3723", "nlerr": "b7854361d67576f6",
+                    "dmp": "84fadcb9896516e1", "xi": "c23b17d9f2393c2f"}),
+    (32, 8, "line search stalled",
+     {"u": "2a8f8f3795b851da", "nlerr": "8c72c3daab62cf21",
+      "dmp": "27e13d844825d8e3", "xi": "fd04cc7656297002"}),
+])
+def test_projected_newton_run_is_bit_identical(n, iterations, failure,
+                                               digests, monkeypatch):
+    # the fingerprint Newton runs are unprojected; these pin the path on
+    # which projection moves the iterate and the residual is taken afresh
+    moved = []
+
+    def project(u, bounds):
+        out = project_admissible(u, bounds)
+        moved.append(not np.array_equal(out, u))
+        return out
+
+    monkeypatch.setattr(solvers, "project_admissible", project)
+    u, rep = _projected_steady_newton_run(n)
+    assert (rep.iterations, rep.converged, rep.failure) == (
+        iterations, failure is None, failure)
+    assert len(moved) == iterations and any(moved)
+    assert {"u": _digest(u),
+            "nlerr": _digest(np.asarray(rep.nlerr_history)),
+            "dmp": _digest(np.asarray(rep.dmp_violation_history)),
+            "xi": _digest(np.asarray(rep.omega_or_xi_history))} == digests
+
+
+def test_solvers_share_one_iteration_loop():
+    # Newton and Anderson differ only in their step; a second loop over
+    # range(.. k_max ..) would be a second copy of the stop tests and report
+    tree = ast.parse(Path(solvers.__file__).read_text())
+    loops = [node for node in ast.walk(tree)
+             if isinstance(node, ast.For)
+             and isinstance(node.iter, ast.Call)
+             and isinstance(node.iter.func, ast.Name)
+             and node.iter.func.id == "range"
+             and any(isinstance(name, ast.Name) and name.id == "k_max"
+                     for name in ast.walk(node.iter))]
+    assert len(loops) == 1
