@@ -510,7 +510,7 @@ def _projected_steady_newton_run(n):
     (32, 8, "line search stalled",
      {"u": "2a8f8f3795b851da", "nlerr": "8c72c3daab62cf21",
       "dmp": "27e13d844825d8e3", "xi": "fd04cc7656297002"}),
-])
+], ids=["q1_48_converges", "q1_32_stalls"])
 def test_projected_newton_run_is_bit_identical(n, iterations, failure,
                                                digests, monkeypatch):
     # the fingerprint Newton runs are unprojected; these pin the path on
