@@ -34,10 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Q1
+from .mesh import P1, Q1, shape_functions
 
 # 2-point Gauss nodes on [0, 1]
 _G2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+# reference quadrature points: the 2x2 Gauss points of the unit square, x
+# fastest, and the edge midpoints of the unit triangle
+_REF_POINTS = {Q1: np.array([(gx, gy) for gy in _G2 for gx in _G2]),
+               P1: np.array([(0.5, 0.0), (0.5, 0.5), (0.0, 0.5)])}
 
 
 class Pattern:
@@ -145,36 +149,23 @@ def quadrature(mesh):
 def _build_quadrature(mesh):
     pts = mesh.coords[mesh.elements]
     ne = mesh.n_elements
+    ref = _REF_POINTS[mesh.kind]
+    nq = len(ref)
+    shape, dshape = shape_functions(mesh.kind, ref[:, 0], ref[:, 1])
+    weights = np.broadcast_to(mesh.element_areas() / nq, (nq, ne)).copy()
     if mesh.kind == Q1:
-        wx, wy = mesh.element_rect_sides()
-        ref = np.array([(gx, gy) for gy in _G2 for gx in _G2])
-        nq = 4
-        shape = np.empty((nq, 4))
-        dshape = np.empty((2, nq, 4))
-        for q, (xi, eta) in enumerate(ref):
-            shape[q] = [(1 - xi) * (1 - eta), xi * (1 - eta), xi * eta, (1 - xi) * eta]
-            dshape[0, q] = [-(1 - eta), (1 - eta), eta, -eta]
-            dshape[1, q] = [-(1 - xi), -xi, xi, (1 - xi)]
-        sides = np.stack([wx, wy])                           # (2, ne)
+        sides = np.stack(mesh.element_rect_sides())          # (2, ne)
         points = pts[:, 0].T[:, None, :] + ref.T[:, :, None] * sides[:, None, :]
-        weights = np.broadcast_to((wx * wy) / 4.0, (nq, ne)).copy()
         grads = dshape[..., None] / sides[:, None, None, :]
     else:
-        # reference midpoints (1/2,0), (1/2,1/2), (0,1/2); weight area/3 each
-        ref = np.array([(0.5, 0.0), (0.5, 0.5), (0.0, 0.5)])
-        nq = 3
-        shape = np.column_stack([1 - ref[:, 0] - ref[:, 1], ref[:, 0], ref[:, 1]])
         v0, v1, v2 = pts[:, 0], pts[:, 1], pts[:, 2]
         jac = np.stack([v1 - v0, v2 - v0], axis=2)        # (ne, 2, 2), cols are edges
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        area = 0.5 * np.abs(det)
         points = (v0.T[:, None, :]
                   + ref[:, 0, None] * (v1 - v0).T[:, None, :]
                   + ref[:, 1, None] * (v2 - v0).T[:, None, :])
-        weights = np.broadcast_to(area / 3.0, (nq, ne)).copy()
-        dref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])  # (nloc, 2)
         inv = np.linalg.inv(jac)                                  # (ne, 2, 2)
-        g = np.einsum("ld,edk->elk", dref, inv)                   # (ne, nloc, 2)
+        # the gradients are constant: those of the first point
+        g = np.einsum("ld,edk->elk", dshape[:, 0].T, inv)         # (ne, nloc, 2)
         grads = np.broadcast_to(g.transpose(2, 1, 0)[:, None],
                                 (2, nq, 3, ne)).copy()
     arrays = tuple(np.ascontiguousarray(a)

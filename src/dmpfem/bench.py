@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import VelocityModel, pattern
-from .mesh import Q1, build_structured, row_norms
+from .mesh import Q1, build_structured, row_norms, shape_functions
 from .solvers import dmp_audit
 from .timeloop import run_steady
 
@@ -238,55 +238,6 @@ def _reference_subcell_rule(kind, refine):
 _NORM_BLOCK = 1024
 
 
-def _refined_quadrature(mesh, refine, elements=slice(None)):
-    """Per-element quadrature fine enough for discontinuous integrands, on
-    the ``elements`` selected."""
-    xy = mesh.coords[mesh.elements[elements]]
-    loc, frac = _reference_subcell_rule(mesh.kind, refine)
-    xi, eta = loc[:, 0], loc[:, 1]
-    if mesh.kind == Q1:
-        shape = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),
-                                 xi * eta, (1 - xi) * eta])
-        measure = ((xy[:, 1, 0] - xy[:, 0, 0])
-                   * (xy[:, 3, 1] - xy[:, 0, 1]))
-    else:
-        shape = np.column_stack([1 - xi - eta, xi, eta])
-        v0, v1, v2 = xy[:, 0], xy[:, 1], xy[:, 2]
-        measure = 0.5 * np.abs(
-            (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1])
-            - (v1[:, 1] - v0[:, 1]) * (v2[:, 0] - v0[:, 0]))
-    pts = np.einsum("qa,ead->eqd", shape, xy)
-    wts = measure[:, None] * frac[None, :]
-    return pts, wts
-
-
-def _fe_values_at(mesh, u, pts_local, elements=slice(None)):
-    """Evaluate u_h at per-element points given in physical coordinates, on
-    the ``elements`` selected."""
-    conn = mesh.elements[elements]
-    xy = mesh.coords[conn]
-    u_e = np.asarray(u, dtype=float)[conn]
-    if mesh.kind == Q1:
-        x0 = xy[:, 0, 0][:, None]
-        y0 = xy[:, 0, 1][:, None]
-        wx = (xy[:, 1, 0] - xy[:, 0, 0])[:, None]
-        wy = (xy[:, 3, 1] - xy[:, 0, 1])[:, None]
-        xi = (pts_local[..., 0] - x0) / wx
-        eta = (pts_local[..., 1] - y0) / wy
-        return (u_e[:, 0][:, None] * (1 - xi) * (1 - eta)
-                + u_e[:, 1][:, None] * xi * (1 - eta)
-                + u_e[:, 2][:, None] * xi * eta
-                + u_e[:, 3][:, None] * (1 - xi) * eta)
-    v0, v1, v2 = xy[:, 0], xy[:, 1], xy[:, 2]
-    d = pts_local - v0[:, None, :]
-    jac = np.stack([v1 - v0, v2 - v0], axis=2)
-    inv = np.linalg.inv(jac)
-    loc = np.einsum("end,edk->enk", d, inv)
-    xi, eta = loc[..., 0], loc[..., 1]
-    return (u_e[:, 0][:, None] * (1 - xi - eta)
-            + u_e[:, 1][:, None] * xi + u_e[:, 2][:, None] * eta)
-
-
 def error_norms(mesh, u, exact, region=OMEGA, inflow_where=None, refine=4):
     """(L1, L2) norms of u_h - exact over the domain or the outflow boundary.
 
@@ -298,18 +249,22 @@ def error_norms(mesh, u, exact, region=OMEGA, inflow_where=None, refine=4):
         raise ValueError("error norms need an exact solution")
     u = np.asarray(u, dtype=float)
     if region == OMEGA:
-        # the integrands w |e| and w |e|^2 by blocks of elements, summed
-        # whole: the values of one pass over all elements, a fraction of
-        # its temporaries
-        n_pts = _reference_subcell_rule(mesh.kind, refine)[1].size
-        w1 = np.empty((mesh.n_elements, n_pts))
-        w2 = np.empty_like(w1)
+        # u_h is shape(loc) @ u_e at the rule's reference points; the
+        # integrands w |e| and w |e|^2 by blocks of elements, summed whole:
+        # the values of one pass over all elements, a fraction of its
+        # temporaries
+        loc, frac = _reference_subcell_rule(mesh.kind, refine)
+        shape, _ = shape_functions(mesh.kind, loc[:, 0], loc[:, 1])
+        wts = mesh.element_areas()[:, None] * frac
+        w1 = np.empty_like(wts)
+        w2 = np.empty_like(wts)
         for lo in range(0, mesh.n_elements, _NORM_BLOCK):
             block = slice(lo, lo + _NORM_BLOCK)
-            pts, wts = _refined_quadrature(mesh, refine, block)
-            uh = _fe_values_at(mesh, u, pts, block)
+            conn = mesh.elements[block]
+            pts = np.einsum("qa,ead->eqd", shape, mesh.coords[conn])
+            uh = np.einsum("qa,ea->eq", shape, u[conn])
             diff = np.abs(uh - exact(pts[..., 0], pts[..., 1]))
-            w1[block] = wts * diff
+            w1[block] = wts[block] * diff
             w2[block] = w1[block] * diff
         return float(np.sum(w1)), float(np.sqrt(np.sum(w2)))
     if region != OUTFLOW:

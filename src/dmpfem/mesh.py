@@ -20,7 +20,8 @@ False.  Where it exists, ``u_h`` there is the fixed linear combination
 ``sym_coefs`` of the nodal values ``sym_cols`` over the run
 ``sym_ptr[p]:sym_ptr[p + 1]``: a single node with weight one when the point is
 a mesh node, the element's nodes otherwise.  ``sym_dist[p]`` is
-``|x_sym - x_i|`` and ``sym_point[p]`` is ``x_sym`` (both NaN where absent).
+``|x_sym - x_i|`` (NaN where absent); the point itself is
+``x_i + sym_dist[p] (x_i - x_j) / |x_i - x_j|``.
 
 ``boundary_edges`` lists the element sides seen exactly once as ``(a, b)``
 with ``a < b``, in the order the elements first visit them.
@@ -47,6 +48,25 @@ def row_norms(d):
     rounds each row on its own (hypot and norm(axis=1) differ in the last
     bit)."""
     return np.sqrt(np.vecdot(d, d))
+
+
+def shape_functions(kind, xi, eta):
+    """The element's shape functions at reference coordinates (xi, eta):
+    the Q1 bilinears on the unit square, nodes counter-clockwise from the
+    origin, or the P1 barycentrics on the unit triangle (0,0), (1,0), (0,1).
+
+    Returns (values (..., nloc), reference gradients (2, ..., nloc)), the
+    xi- and eta-derivatives.
+    """
+    if kind == Q1:
+        values = [(1 - xi) * (1 - eta), xi * (1 - eta), xi * eta, (1 - xi) * eta]
+        grads = [[-(1 - eta), 1 - eta, eta, -eta], [-(1 - xi), -xi, xi, 1 - xi]]
+    else:
+        one, zero = np.ones_like(xi), np.zeros_like(xi)
+        values = [1 - xi - eta, xi, eta]
+        grads = [[-one, one, zero], [-one, zero, one]]
+    return (np.stack(values, axis=-1),
+            np.stack([np.stack(g, axis=-1) for g in grads]))
 
 
 def _offsets(counts):
@@ -100,7 +120,7 @@ def _ray_exits(coords, xi, d, side_ptr, rows, side_a, side_b):
 class Mesh2D:
     """Nodes, elements, adjacency and symmetric-point data of a 2D mesh."""
 
-    def __init__(self, coords, elements, kind, structured_shape=None, domain=None):
+    def __init__(self, coords, elements, kind, structured_shape=None):
         coords = np.asarray(coords, dtype=float)
         elements = np.asarray(elements, dtype=np.int64)
         if coords.ndim != 2 or coords.shape[1] != 2:
@@ -115,7 +135,6 @@ class Mesh2D:
         self.elements = elements
         self.kind = kind
         self.structured_shape = structured_shape  # (nx, ny) cell counts or None
-        self.domain = domain                      # (x0, x1, y0, y1) or None
         self.n_nodes = coords.shape[0]
         self.n_elements = elements.shape[0]
         self._cache = {}
@@ -160,7 +179,7 @@ class Mesh2D:
         self.is_boundary[self.boundary_edges] = True
         self.interior_nodes = np.nonzero(~self.is_boundary)[0]
 
-    def _store_sym(self, has, dist, point, counts, cols, coefs):
+    def _store_sym(self, has, dist, counts, cols, coefs):
         """Record the symmetric points of the pairs in ``has``; row q of
         cols/coefs holds the first counts[q] interpolation terms of the q-th."""
         n_pairs = self.pair_i.size
@@ -173,8 +192,6 @@ class Mesh2D:
         self.has_sym = has
         self.sym_dist = np.full(n_pairs, np.nan)
         self.sym_dist[has] = dist
-        self.sym_point = np.full((n_pairs, 2), np.nan)
-        self.sym_point[has] = point
 
     def _sym_structured(self):
         # on a uniform tensor grid the ray away from j exits Omega_i exactly at
@@ -188,7 +205,7 @@ class Mesh2D:
         has = (mx >= 0) & (mx <= nx) & (my >= 0) & (my <= ny)
         k = (my * stride + mx)[has]
         dist = row_norms(self.coords[k] - self.coords[i[has]])
-        self._store_sym(has, dist, self.coords[k], np.ones(k.size, dtype=np.int64),
+        self._store_sym(has, dist, np.ones(k.size, dtype=np.int64),
                         k[:, None], np.ones((k.size, 1)))
 
     def _sym_geometric(self):
@@ -239,10 +256,9 @@ class Mesh2D:
         cols, coefs = self.elements[best_elem], self._interp_coefs(best_elem, x_sym)
         cols[snapped, 0] = node
         coefs[snapped, 0] = 1.0
-        dist, point = best_t, x_sym
+        dist = best_t
         dist[snapped] = row_norms(coords[node] - coords[pi[snapped]])
-        point[snapped] = coords[node]
-        return has, dist, point, np.where(snapped, 1, k), cols, coefs
+        return has, dist, np.where(snapped, 1, k), cols, coefs
 
     def _interp_coefs(self, e, x):
         """Nodal interpolation weights of the FE space of elements e at the
@@ -256,8 +272,7 @@ class Mesh2D:
         wx = pts[:, 1, 0] - pts[:, 0, 0]
         wy = pts[:, 3, 1] - pts[:, 0, 1]
         xi, eta = (x[:, 0] - pts[:, 0, 0]) / wx, (x[:, 1] - pts[:, 0, 1]) / wy
-        return np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),
-                                xi * eta, (1 - xi) * eta])
+        return shape_functions(Q1, xi, eta)[0]
 
     # ------------------------------------------------------------------
     # queries
@@ -281,6 +296,15 @@ class Mesh2D:
         if not (np.allclose(pts[:, 0, 1], pts[:, 1, 1]) and np.allclose(pts[:, 0, 0], pts[:, 3, 0])):
             raise ValueError("Q1 elements must be axis-aligned rectangles")
         return wx, wy
+
+    def element_areas(self):
+        """Area of each element; Q1 elements must be axis-aligned."""
+        if self.kind == Q1:
+            wx, wy = self.element_rect_sides()
+            return wx * wy
+        v0, v1, v2 = np.moveaxis(self.coords[self.elements], 1, 0)
+        e1, e2 = v1 - v0, v2 - v0
+        return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1])
 
 
 def build_structured(nx, ny, domain=(0.0, 1.0, 0.0, 1.0), kind=Q1):
@@ -311,5 +335,4 @@ def build_structured(nx, ny, domain=(0.0, 1.0, 0.0, 1.0), kind=Q1):
     else:
         elems = np.stack([np.column_stack([n00, n10, n11]),
                           np.column_stack([n00, n11, n01])], axis=1).reshape(-1, 3)
-    return Mesh2D(coords, elems, kind,
-                  structured_shape=(nx, ny), domain=tuple(map(float, domain)))
+    return Mesh2D(coords, elems, kind, structured_shape=(nx, ny))

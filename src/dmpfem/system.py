@@ -432,14 +432,12 @@ class ResidualSystem:
                 w = (self.lumped * du - self.mass.matvec(du)) / self.dt
                 p_diag += w
 
-        P = stab._edge_operator(pat, p_off, diag=p_diag).to_csr()
-        J = pat.csr(data) + P @ dalpha
+        # identity Dirichlet rows: P's rows are zeroed, so P @ dalpha adds
+        # nothing there; the sum keeps no zeros
+        P = stab._edge_operator(pat, p_off, diag=p_diag)
+        P.data[self._dir_pos] = 0.0
+        J = self._dirichlet_rows(data) + P.to_csr() @ dalpha
         J.sort_indices()
-        # identity Dirichlet rows, by index
-        nodes = self.dirichlet.nodes
-        J.data[row_positions(J.indptr, nodes)] = 0.0
-        J[nodes, nodes] = 1.0
-        J.eliminate_zeros()
         return J
 
     def _viscosity_flux_term(self, W1, W2, T3):

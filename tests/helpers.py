@@ -1,5 +1,6 @@
 """Routines that only the tests use: a graph seminorm, the edge dissipation,
-a single-fan P1 patch and index maps of an adjacency ``Pattern``."""
+a single-fan P1 patch, the symmetric points of a mesh and index maps of an
+adjacency ``Pattern``."""
 
 import numpy as np
 
@@ -37,6 +38,14 @@ def triangle_fan(center_xy, ring_xy):
     k = np.arange(n)
     elems = np.column_stack([np.zeros(n, dtype=np.int64), 1 + k, 1 + (k + 1) % n])
     return Mesh2D(coords, elems, P1)
+
+
+def sym_points(mesh):
+    """Symmetric point of every node pair, x_i + sym_dist (x_i - x_j) /
+    |x_i - x_j|; NaN where the point does not exist."""
+    xi, xj = mesh.coords[mesh.pair_i], mesh.coords[mesh.pair_j]
+    d = xi - xj
+    return xi + (mesh.sym_dist / np.linalg.norm(d, axis=1))[:, None] * d
 
 
 def transpose_pos(pat):

@@ -6,11 +6,12 @@ from dmpfem import stabilization as stab
 from dmpfem.assembly import assemble_convection
 from dmpfem.bench import (OMEGA, OUTFLOW, PROBLEM_NAMES, dmp_audit, eoc,
                           error_norms, local_dmp_audit, make_problem)
-from dmpfem.mesh import P1, Q1, build_structured
+from dmpfem.mesh import P1, Q1, Mesh2D, build_structured
 from dmpfem.stabilization import StabParams, detector_values, viscosity
 from dmpfem.system import AdmissibleBounds
 from dmpfem.timeloop import dirichlet_bc
 from helpers import dissipation
+from meshes import jittered_p1
 from test_assembly import constant_velocity
 
 
@@ -80,9 +81,18 @@ def test_initial_and_inflow_data_consistent(name):
 # error norms
 # ----------------------------------------------------------------------
 
-def test_error_norms_affine_interpolant_exact():
+# n-by-n meshes of the unit square on which u_h is evaluated
+NORM_MESHES = {
+    "q1": lambda n: build_structured(n, n, kind=Q1),
+    "p1": lambda n: build_structured(n, n, kind=P1),
+    "jittered-p1": lambda n: jittered_p1(n, 1),
+}
+
+
+@pytest.mark.parametrize("make_mesh", NORM_MESHES.values(), ids=NORM_MESHES)
+def test_error_norms_affine_interpolant_exact(make_mesh):
     prob = make_problem("STEADY_PARABOLIC")
-    mesh = build_structured(6, 6)
+    mesh = make_mesh(6)
     exact = lambda x, y: 0.3 * np.asarray(x) + 0.1 * np.asarray(y) - 0.2
     u = exact(mesh.coords[:, 0], mesh.coords[:, 1])
     l1, l2 = error_norms(mesh, u, exact, region=OMEGA)
@@ -90,6 +100,15 @@ def test_error_norms_affine_interpolant_exact():
     l1o, l2o = error_norms(mesh, u, exact, region=OUTFLOW,
                            inflow_where=prob.inflow_where)
     assert l1o < 1e-13 and l2o < 1e-13
+
+
+def test_error_norms_reject_non_rectangular_q1():
+    # Q1 shape functions are bilinear on axis-aligned rectangles only
+    grid = build_structured(3, 3, kind=Q1)
+    coords = grid.coords + 0.1 * grid.coords[:, ::-1]
+    mesh = Mesh2D(coords, grid.elements, Q1)
+    with pytest.raises(ValueError, match="axis-aligned"):
+        error_norms(mesh, np.zeros(mesh.n_nodes), lambda x, y: 0 * x)
 
 
 def test_error_norms_constant_offset():
@@ -142,11 +161,14 @@ def test_eoc_formula_and_floor():
     assert np.isnan(orders[1])
 
 
-def test_interpolation_eoc_second_order():
+@pytest.mark.parametrize("make_mesh", NORM_MESHES.values(), ids=NORM_MESHES)
+def test_interpolation_eoc_second_order(make_mesh):
+    # the nodal interpolant's L2 error is O(h^2); from 16^2 on, the jitter's
+    # level-to-level variation moves the jittered orders by under 0.02
     prob = make_problem("STEADY_PARABOLIC")
     hs, errs = [], []
-    for n in (8, 16, 32):
-        mesh = build_structured(n, n)
+    for n in (16, 32, 64):
+        mesh = make_mesh(n)
         u = prob.exact(mesh.coords[:, 0], mesh.coords[:, 1])
         _, l2 = error_norms(mesh, u, prob.exact)
         hs.append(1.0 / n)

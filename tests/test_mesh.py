@@ -3,8 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmpfem.mesh import P1, Q1, build_structured
-from helpers import triangle_fan
+from dmpfem.mesh import P1, Q1, Mesh2D, build_structured
+from helpers import sym_points, triangle_fan
 
 
 def neighbors(mesh, i):
@@ -114,9 +114,10 @@ def test_structured_sym_is_nodal_with_equal_distance(kind):
 @pytest.mark.parametrize("kind", [Q1, P1])
 def test_sym_point_geometry(kind):
     mesh = build_structured(3, 4, kind=kind)
+    points = sym_points(mesh)
     for p in np.flatnonzero(mesh.has_sym):
         xi, xj = mesh.coords[mesh.pair_i[p]], mesh.coords[mesh.pair_j[p]]
-        xs = mesh.sym_point[p]
+        xs = points[p]
         # on the line through x_i, x_j and on the opposite side of x_i
         r = xj - xi
         s = xs - xi
@@ -150,10 +151,22 @@ def test_linear_reproduction_structured(kind):
     a, b, c = 2.0, 1.0, 0.3
     u = a * mesh.coords[:, 0] + b * mesh.coords[:, 1] + c
     vals = sym_values(mesh, u)
+    points = sym_points(mesh)
     for p in np.flatnonzero(mesh.has_sym):
-        xs = mesh.sym_point[p]
+        xs = points[p]
         expected = a * xs[0] + b * xs[1] + c
         assert vals[p] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", [Q1, P1])
+@pytest.mark.parametrize("nx,ny", [(7, 5), (24, 24)])
+def test_structured_sym_matches_the_geometric_path(kind, nx, ny):
+    # the mirrored-node fast path is the ray search's result, to the bit
+    fast = build_structured(nx, ny, kind=kind)
+    ref = Mesh2D(fast.coords, fast.elements, kind)
+    for name in ("has_sym", "sym_ptr", "sym_cols", "sym_coefs", "sym_dist"):
+        a, b = getattr(fast, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_fan_center_syms_are_opposite_nodes():
@@ -173,14 +186,14 @@ def test_perturbed_fan_exercises_point_kind():
     assert sym_node(mesh, p) is None
     # gradient extrapolation is exact on linear fields
     u = 2.0 * mesh.coords[:, 0] + mesh.coords[:, 1]
-    xs = mesh.sym_point[p]
+    xs = sym_points(mesh)[p]
     assert sym_values(mesh, u)[p] == pytest.approx(2 * xs[0] + xs[1], abs=1e-12)
 
 
 def test_mesh_is_frozen_after_build():
     mesh = build_structured(2, 2)
     before = mesh.coords.copy()
-    _ = mesh.adj_idx, mesh.sym_point
+    _ = mesh.adj_idx, mesh.sym_dist
     assert np.array_equal(mesh.coords, before)
 
 
@@ -196,6 +209,14 @@ def test_cached_builds_once_per_key():
     assert mesh.cached("value", build) is first
     assert mesh.cached(("value", 2), build) is not first
     assert len(calls) == 2
+
+
+def test_the_q1_bilinears_are_defined_once():
+    # assembly, the symmetric-point weights and the error norms all take
+    # the shape functions from mesh.shape_functions
+    src = Path(__file__).resolve().parent.parent / "src" / "dmpfem"
+    text = "".join(m.read_text() for m in sorted(src.glob("*.py")))
+    assert text.count("xi * (1 - eta)") == 1
 
 
 def test_only_the_mesh_module_names_its_cache():
