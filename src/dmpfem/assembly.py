@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import P1, Q1, shape_functions
+from .mesh import P1, Q1, row_positions, shape_functions
 
 # 2-point Gauss nodes on [0, 1]
 _G2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
@@ -107,14 +107,6 @@ class SparseOperator:
     def row_sums(self):
         return np.bincount(self.pattern.rows, weights=self.data,
                            minlength=self.pattern.n)
-
-
-def row_positions(indptr, rows):
-    """Data positions of the stored entries of ``rows`` of a CSR structure."""
-    start = indptr[rows]
-    count = indptr[rows + 1] - start
-    return (np.repeat(start - np.cumsum(count) + count, count)
-            + np.arange(count.sum()))
 
 
 def pattern(mesh):

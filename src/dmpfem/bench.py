@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import VelocityModel, pattern
+from .assembly import _G2, VelocityModel, pattern
 from .mesh import Q1, build_structured, row_norms, shape_functions
 from .solvers import dmp_audit
 from .timeloop import run_steady
@@ -210,11 +210,10 @@ def _reference_subcell_rule(kind, refine):
     reference element; weights are fractions of the element measure."""
     pts, wts = [], []
     if kind == Q1:
-        g = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
         for a in range(refine):
             for b in range(refine):
-                for gx in g:
-                    for gy in g:
+                for gx in _G2:
+                    for gy in _G2:
                         pts.append(((a + gx) / refine, (b + gy) / refine))
                         wts.append(1.0 / (4.0 * refine * refine))
         return np.array(pts), np.array(wts)
@@ -317,8 +316,8 @@ def convergence_study(problem, sizes, make_cfg, kind=Q1):
     hs, errs = [], []
     x0, x1, _, _ = problem.domain
     for n in sizes:
-        h = (x1 - x0) / n
         mesh = build_structured(n, n, domain=problem.domain, kind=kind)
+        h = (x1 - x0) / n
         u, report = run_steady(mesh, problem, make_cfg(h))
         if not report.converged:
             raise RuntimeError(f"steady solve at n={n} did not converge")

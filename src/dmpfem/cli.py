@@ -41,10 +41,16 @@ def _collect_overrides(args):
 
 
 def _time_config(cfg, problem, h, **stepping):
-    """TimeConfig of a run on mesh size h; ``stepping`` sets steady/dt/t_end."""
-    return TimeConfig(stab=cfg.stab_params(problem.velocity.beta_bound, h),
-                      solver=cfg.solver, projection=cfg.projection,
-                      tol=cfg.tol, k_max=cfg.k_max, m=cfg.m, s_min=cfg.s_min,
+    """TimeConfig, with its StabParams, of a run on mesh size h; ``stepping``
+    sets steady/dt/t_end.  The records check the values they are given."""
+    beta = problem.velocity.beta_bound
+    params = stab.StabParams(q=cfg.q, eps=cfg.eps,
+                             sigma=cfg.sigma(beta, h, problem.domain),
+                             gamma=cfg.gamma, detector=cfg.detector,
+                             mass=cfg.mass, beta_bound=beta)
+    return TimeConfig(stab=params, solver=cfg.solver,
+                      projection=cfg.projection, tol=cfg.tol,
+                      k_max=cfg.k_max, m=cfg.m, s_min=cfg.s_min,
                       omega0=cfg.omega0, omega_min=cfg.omega_min,
                       ls_tol=cfg.ls_tol, **stepping)
 
@@ -238,7 +244,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:     # ConfigError and every owner's check
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

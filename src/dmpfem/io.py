@@ -14,8 +14,8 @@ import numpy as np
 
 from . import stabilization as stab
 from .bench import PROBLEM_NAMES, make_problem
-from .mesh import P1, Q1
-from .timeloop import ANDERSON, NEWTON
+from .mesh import Q1
+from .timeloop import TimeConfig
 
 TABLE_HEADER = "q,eps,iters_A,iters_Ap,iters_N,iters_Np,L1,L1_out,L2,L2_out"
 LOG_HEADER = "iter,nlerr,dmp_max_viol,dmp_min_viol,omega_or_xi"
@@ -30,67 +30,52 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Flat run configuration; every key doubles as a CLI flag."""
+    """Flat run configuration; every key doubles as a CLI flag.
+
+    A key that ``StabParams`` or ``TimeConfig`` also declares takes its
+    default from that record.
+    """
 
     problem: str = "STRAIGHT_DISCONTINUITY"
     nx: int = 48
     ny: int = 48
     element: str = Q1
-    detector: str = stab.SMOOTH
-    mass: str = stab.GRADUAL_LUMPING
-    q: float = 25.0
-    eps: float = 1e-4
+    detector: str = stab.StabParams.detector
+    mass: str = stab.StabParams.mass
+    q: float = stab.StabParams.q
+    eps: float = stab.StabParams.eps
     sigma_factor: float = 1e-9
     sigma_scaling: str = "beta"
-    gamma: float = 1e-10
-    solver: str = NEWTON
-    tol: float = 1e-6
-    k_max: int = 500
-    m: int = 5
-    s_min: float = -0.05
-    omega0: float = 1.0
-    omega_min: float = 0.3
-    ls_tol: float = 1e-4
-    projection: bool = True
+    gamma: float = stab.StabParams.gamma
+    solver: str = TimeConfig.solver
+    tol: float = TimeConfig.tol
+    k_max: int = TimeConfig.k_max
+    m: int = TimeConfig.m
+    s_min: float = TimeConfig.s_min
+    omega0: float = TimeConfig.omega0
+    omega_min: float = TimeConfig.omega_min
+    ls_tol: float = TimeConfig.ls_tol
+    projection: bool = TimeConfig.projection
     steady: bool | None = None
     dt: float | None = None
     t_end: float | None = None
     outdir: str = "out"
 
     def validate(self):
+        """Check the two keys that no library record owns, ``problem`` and
+        ``sigma_scaling``.  Each other key is checked by its owner when the
+        run is built or first used: ``nx``/``ny``/``element`` by
+        ``build_structured``, the stabilization keys (``sigma_factor``
+        through the sigma it scales) by ``StabParams``, ``solver``/``dt``/
+        ``t_end`` by ``TimeConfig``, ``tol``/``k_max`` by the solvers'
+        iteration loop and ``m`` and the omega range by ``anderson_solve``.
+        """
         if self.problem not in PROBLEM_NAMES:
             raise ConfigError(f"unknown problem {self.problem!r}; "
                               f"valid names: {', '.join(PROBLEM_NAMES)}")
-        if self.nx < 1 or self.ny < 1:
-            raise ConfigError("nx and ny must be positive")
-        if self.element not in (Q1, P1):
-            raise ConfigError(f"element must be {Q1!r} or {P1!r}")
-        if self.q <= 0:
-            raise ConfigError("q must be positive")
-        if self.eps < 0:
-            raise ConfigError("eps must be nonnegative")
-        if self.gamma < 0:
-            raise ConfigError("gamma must be nonnegative")
-        if self.sigma_factor < 0:
-            raise ConfigError("sigma_factor must be nonnegative")
         if self.sigma_scaling not in SIGMA_SCALINGS:
             raise ConfigError(f"sigma_scaling must be one of "
                               f"{', '.join(SIGMA_SCALINGS)}")
-        if self.detector not in stab.DETECTOR_KINDS:
-            raise ConfigError(f"detector must be one of "
-                              f"{', '.join(stab.DETECTOR_KINDS)}")
-        if self.mass not in stab.MASS_KINDS:
-            raise ConfigError(f"mass must be one of {', '.join(stab.MASS_KINDS)}")
-        if self.solver not in (ANDERSON, NEWTON):
-            raise ConfigError(f"solver must be {ANDERSON!r} or {NEWTON!r}")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
-        if self.k_max < 1:
-            raise ConfigError("k_max must be positive")
-        if self.m < 1:
-            raise ConfigError("m must be positive")
-        if not (0 < self.omega_min <= self.omega0 <= 1):
-            raise ConfigError("need 0 < omega_min <= omega0 <= 1")
         return self
 
     def resolve(self):
@@ -120,13 +105,6 @@ class RunConfig:
         if self.sigma_scaling == "beta":
             return self.sigma_factor * beta
         return self.sigma_factor
-
-    def stab_params(self, beta, h):
-        problem = make_problem(self.problem)
-        return stab.StabParams(q=self.q, eps=self.eps,
-                               sigma=self.sigma(beta, h, problem.domain),
-                               gamma=self.gamma, detector=self.detector,
-                               mass=self.mass, beta_bound=beta)
 
 
 _BOOL = {"true": True, "1": True, "yes": True, "on": True,
@@ -165,9 +143,11 @@ def _field_kinds():
 
 
 def parse_config(path=None, overrides=None):
-    """Build a validated RunConfig from an optional key=value file plus
-    overrides.  Section headers like [solver] are allowed as grouping sugar;
-    keys are global.  Unknown keys are rejected with their location."""
+    """Build a RunConfig from an optional key=value file plus overrides.
+    Section headers like [solver] are allowed as grouping sugar; keys are
+    global.  Unknown keys and unparsable values are rejected with their
+    location, and ``validate`` checks ``problem`` and ``sigma_scaling``;
+    the records and functions that use the other keys check them."""
     cfg = RunConfig()
     kinds = _field_kinds()
     if path is not None:

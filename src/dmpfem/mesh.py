@@ -76,6 +76,14 @@ def _offsets(counts):
     return ptr
 
 
+def row_positions(indptr, rows):
+    """Data positions of the stored entries of ``rows`` of a CSR structure."""
+    start = indptr[rows]
+    count = indptr[rows + 1] - start
+    return (np.repeat(start - np.cumsum(count) + count, count)
+            + np.arange(count.sum()))
+
+
 def _runs(ptr, rows):
     """Concatenated CSR runs ptr[r]:ptr[r+1] of the given rows.
 
@@ -83,10 +91,8 @@ def _runs(ptr, rows):
     position of each entry, and where each run begins in the concatenation.
     """
     counts = ptr[rows + 1] - ptr[rows]
-    starts = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(rows.size), counts)
-    pos = np.arange(owner.size) - starts[owner] + ptr[rows][owner]
-    return owner, pos, starts
+    return owner, row_positions(ptr, rows), np.cumsum(counts) - counts
 
 
 def _first_true(mask, starts):

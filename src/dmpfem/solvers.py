@@ -98,6 +98,8 @@ def _iterate(sys, u0, step, tol, k_max, project):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if k_max < 1:
+        raise ValueError("k_max must be positive")
     bounds = getattr(sys, "bounds", None)
     if project and bounds is None:
         raise ValueError("projection requested without admissible bounds")

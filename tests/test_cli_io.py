@@ -1,4 +1,10 @@
 import os
+import subprocess
+import sys
+import tomllib
+from dataclasses import fields
+from importlib import import_module
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +15,8 @@ from dmpfem.io import (ConfigError, RunConfig, parse_config, read_field,
                        write_field, write_log, write_table)
 from dmpfem.mesh import build_structured
 from dmpfem.solvers import SolverReport
+from dmpfem.stabilization import StabParams
+from dmpfem.timeloop import TimeConfig
 
 
 def test_parse_minimal_config_applies_defaults(tmp_path):
@@ -42,12 +50,25 @@ def test_parse_rejects_unknown_key(tmp_path):
 
 
 def test_parse_rejects_bad_values():
-    with pytest.raises(ConfigError, match="q must be positive"):
-        parse_config(overrides={"q": "-1"})
+    # the records that use the other keys check them when the run is built
+    # (test_cli_invalid_option_exits_2)
     with pytest.raises(ConfigError, match="valid names"):
         parse_config(overrides={"problem": "NOPE"})
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(overrides={"junk": "1"})
+
+
+def test_run_config_defaults_are_the_records():
+    shared = ("q", "eps", "gamma", "detector", "mass", "solver", "projection",
+              "tol", "k_max", "m", "s_min", "omega0", "omega_min", "ls_tol")
+    declared = {f.name: f.default
+                for record in (StabParams, TimeConfig) for f in fields(record)}
+    # steady, dt and t_end stay None in RunConfig: resolved per problem
+    keys = {f.name for f in fields(RunConfig)} - {"steady", "dt", "t_end"}
+    assert keys & set(declared) == set(shared)
+    cfg = RunConfig()
+    for key in shared:
+        assert getattr(cfg, key) == declared[key], key
 
 
 def test_transient_defaults_resolved():
@@ -208,6 +229,48 @@ def test_cli_unknown_problem_exits_2(tmp_path, monkeypatch, capsys):
     code = run_cli(["run", "--problem", "NOPE"], tmp_path, monkeypatch)
     assert code == 2
     assert "valid names" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "--q", "-1"], "q must be positive"),
+    (["run", "--eps", "0", "--gamma", "0"],
+     "smooth detectors need eps > 0 or gamma > 0"),
+    (["run", "--problem", "THREE_BODY_ROTATION", "--dt", "1e-2",
+      "--t_end", "1e-3"], "t_end must be at least dt"),
+    (["run", "--solver", "newton", "--detector", "nonsmooth"],
+     "the exact Jacobian needs a smooth detector variant"),
+    (["table", "--qs", "-1", "--epss", "1e-2"], "q must be positive"),
+    (["converge", "--problem", "STEADY_PARABOLIC", "--sizes", "0,4"],
+     "nx and ny must be >= 1"),
+], ids=["run-q", "run-eps-gamma", "run-t_end", "run-newton-nonsmooth",
+        "table-qs", "converge-sizes"])
+def test_cli_invalid_option_exits_2(args, message, tmp_path, monkeypatch,
+                                    capsys):
+    """An invalid option exits 2 with the message of the check that owns
+    it, also where that check runs only when the run is built or used."""
+    code = run_cli(args + ["--nx", "8", "--ny", "8"], tmp_path, monkeypatch)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert message in err
+
+
+def test_cli_entry_point_as_a_shell_runs_it(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, DMPFEM_OUT=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dmpfem.cli", "run", "--q", "-1",
+         "--nx", "4", "--ny", "4"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "configuration error: q must be positive" in proc.stderr
+    # the installed `dmpfem` script is the same main
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text())
+    target = pyproject["project"]["scripts"]["dmpfem"]
+    module, _, name = target.partition(":")
+    assert getattr(import_module(module), name) is main
 
 
 def test_cli_converge(tmp_path, monkeypatch, capsys):

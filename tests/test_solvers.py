@@ -151,6 +151,10 @@ def test_anderson_validation():
         anderson_solve(sys, np.zeros(1), omega0=1.5)
     with pytest.raises(ValueError):
         anderson_solve(sys, np.zeros(1), tol=0.0)
+    with pytest.raises(ValueError, match="k_max must be positive"):
+        anderson_solve(sys, np.zeros(1), k_max=0)
+    with pytest.raises(ValueError, match="k_max must be positive"):
+        newton_solve(ScalarNewton(), np.array([3.0]), k_max=0)
     with pytest.raises(ValueError):
         anderson_solve(sys, np.zeros(1), project=True)
 
