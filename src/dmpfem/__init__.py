@@ -1,7 +1,7 @@
 """Monotonicity-preserving nonlinear stabilization for 2D FE transport."""
 
 from .assembly import (SparseOperator, VelocityModel, assemble_convection,
-                       assemble_forcing, assemble_mass, lumped_masses)
+                       assemble_forcing, assemble_mass)
 from .bench import (ProblemSpec, convergence_study, dmp_audit, error_norms,
                     local_dmp_audit, make_problem)
 from .mesh import Mesh2D, P1, Q1, build_structured
@@ -23,7 +23,7 @@ __all__ = [
     "assemble_convection", "assemble_forcing", "assemble_mass",
     "assemble_nonlinear_mass", "build_structured", "convergence_study",
     "detector_values", "dmp_audit", "error_norms", "limiter_f", "line_search",
-    "local_dmp_audit", "lumped_masses", "make_problem", "newton_solve",
+    "local_dmp_audit", "make_problem", "newton_solve",
     "project_admissible", "run_steady", "run_transient", "smooth_abs_lower",
     "smooth_abs_upper", "smooth_max", "step_backward_euler", "viscosity",
     "viscosity_symmetric_mass",

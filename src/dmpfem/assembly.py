@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import P1, Q1, row_positions, shape_functions
+from .mesh import P1, Q1, shape_functions
 
 # 2-point Gauss nodes on [0, 1]
 _G2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
@@ -213,12 +213,6 @@ def _mass(mesh):
     return mesh.cached("mass", build)
 
 
-def lumped_masses(mesh):
-    """Row sums of the consistent mass: m_i = integral of phi_i (cached,
-    read-only)."""
-    return _mass(mesh)[1]
-
-
 @dataclass(frozen=True)
 class VelocityModel:
     """Characteristic (group) velocity of the flux, as used in assembly.
@@ -226,8 +220,10 @@ class VelocityModel:
     ``velocity(x, y, w)`` returns the flux derivative d f/d u evaluated at
     state w; for linear transport that is the transport field itself, for the
     quadratic Burgers flux it is (w, w).  ``dvelocity_dw`` is its state
-    derivative, used by the exact Jacobian.  ``beta_bound`` bounds |f'| over
-    the admissible states and scales the smooth-max parameter.
+    derivative, used by the exact Jacobian; it is None for a linear model,
+    whose derivative kernels return before they would call it.
+    ``beta_bound`` bounds |f'| over the admissible states and scales the
+    smooth-max parameter.
     """
 
     velocity: callable
@@ -237,10 +233,8 @@ class VelocityModel:
 
     @classmethod
     def linear(cls, vfun, beta_bound):
-        zero = lambda x, y, w: (np.zeros_like(np.asarray(w, dtype=float)),
-                                np.zeros_like(np.asarray(w, dtype=float)))
         return cls(velocity=lambda x, y, w: vfun(x, y),
-                   dvelocity_dw=zero, is_linear=True, beta_bound=beta_bound)
+                   dvelocity_dw=None, is_linear=True, beta_bound=beta_bound)
 
     @classmethod
     def burgers(cls, beta_bound=np.sqrt(2.0)):

@@ -233,11 +233,12 @@ def _reference_subcell_rule(kind, refine):
     return np.array(pts), np.array(wts)
 
 
-# elements per block of the refined error quadrature
+# elements per block and subdivisions per edge of the refined error quadrature
 _NORM_BLOCK = 1024
+_NORM_REFINE = 4
 
 
-def error_norms(mesh, u, exact, region=OMEGA, inflow_where=None, refine=4):
+def error_norms(mesh, u, exact, region=OMEGA, inflow_where=None):
     """(L1, L2) norms of u_h - exact over the domain or the outflow boundary.
 
     The domain integral uses an element-subdivided Gauss rule so that
@@ -252,7 +253,7 @@ def error_norms(mesh, u, exact, region=OMEGA, inflow_where=None, refine=4):
         # integrands w |e| and w |e|^2 by blocks of elements, summed whole:
         # the values of one pass over all elements, a fraction of its
         # temporaries
-        loc, frac = _reference_subcell_rule(mesh.kind, refine)
+        loc, frac = _reference_subcell_rule(mesh.kind, _NORM_REFINE)
         shape, _ = shape_functions(mesh.kind, loc[:, 0], loc[:, 1])
         wts = mesh.element_areas()[:, None] * frac
         w1 = np.empty_like(wts)

@@ -29,17 +29,6 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
-def _add_config_flags(parser):
-    parser.add_argument("--config", help="key=value configuration file")
-    for f in fields(RunConfig):
-        parser.add_argument(f"--{f.name}", default=None, help=argparse.SUPPRESS)
-
-
-def _collect_overrides(args):
-    return {f.name: getattr(args, f.name) for f in fields(RunConfig)
-            if getattr(args, f.name, None) is not None}
-
-
 def _time_config(cfg, problem, h, **stepping):
     """TimeConfig, with its StabParams, of a run on mesh size h; ``stepping``
     sets steady/dt/t_end.  The records check the values they are given."""
@@ -56,12 +45,17 @@ def _time_config(cfg, problem, h, **stepping):
 
 
 def _build_case(cfg):
+    """(problem, mesh) of a configuration."""
     problem = make_problem(cfg.problem)
-    mesh = build_structured(cfg.nx, cfg.ny, domain=problem.domain,
-                            kind=cfg.element)
-    tc = _time_config(cfg, problem, mesh.h_mean, dt=cfg.dt, t_end=cfg.t_end,
-                      steady=cfg.steady)
-    return mesh, problem, tc
+    return problem, build_structured(cfg.nx, cfg.ny, domain=problem.domain,
+                                     kind=cfg.element)
+
+
+def _output_dir(cfg):
+    """The output directory, created once the command's configs are built."""
+    outdir = dio.output_dir(cfg)
+    os.makedirs(outdir, exist_ok=True)
+    return outdir
 
 
 def _sci(x):
@@ -72,12 +66,12 @@ def _sci(x):
 # subcommands
 # ----------------------------------------------------------------------
 
-def cmd_run(args):
-    cfg = parse_config(args.config, _collect_overrides(args))
+def cmd_run(cfg, args):
     dio.echo_config(cfg, sys.stdout)
-    mesh, problem, tc = _build_case(cfg)
-    outdir = dio.output_dir(cfg)
-    os.makedirs(outdir, exist_ok=True)
+    problem, mesh = _build_case(cfg)
+    tc = _time_config(cfg, problem, mesh.h_mean, dt=cfg.dt, t_end=cfg.t_end,
+                      steady=cfg.steady)
+    outdir = _output_dir(cfg)
 
     if cfg.steady:
         u, report = run_steady(mesh, problem, tc)
@@ -112,21 +106,28 @@ def cmd_run(args):
     return EXIT_OK
 
 
-def _table_row(cfg, q, eps):
-    """One sweep row: both solvers, with and without projection."""
-    row = {"q": q, "eps": eps}
-    base = replace(cfg, q=q, eps=eps)
-    nonsmooth = eps == 0.0
-    u_best = None
-    mesh = problem = None
+# the sweep's solver columns; eps = 0 rows take the non-smooth detector and
+# the Anderson columns only
+_TABLE_COLUMNS = (("iters_A", ANDERSON, False), ("iters_Ap", ANDERSON, True),
+                  ("iters_N", NEWTON, False), ("iters_Np", NEWTON, True))
 
-    solver_cols = [("iters_A", ANDERSON, False), ("iters_Ap", ANDERSON, True)]
-    if not nonsmooth:
-        solver_cols += [("iters_N", NEWTON, False), ("iters_Np", NEWTON, True)]
-    for col, solver, project in solver_cols:
-        case = replace(base, solver=solver, projection=project,
-                       detector=stab.NONSMOOTH if nonsmooth else base.detector)
-        mesh, problem, tc = _build_case(case)
+
+def _table_columns(cfg, problem, h, q, eps):
+    """(column, TimeConfig) of each solver column of one sweep row."""
+    nonsmooth = eps == 0.0
+    base = replace(cfg, q=q, eps=eps,
+                   detector=stab.NONSMOOTH if nonsmooth else cfg.detector)
+    return [(col, _time_config(replace(base, solver=solver, projection=project),
+                               problem, h, steady=True))
+            for col, solver, project in _TABLE_COLUMNS[:2 if nonsmooth else 4]]
+
+
+def _table_row(problem, mesh, q, eps, columns):
+    """One sweep row: iterations per solver column, and the errors of the
+    last converged solution."""
+    row = {"q": q, "eps": eps}
+    u_best = None
+    for col, tc in columns:
         u, report = run_steady(mesh, problem, tc)
         row[col] = report.iterations if report.converged else None
         if report.converged:
@@ -139,32 +140,34 @@ def _table_row(cfg, q, eps):
     return row
 
 
-def cmd_table(args):
-    cfg = parse_config(args.config, _collect_overrides(args))
+def cmd_table(cfg, args):
+    if not cfg.steady:
+        raise ConfigError(f"table sweeps steady solves; {cfg.problem} is "
+                          f"configured transient")
     qs = [float(s) for s in args.qs.split(",")]
     epss = [float(s) for s in args.epss.split(",")]
     if args.include_eps0:
         epss = epss + [0.0]
+    problem, mesh = _build_case(cfg)
+    sweep = [(q, eps, _table_columns(cfg, problem, mesh.h_mean, q, eps))
+             for q in qs for eps in epss]
+    outdir = _output_dir(cfg)
     rows = []
     print("q     eps       A     Ap    N     Np    L1        L2")
-    for q in qs:
-        for eps in epss:
-            row = _table_row(cfg, q, eps)
-            rows.append(row)
-            print(f"{q:<5g} {_sci(eps):<9} "
-                  f"{row.get('iters_A') or '--':<5} {row.get('iters_Ap') or '--':<5} "
-                  f"{row.get('iters_N') or '--':<5} {row.get('iters_Np') or '--':<5} "
-                  f"{_sci(row.get('L1')):<9} {_sci(row.get('L2'))}")
-    outdir = dio.output_dir(cfg)
-    os.makedirs(outdir, exist_ok=True)
+    for q, eps, columns in sweep:
+        row = _table_row(problem, mesh, q, eps, columns)
+        rows.append(row)
+        print(f"{q:<5g} {_sci(eps):<9} "
+              f"{row.get('iters_A') or '--':<5} {row.get('iters_Ap') or '--':<5} "
+              f"{row.get('iters_N') or '--':<5} {row.get('iters_Np') or '--':<5} "
+              f"{_sci(row.get('L1')):<9} {_sci(row.get('L2'))}")
     path = os.path.join(outdir, "table.csv")
     dio.write_table(rows, path)
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_converge(args):
-    cfg = parse_config(args.config, _collect_overrides(args))
+def cmd_converge(cfg, args):
     sizes = [int(s) for s in args.sizes.split(",")]
     problem = make_problem(cfg.problem)
     if problem.exact is None:
@@ -179,21 +182,17 @@ def cmd_converge(args):
         # no order on the coarsest mesh; float() keeps repr free of np.float64
         print(f"{h:<11.4e} {l2:<11.4e} {'' if k == 0 else f'{order:.3f}'}")
         lines.append(f"{h!r},{l2!r},{'' if k == 0 else repr(float(order))}")
-    outdir = dio.output_dir(cfg)
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "converge.csv")
+    # the study builds each mesh's TimeConfig, so the directory follows it
+    path = os.path.join(_output_dir(cfg), "converge.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_audit(args):
-    cfg = parse_config(args.config, _collect_overrides(args))
+def cmd_audit(cfg, args):
     coords, values = dio.read_field(args.field)
-    problem = make_problem(cfg.problem)
-    mesh = build_structured(cfg.nx, cfg.ny, domain=problem.domain,
-                            kind=cfg.element)
+    problem, mesh = _build_case(cfg)
     if mesh.n_nodes != len(values):
         raise ConfigError(
             f"field has {len(values)} nodes but the configured mesh has "
@@ -215,27 +214,26 @@ def build_parser():
         description="Monotonicity-preserving stabilized FE transport benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="solve one configured case")
-    _add_config_flags(p_run)
-    p_run.set_defaults(func=cmd_run)
+    def command(name, func, help):
+        """Subcommand with --config and a flag per RunConfig key."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="key=value configuration file")
+        for f in fields(RunConfig):
+            default = "per problem" if f.default is None else f.default
+            p.add_argument(f"--{f.name}", help=f"default: {default}")
+        return p
 
-    p_table = sub.add_parser("table", help="sweep q x eps over both solvers")
-    _add_config_flags(p_table)
+    command("run", cmd_run, "solve one configured case")
+    p_table = command("table", cmd_table, "sweep q x eps over both solvers")
     p_table.add_argument("--qs", default="1,4,8,25")
     p_table.add_argument("--epss", default="1e-1,1e-2,1e-3,1e-4")
     p_table.add_argument("--include-eps0", action="store_true",
                          help="append the non-smooth eps=0 rows (Anderson only)")
-    p_table.set_defaults(func=cmd_table)
-
-    p_conv = sub.add_parser("converge", help="mesh-refinement study")
-    _add_config_flags(p_conv)
+    p_conv = command("converge", cmd_converge, "mesh-refinement study")
     p_conv.add_argument("--sizes", default="12,24,48,96")
-    p_conv.set_defaults(func=cmd_converge)
-
-    p_audit = sub.add_parser("audit", help="re-check DMP bounds on a saved field")
-    _add_config_flags(p_audit)
+    p_audit = command("audit", cmd_audit, "re-check DMP bounds on a saved field")
     p_audit.add_argument("field", help="VTK field file written by `run`")
-    p_audit.set_defaults(func=cmd_audit)
     return parser
 
 
@@ -243,7 +241,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # parse_config skips the flags left at None
+        cfg = parse_config(args.config, {f.name: getattr(args, f.name)
+                                         for f in fields(RunConfig)})
+        return args.func(cfg, args)
     except ValueError as exc:     # ConfigError and every owner's check
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import SparseOperator, pattern, row_positions
-from .mesh import row_norms
+from .assembly import SparseOperator, pattern
+from .mesh import row_norms, row_positions
 
 NONSMOOTH = "nonsmooth"
 SIMPLIFIED = "simplified"

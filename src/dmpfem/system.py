@@ -70,8 +70,8 @@ from . import stabilization as stab
 from .assembly import (SparseOperator, _linear_convection, _mass,
                        assemble_convection,
                        assemble_convection_state_derivative,
-                       convection_entry_derivative_tensor, pattern,
-                       row_positions)
+                       convection_entry_derivative_tensor, pattern)
+from .mesh import row_positions
 
 
 class SingularSystemError(RuntimeError):
@@ -379,9 +379,6 @@ class ResidualSystem:
         become identity rows by index.
         """
         galerkin = self.params.detector == stab.GALERKIN
-        if not (galerkin or self.params.is_smooth):
-            raise ValueError(
-                "the exact Jacobian needs a smooth detector variant")
         u = np.asarray(u, dtype=float)
         pat = self.pattern
         F = self.convection(u)
@@ -444,13 +441,12 @@ class ResidualSystem:
         """Pattern data of rows sum_j du_ij [w_a alpha_i dF_ij/du
         + w_b alpha_j dF_ji/du], summed element by element."""
         pat = self.pattern
-        w1_data = np.zeros(pat.nnz)
-        w1_data[pat.edge_pos] = W1
-        w2_data = np.zeros(pat.nnz)
-        w2_data[pat.edge_pos] = W2
+        zeros = np.zeros(pat.n)
+        w1, w2 = (stab._edge_operator(pat, W, diag=zeros).data
+                  for W in (W1, W2))
         emap = pat.element_map
-        contrib = np.einsum("eab,eabc->eac", w1_data[emap], T3)
-        contrib += np.einsum("eab,ebac->eac", w2_data[emap], T3)
+        contrib = np.einsum("eab,eabc->eac", w1[emap], T3)
+        contrib += np.einsum("eab,ebac->eac", w2[emap], T3)
         return np.bincount(emap.ravel(), weights=contrib.ravel(),
                            minlength=pat.nnz)
 

@@ -41,6 +41,9 @@ class TimeConfig:
     def __post_init__(self):
         if self.solver not in (ANDERSON, NEWTON):
             raise ValueError(f"unknown solver {self.solver!r}")
+        if self.solver == NEWTON and not (
+                self.stab.is_smooth or self.stab.detector == stab.GALERKIN):
+            raise ValueError("the exact Jacobian needs a smooth detector variant")
         if not self.steady:
             if self.dt is None or self.dt <= 0:
                 raise ValueError("transient runs need dt > 0")
@@ -91,7 +94,17 @@ def forcing_vector(mesh, problem):
     return assemble_forcing(mesh, g)
 
 
-def _solve(sys, u_init, cfg):
+def _solve(mesh, problem, cfg, t, g, bounds, u_old=None):
+    """A backward-Euler step to t from ``u_old``, or with ``u_old=None`` the
+    steady solve from zero; the guess takes the Dirichlet data at t."""
+    bc = dirichlet_bc(mesh, problem, t)
+    steady = u_old is None
+    sys = ResidualSystem(mesh, problem.velocity, cfg.stab, g=g, dirichlet=bc,
+                         dt=None if steady else cfg.dt, u_old=u_old,
+                         bounds=bounds)
+    u_init = np.zeros(mesh.n_nodes) if steady else \
+        np.asarray(u_old, dtype=float).copy()
+    u_init[bc.nodes] = bc.values
     if cfg.solver == NEWTON:
         return newton_solve(sys, u_init, tol=cfg.tol, k_max=cfg.k_max,
                             project=cfg.projection, ls_tol=cfg.ls_tol)
@@ -104,16 +117,11 @@ def _solve(sys, u_init, cfg):
 def step_backward_euler(mesh, problem, u_n, t_next, cfg, g=None, bounds=None):
     """Advance one implicit step; the initial guess is the previous state
     with the new Dirichlet data imposed."""
-    bc = dirichlet_bc(mesh, problem, t_next)
     if g is None:
         g = forcing_vector(mesh, problem)
     if bounds is None:
         bounds = admissible_bounds(mesh, problem, steady=False)
-    sys = ResidualSystem(mesh, problem.velocity, cfg.stab, g=g, dirichlet=bc,
-                         dt=cfg.dt, u_old=u_n, bounds=bounds)
-    u_init = np.asarray(u_n, dtype=float).copy()
-    u_init[bc.nodes] = bc.values
-    return _solve(sys, u_init, cfg)
+    return _solve(mesh, problem, cfg, t_next, g, bounds, u_old=u_n)
 
 
 def run_transient(mesh, problem, cfg):
@@ -123,6 +131,8 @@ def run_transient(mesh, problem, cfg):
     """
     if cfg.steady:
         raise ValueError("transient driver called with a steady config")
+    if getattr(problem, "u0", None) is None:
+        raise ValueError("a transient run needs the problem's initial data")
     x, y = mesh.coords[:, 0], mesh.coords[:, 1]
     u = np.asarray(problem.u0(x, y), dtype=float).copy()
     bc0 = dirichlet_bc(mesh, problem, 0.0)
@@ -135,7 +145,6 @@ def run_transient(mesh, problem, cfg):
                              min_series=[float(np.min(u))], bounds=bounds)
 
     n_steps = int(round(cfg.t_end / cfg.dt))
-    t = 0.0
     for n in range(n_steps):
         t = (n + 1) * cfg.dt
         u, report = step_backward_euler(mesh, problem, u, t, cfg,
@@ -156,11 +165,5 @@ def run_steady(mesh, problem, cfg):
 
     The initial guess extends the inflow data by zero into the interior.
     """
-    bc = dirichlet_bc(mesh, problem, 0.0)
-    g = forcing_vector(mesh, problem)
-    bounds = admissible_bounds(mesh, problem, steady=True)
-    sys = ResidualSystem(mesh, problem.velocity, cfg.stab, g=g, dirichlet=bc,
-                         dt=None, bounds=bounds)
-    u_init = np.zeros(mesh.n_nodes)
-    u_init[bc.nodes] = bc.values
-    return _solve(sys, u_init, cfg)
+    return _solve(mesh, problem, cfg, 0.0, forcing_vector(mesh, problem),
+                  admissible_bounds(mesh, problem, steady=True))

@@ -11,7 +11,8 @@ import scipy.sparse as sp
 
 from dmpfem import stabilization as stab
 from dmpfem.assembly import (assemble_convection_state_derivative,
-                             convection_entry_derivative_tensor, row_positions)
+                             convection_entry_derivative_tensor)
+from dmpfem.mesh import row_positions
 from dmpfem.system import _without_zeros
 
 

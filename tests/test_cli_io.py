@@ -231,28 +231,46 @@ def test_cli_unknown_problem_exits_2(tmp_path, monkeypatch, capsys):
     assert "valid names" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args, message", [
-    (["run", "--q", "-1"], "q must be positive"),
+@pytest.mark.parametrize("args, message, solved", [
+    (["run", "--q", "-1"], "q must be positive", False),
     (["run", "--eps", "0", "--gamma", "0"],
-     "smooth detectors need eps > 0 or gamma > 0"),
+     "smooth detectors need eps > 0 or gamma > 0", False),
     (["run", "--problem", "THREE_BODY_ROTATION", "--dt", "1e-2",
-      "--t_end", "1e-3"], "t_end must be at least dt"),
+      "--t_end", "1e-3"], "t_end must be at least dt", False),
     (["run", "--solver", "newton", "--detector", "nonsmooth"],
-     "the exact Jacobian needs a smooth detector variant"),
-    (["table", "--qs", "-1", "--epss", "1e-2"], "q must be positive"),
+     "the exact Jacobian needs a smooth detector variant", False),
+    (["run", "--problem", "STEADY_PARABOLIC", "--steady", "false"],
+     "a transient run needs the problem's initial data", True),
+    (["table", "--qs", "-1", "--epss", "1e-2"], "q must be positive", False),
+    (["table", "--problem", "THREE_BODY_ROTATION", "--qs", "1",
+      "--epss", "1e-1"], "table sweeps steady solves", False),
     (["converge", "--problem", "STEADY_PARABOLIC", "--sizes", "0,4"],
-     "nx and ny must be >= 1"),
+     "nx and ny must be >= 1", False),
 ], ids=["run-q", "run-eps-gamma", "run-t_end", "run-newton-nonsmooth",
-        "table-qs", "converge-sizes"])
-def test_cli_invalid_option_exits_2(args, message, tmp_path, monkeypatch,
-                                    capsys):
+        "run-steady-problem-transient", "table-qs", "table-transient",
+        "converge-sizes"])
+def test_cli_invalid_option_exits_2(args, message, solved, tmp_path,
+                                    monkeypatch, capsys):
     """An invalid option exits 2 with the message of the check that owns
-    it, also where that check runs only when the run is built or used."""
+    it, also where that check runs only when the run is built or used.
+    Only a check made by the solve itself follows the output directory."""
     code = run_cli(args + ["--nx", "8", "--ny", "8"], tmp_path, monkeypatch)
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert message in err
+    assert (tmp_path / "out").exists() == solved
+
+
+def test_cli_help_lists_every_config_key(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "-h"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "--nx" in out and "--sigma_scaling" in out
+    for f in fields(RunConfig):
+        assert f"--{f.name}" in out
+    assert "default: 48" in out and "default: beta" in out
 
 
 def test_cli_entry_point_as_a_shell_runs_it(tmp_path):
@@ -313,6 +331,31 @@ def test_cli_table_small_grid(tmp_path, monkeypatch):
         cells = line.split(",")
         assert all(cells[2:6])      # all four solver columns ran
         assert float(cells[6]) > 0
+
+
+def test_cli_table_builds_one_mesh(tmp_path, monkeypatch):
+    from dmpfem import cli
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_structured(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_structured", counting)
+    code = run_cli(["table", "--problem", "STRAIGHT_DISCONTINUITY",
+                    "--nx", "8", "--ny", "8", "--qs", "1,4",
+                    "--epss", "1e-1", "--k_max", "300"],
+                   tmp_path, monkeypatch)
+    assert code == 0
+    assert calls == [(8, 8)]        # 2 q-values x 1 eps x 4 solver columns
+
+
+def test_the_config_path_to_a_solve_is_written_once():
+    # every command parses its config in main, and run_steady and
+    # step_backward_euler build their system in one set-up
+    src = Path(__file__).resolve().parent.parent / "src" / "dmpfem"
+    assert (src / "cli.py").read_text().count("parse_config(") == 1
+    assert (src / "timeloop.py").read_text().count("ResidualSystem(") == 1
 
 
 def test_cli_table_eps0_rows(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,25 @@ def test_config_validation():
         TimeConfig(stab=p, steady=False, dt=None, t_end=1.0)
     with pytest.raises(ValueError):
         TimeConfig(stab=p, steady=False, dt=0.1, t_end=0.05)
+
+
+@pytest.mark.parametrize("detector", [stab.NONSMOOTH, stab.SIMPLIFIED])
+def test_newton_needs_a_detector_with_an_exact_jacobian(detector):
+    p = StabParams(q=4.0, eps=0.0, gamma=0.0, detector=detector)
+    with pytest.raises(ValueError, match="smooth detector variant"):
+        TimeConfig(stab=p, steady=True, solver="newton")
+    # Anderson takes no Jacobian
+    assert TimeConfig(stab=p, steady=True, solver="anderson").stab is p
+    for ok in (stab.SMOOTH, stab.GALERKIN):
+        TimeConfig(stab=replace(p, detector=ok, eps=1e-4), steady=True,
+                   solver="newton")
+
+
+def test_transient_run_needs_initial_data():
+    prob = make_problem("STEADY_PARABOLIC")
+    cfg = TimeConfig(stab=smooth_params(), dt=0.1, t_end=0.2)
+    with pytest.raises(ValueError, match="initial data"):
+        run_transient(build_structured(3, 3), prob, cfg)
 
 
 def test_solver_failure_propagates_with_step_index():
