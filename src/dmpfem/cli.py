@@ -102,7 +102,10 @@ def cmd_run(cfg, args):
     if not all(r.converged for r in reports):
         print("solver did not converge", file=sys.stderr)
         return EXIT_SOLVER
-    print(f"iterations: {reports[-1].iterations}")
+    # a transient run's total is followed by each step's count
+    its = [r.iterations for r in reports]
+    steps = "" if cfg.steady else f" ({','.join(map(str, its))})"
+    print(f"iterations: {sum(its)}{steps}")
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import stabilization as stab
 from .bench import PROBLEM_NAMES, make_problem
 from .mesh import Q1
-from .timeloop import TimeConfig
+from .timeloop import TimeConfig, require_initial_data
 
 TABLE_HEADER = "q,eps,iters_A,iters_Ap,iters_N,iters_Np,L1,L1_out,L2,L2_out"
 LOG_HEADER = "iter,nlerr,dmp_max_viol,dmp_min_viol,omega_or_xi"
@@ -79,11 +79,13 @@ class RunConfig:
         return self
 
     def resolve(self):
-        """Fill problem-dependent defaults (steady flag, time step)."""
+        """Fill problem-dependent defaults (steady flag, time step); a
+        transient configuration needs the problem's initial data."""
         problem = make_problem(self.problem)
         if self.steady is None:
             self.steady = problem.steady
         if not self.steady:
+            require_initial_data(problem)
             if self.dt is None:
                 self.dt = problem.default_dt or 1e-3
             if self.t_end is None:

@@ -87,6 +87,13 @@ def admissible_bounds(mesh, problem, steady):
     return AdmissibleBounds(lower=float(np.min(allv)), upper=float(np.max(allv)))
 
 
+def require_initial_data(problem):
+    """ValueError unless the problem has the initial data of a transient
+    run."""
+    if getattr(problem, "u0", None) is None:
+        raise ValueError("a transient run needs the problem's initial data")
+
+
 def forcing_vector(mesh, problem):
     g = getattr(problem, "g", None)
     if g is None:
@@ -94,16 +101,19 @@ def forcing_vector(mesh, problem):
     return assemble_forcing(mesh, g)
 
 
-def _solve(mesh, problem, cfg, t, g, bounds, u_old=None):
+def _solve(mesh, problem, cfg, t, g, bounds, u_old=None, u_guess=None):
     """A backward-Euler step to t from ``u_old``, or with ``u_old=None`` the
-    steady solve from zero; the guess takes the Dirichlet data at t."""
+    steady solve.  The solver starts from ``u_guess`` (by default ``u_old``,
+    or zero when steady) with the Dirichlet data at t imposed; the system
+    takes ``u_old`` whatever the guess."""
     bc = dirichlet_bc(mesh, problem, t)
     steady = u_old is None
     sys = ResidualSystem(mesh, problem.velocity, cfg.stab, g=g, dirichlet=bc,
                          dt=None if steady else cfg.dt, u_old=u_old,
                          bounds=bounds)
-    u_init = np.zeros(mesh.n_nodes) if steady else \
-        np.asarray(u_old, dtype=float).copy()
+    if u_guess is None:
+        u_guess = np.zeros(mesh.n_nodes) if steady else u_old
+    u_init = np.asarray(u_guess, dtype=float).copy()
     u_init[bc.nodes] = bc.values
     if cfg.solver == NEWTON:
         return newton_solve(sys, u_init, tol=cfg.tol, k_max=cfg.k_max,
@@ -114,25 +124,30 @@ def _solve(mesh, problem, cfg, t, g, bounds, u_old=None):
                           project=cfg.projection)
 
 
-def step_backward_euler(mesh, problem, u_n, t_next, cfg, g=None, bounds=None):
-    """Advance one implicit step; the initial guess is the previous state
-    with the new Dirichlet data imposed."""
+def step_backward_euler(mesh, problem, u_n, t_next, cfg, g=None, bounds=None,
+                        u_guess=None):
+    """Advance one implicit step from ``u_n``.  The solver starts from
+    ``u_guess``, by default ``u_n``, with the new Dirichlet data imposed."""
     if g is None:
         g = forcing_vector(mesh, problem)
     if bounds is None:
         bounds = admissible_bounds(mesh, problem, steady=False)
-    return _solve(mesh, problem, cfg, t_next, g, bounds, u_old=u_n)
+    return _solve(mesh, problem, cfg, t_next, g, bounds, u_old=u_n,
+                  u_guess=u_guess)
 
 
 def run_transient(mesh, problem, cfg):
     """Backward-Euler march to t_end with per-step extremum audits.
 
+    Step 1 starts the solver from u^0.  Every later step starts it from the
+    linear extrapolation 2u^n - u^(n-1), clipped to the admissible bounds;
+    the step itself is still from u^n.
+
     Raises RuntimeError at the first step whose solve does not converge.
     """
     if cfg.steady:
         raise ValueError("transient driver called with a steady config")
-    if getattr(problem, "u0", None) is None:
-        raise ValueError("a transient run needs the problem's initial data")
+    require_initial_data(problem)
     x, y = mesh.coords[:, 0], mesh.coords[:, 1]
     u = np.asarray(problem.u0(x, y), dtype=float).copy()
     bc0 = dirichlet_bc(mesh, problem, 0.0)
@@ -145,10 +160,14 @@ def run_transient(mesh, problem, cfg):
                              min_series=[float(np.min(u))], bounds=bounds)
 
     n_steps = int(round(cfg.t_end / cfg.dt))
+    u_prev = None
     for n in range(n_steps):
         t = (n + 1) * cfg.dt
-        u, report = step_backward_euler(mesh, problem, u, t, cfg,
-                                        g=g, bounds=bounds)
+        guess = None if u_prev is None else \
+            np.clip(2.0 * u - u_prev, bounds.lower, bounds.upper)
+        u_prev = u
+        u, report = step_backward_euler(mesh, problem, u, t, cfg, g=g,
+                                        bounds=bounds, u_guess=guess)
         if not report.converged:
             why = report.failure or f"no convergence in {report.iterations} iterations"
             raise RuntimeError(f"step {n + 1} (t={t:g}) failed: {why}")

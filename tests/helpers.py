@@ -1,11 +1,14 @@
 """Routines that only the tests use: a graph seminorm, the edge dissipation,
-a single-fan P1 patch, the symmetric points of a mesh and index maps of an
-adjacency ``Pattern``."""
+a single-fan P1 patch, the symmetric points of a mesh, index maps of an
+adjacency ``Pattern`` and a backward-Euler march from the previous state."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from dmpfem.assembly import pattern
 from dmpfem.mesh import P1, Mesh2D
+from dmpfem.timeloop import admissible_bounds, dirichlet_bc, step_backward_euler
 
 
 def graph_seminorm(mesh, w):
@@ -61,3 +64,20 @@ def position(pat, i, j):
     if not np.array_equal(keys[np.minimum(pos, pat.nnz - 1)], key):
         raise KeyError((i, j))
     return pos
+
+
+def march_from_previous_state(mesh, problem, cfg):
+    """The final ``u`` and the step ``reports`` of ``run_transient``'s march
+    with every step's solver started from u^n, as it was before the
+    extrapolated guess."""
+    u = np.asarray(problem.u0(mesh.coords[:, 0], mesh.coords[:, 1]),
+                   dtype=float).copy()
+    bc = dirichlet_bc(mesh, problem, 0.0)
+    u[bc.nodes] = bc.values
+    bounds = admissible_bounds(mesh, problem, steady=False)
+    reports = []
+    for n in range(int(round(cfg.t_end / cfg.dt))):
+        u, report = step_backward_euler(mesh, problem, u, (n + 1) * cfg.dt,
+                                        cfg, bounds=bounds)
+        reports.append(report)
+    return SimpleNamespace(u=u, reports=reports)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tomllib
@@ -222,7 +223,21 @@ def test_cli_run_parabolic(tmp_path, monkeypatch, capsys):
     assert (out / "log.csv").exists()
     captured = capsys.readouterr().out
     assert "errors:" in captured
-    assert "iterations:" in captured
+    # a steady run prints its one solve's count
+    assert re.search(r"^iterations: \d+$", captured, re.MULTILINE)
+
+
+def test_cli_transient_run_prints_each_step_iterations(tmp_path, monkeypatch,
+                                                        capsys):
+    code = run_cli(["run", "--problem", "THREE_BODY_ROTATION", "--nx", "12",
+                    "--ny", "12", "--projection", "false", "--t_end", "3e-3"],
+                   tmp_path, monkeypatch)
+    assert code == 0
+    match = re.search(r"^iterations: (\d+) \((\d+(?:,\d+)*)\)$",
+                      capsys.readouterr().out, re.MULTILINE)
+    steps = [int(k) for k in match.group(2).split(",")]
+    assert len(steps) == 3
+    assert int(match.group(1)) == sum(steps)
 
 
 def test_cli_unknown_problem_exits_2(tmp_path, monkeypatch, capsys):
@@ -231,35 +246,35 @@ def test_cli_unknown_problem_exits_2(tmp_path, monkeypatch, capsys):
     assert "valid names" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args, message, solved", [
-    (["run", "--q", "-1"], "q must be positive", False),
+@pytest.mark.parametrize("args, message", [
+    (["run", "--q", "-1"], "q must be positive"),
     (["run", "--eps", "0", "--gamma", "0"],
-     "smooth detectors need eps > 0 or gamma > 0", False),
+     "smooth detectors need eps > 0 or gamma > 0"),
     (["run", "--problem", "THREE_BODY_ROTATION", "--dt", "1e-2",
-      "--t_end", "1e-3"], "t_end must be at least dt", False),
+      "--t_end", "1e-3"], "t_end must be at least dt"),
     (["run", "--solver", "newton", "--detector", "nonsmooth"],
-     "the exact Jacobian needs a smooth detector variant", False),
+     "the exact Jacobian needs a smooth detector variant"),
     (["run", "--problem", "STEADY_PARABOLIC", "--steady", "false"],
-     "a transient run needs the problem's initial data", True),
-    (["table", "--qs", "-1", "--epss", "1e-2"], "q must be positive", False),
+     "a transient run needs the problem's initial data"),
+    (["table", "--qs", "-1", "--epss", "1e-2"], "q must be positive"),
     (["table", "--problem", "THREE_BODY_ROTATION", "--qs", "1",
-      "--epss", "1e-1"], "table sweeps steady solves", False),
+      "--epss", "1e-1"], "table sweeps steady solves"),
     (["converge", "--problem", "STEADY_PARABOLIC", "--sizes", "0,4"],
-     "nx and ny must be >= 1", False),
+     "nx and ny must be >= 1"),
 ], ids=["run-q", "run-eps-gamma", "run-t_end", "run-newton-nonsmooth",
         "run-steady-problem-transient", "table-qs", "table-transient",
         "converge-sizes"])
-def test_cli_invalid_option_exits_2(args, message, solved, tmp_path,
-                                    monkeypatch, capsys):
+def test_cli_invalid_option_exits_2(args, message, tmp_path, monkeypatch,
+                                    capsys):
     """An invalid option exits 2 with the message of the check that owns
-    it, also where that check runs only when the run is built or used.
-    Only a check made by the solve itself follows the output directory."""
+    it, also where that check runs only when the run is built or used, and
+    before the output directory is created."""
     code = run_cli(args + ["--nx", "8", "--ny", "8"], tmp_path, monkeypatch)
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert message in err
-    assert (tmp_path / "out").exists() == solved
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_help_lists_every_config_key(capsys):

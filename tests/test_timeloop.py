@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dmpfem import stabilization as stab
+from dmpfem import timeloop
 from dmpfem.assembly import assemble_convection, assemble_mass
 from dmpfem.bench import make_problem
 from dmpfem.mesh import build_structured
@@ -43,6 +44,19 @@ class ZeroVelocityProblem(ConstantProblem):
     def u0(self, x, y):
         x = np.asarray(x, dtype=float)
         return np.sin(2 * np.pi * x) ** 2
+
+
+class RampInflowProblem(ConstantProblem):
+    """Initial data x^8 on [0, 1] and inflow data that rises to 1: the
+    extrapolation of the small values upstream falls below 0."""
+
+    def u_dirichlet(self, x, y, t):
+        shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
+        return np.full(shape, min(0.6 + 10.0 * t, 1.0))
+
+    def u0(self, x, y):
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(x ** 8, np.broadcast(x, np.asarray(y)).shape)
 
 
 def smooth_params(beta=1.0, mass=stab.GRADUAL_LUMPING):
@@ -145,6 +159,60 @@ def test_burgers_short_run_within_bounds():
     res = run_transient(mesh, prob, cfg)
     assert max(res.max_series) <= -(-0.8) + 1e-12
     assert min(res.min_series) >= -1.0 - 1e-12
+
+
+@pytest.mark.parametrize("solver", ["newton", "anderson"])
+def test_first_step_starts_from_the_initial_state(solver):
+    prob = make_problem("THREE_BODY_ROTATION")
+    mesh = build_structured(12, 12)
+    cfg = TimeConfig(stab=smooth_params(beta=prob.velocity.beta_bound),
+                     dt=1e-3, t_end=1e-3, solver=solver, projection=False,
+                     tol=1e-10)
+    res = run_transient(mesh, prob, cfg)
+    u0 = prob.u0(mesh.coords[:, 0], mesh.coords[:, 1])
+    bc = dirichlet_bc(mesh, prob, 0.0)
+    u0[bc.nodes] = bc.values
+    u1, rep = step_backward_euler(mesh, prob, u0, cfg.dt, cfg)
+    assert np.array_equal(res.u, u1)
+    assert res.reports == [rep]
+
+
+@pytest.mark.parametrize("solver", ["newton", "anderson"])
+def test_later_steps_start_from_the_clipped_extrapolation(solver,
+                                                          monkeypatch):
+    solve = getattr(timeloop, f"{solver}_solve")
+    calls = []
+
+    def spy(sys, u0, **kwargs):
+        u, report = solve(sys, u0, **kwargs)
+        calls.append((sys, np.array(u0), u))
+        return u, report
+
+    monkeypatch.setattr(timeloop, f"{solver}_solve", spy)
+    prob = RampInflowProblem()
+    mesh = build_structured(8, 8)
+    cfg = TimeConfig(stab=smooth_params(), dt=0.01, t_end=0.06,
+                     solver=solver, projection=False, tol=1e-10)
+    res = run_transient(mesh, prob, cfg)
+    lower, upper = res.bounds.lower, res.bounds.upper
+    assert (lower, upper) == (0.0, 1.0) and len(calls) == 6
+    states = [calls[0][0].u_old] + [u for _, _, u in calls]   # u^0 .. u^6
+    clipped = False
+    for n in range(1, 6):
+        sys, u_init, _ = calls[n]
+        # the system steps from u^n; only the solver's start moved
+        assert np.array_equal(sys.u_old, states[n])
+        assert not np.array_equal(u_init, states[n])
+        bc = dirichlet_bc(mesh, prob, (n + 1) * cfg.dt)
+        assert np.array_equal(u_init[bc.nodes], bc.values)
+        assert np.all((lower <= u_init) & (u_init <= upper))
+        guess = 2.0 * states[n] - states[n - 1]
+        free = np.setdiff1d(np.arange(mesh.n_nodes), bc.nodes)
+        assert np.array_equal(u_init[free],
+                              np.clip(guess, lower, upper)[free])
+        clipped |= bool(np.any(guess[free] < lower) or
+                        np.any(guess[free] > upper))
+    assert clipped
 
 
 def test_galerkin_fallback_reproduces_plain_be_step():
