@@ -50,6 +50,15 @@ class Pattern:
     ``indptr``/``indices`` are the mesh's CSR adjacency; the off-diagonal
     entries ``edge_pos`` are the mesh's node pairs, in the same order, so
     ``edge_rows``/``edge_cols`` are the mesh's ``pair_i``/``pair_j``.
+
+    Every edge is stored in both directions.  ``half_rows``/``half_cols``,
+    ``half_pos`` and ``half_transpose_pos`` are the i < j half of the edges,
+    in edge order, and ``edge_half`` maps each edge, (i, j) and (j, i)
+    alike, to its index in that half; a quantity symmetric in the edge's
+    two ends is computed once per half edge and gathered back through it.
+    ``row_sums`` adds each row of pattern data in storage order from +0.0,
+    as ``np.bincount`` over ``rows`` would.  These maps, ``csr_indices`` and
+    ``csr_indptr`` are read-only and in scipy's index dtype.
     """
 
     def __init__(self, mesh):
@@ -65,6 +74,8 @@ class Pattern:
         # pattern is symmetric: position of (j, i) for each stored edge (i, j)
         transpose_pos = np.lexsort((self.rows, self.cols))
         self.edge_transpose_pos = transpose_pos[self.edge_pos]
+        idx = sp.get_index_dtype(maxval=self.nnz)
+        self._build_half_edges(idx)
         # map element-local (a, b) pairs to data positions, for bincount
         # assembly; stored entries in row-major order are sorted by row*n + col
         keys = self.rows * n + self.cols
@@ -76,15 +87,41 @@ class Pattern:
             raise KeyError("an element node pair is not in the pattern")
         # index arrays in scipy's dtype that every CSR view of pattern data
         # shares; read-only, so an in-place sparse operation on a view raises
-        idx = sp.get_index_dtype(maxval=self.nnz)
         self.csr_indices, self.csr_indptr = (
             a.astype(idx) for a in (self.indices, self.indptr))
         self.csr_indices.flags.writeable = self.csr_indptr.flags.writeable = False
+
+    def _build_half_edges(self, idx):
+        """The i < j half of the edges and ``edge_half``, without a sort."""
+        upper = np.flatnonzero(self.edge_rows < self.edge_cols)
+        lower = np.flatnonzero(self.edge_rows > self.edge_cols)
+        self.half_rows, self.half_cols, self.half_pos, self.half_transpose_pos = (
+            a[upper].astype(idx) for a in (self.edge_rows, self.edge_cols,
+                                           self.edge_pos, self.edge_transpose_pos))
+        self.edge_half = np.empty(self.edge_pos.size, dtype=idx)
+        self.edge_half[upper] = np.arange(upper.size)
+        # (j, i) takes the half index of (i, j): the edge index of data
+        # position p in row r is p - r, less one more past r's diagonal
+        p = self.edge_transpose_pos[lower]
+        r = self.edge_cols[lower]
+        self.edge_half[lower] = self.edge_half[p - r - (p > self.diag_pos[r])]
+        _read_only(self.half_rows, self.half_cols, self.half_pos,
+                   self.half_transpose_pos, self.edge_half)
 
     def csr(self, data):
         """CSR matrix of pattern data, sharing the read-only index arrays."""
         return sp.csr_matrix((data, self.csr_indices, self.csr_indptr),
                              shape=(self.n, self.n))
+
+    def row_sums(self, data):
+        """Row sums of pattern data, each added in storage order from +0.0.
+
+        A sequential CSR product: the sums of ``np.bincount`` over ``rows``,
+        bit for bit, in half to two thirds of its time at 96^2.  An explicit
+        +0.0 stored on the diagonal leaves the sum of a row's off-diagonal
+        entries unchanged, since a sum begun at +0.0 is never -0.0.
+        """
+        return self.csr(data) @ np.ones(self.n)
 
 
 @dataclass
@@ -105,8 +142,7 @@ class SparseOperator:
         return self.to_csr() @ x
 
     def row_sums(self):
-        return np.bincount(self.pattern.rows, weights=self.data,
-                           minlength=self.pattern.n)
+        return self.pattern.row_sums(self.data)
 
 
 def pattern(mesh):

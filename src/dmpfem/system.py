@@ -413,7 +413,7 @@ class ResidualSystem:
         nu_edge, p_off, p_diag = (functools.reduce(np.add, x)
                                   for x in zip(*parts))
 
-        B = stab.assemble_B(self.mesh, stab._edge_operator(pat, nu_edge))
+        B = stab._graph_laplacian(pat, nu_edge)
         data = F.data + Fp.data + B.data
         # state dependence of F inside the viscosity (nonlinear flux only)
         T3 = convection_entry_derivative_tensor(self.mesh, self.velocity, u)
