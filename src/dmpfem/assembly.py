@@ -56,6 +56,8 @@ class Pattern:
     in edge order, and ``edge_half`` maps each edge, (i, j) and (j, i)
     alike, to its index in that half; a quantity symmetric in the edge's
     two ends is computed once per half edge and gathered back through it.
+    ``edge_half_oriented`` is ``edge_half`` plus the half's size on the
+    i > j edges: it gathers from a forward half followed by a reversed one.
     ``row_sums`` adds each row of pattern data in storage order from +0.0,
     as ``np.bincount`` over ``rows`` would.  These maps, ``csr_indices`` and
     ``csr_indptr`` are read-only and in scipy's index dtype.
@@ -105,8 +107,11 @@ class Pattern:
         p = self.edge_transpose_pos[lower]
         r = self.edge_cols[lower]
         self.edge_half[lower] = self.edge_half[p - r - (p > self.diag_pos[r])]
+        self.edge_half_oriented = self.edge_half.copy()
+        self.edge_half_oriented[lower] += upper.size
         _read_only(self.half_rows, self.half_cols, self.half_pos,
-                   self.half_transpose_pos, self.edge_half)
+                   self.half_transpose_pos, self.edge_half,
+                   self.edge_half_oriented)
 
     def csr(self, data):
         """CSR matrix of pattern data, sharing the read-only index arrays."""

@@ -13,9 +13,11 @@ from it, and the exact Jacobian takes nu together with its partials.  Edge
 (j, i) sees the arguments of edge (i, j) swapped, and the maxima are
 symmetric to the bit, so the kernel evaluates the i < j half of the edges
 (``Pattern.half_rows`` ...) and gathers the result back through
-``Pattern.edge_half``.  ``detector_derivative`` fills d alpha / d u on a
-``DerivativeStructure`` that the first exact Jacobian on a mesh builds; it
-shares |z|_eps and its square root with the detector (``_smooth_abs_parts``).
+``Pattern.edge_half``, and the partials, whose roles swap with the
+direction, through ``Pattern.edge_half_oriented``.  ``detector_derivative``
+fills d alpha / d u on a ``DerivativeStructure`` that the first exact
+Jacobian on a mesh builds; it shares |z|_eps and its square root with the
+detector (``_smooth_abs_parts``).
 
 Sums over a node's detector terms are one product with the stencil's CSR of
 ones, ``DetectorStencil.S``, and an operator's row sums one product with its
@@ -441,11 +443,11 @@ def edge_viscosity(pat, K, alphas, params, partials=False):
     c, r = _smooth_max_and_slope(a, b, params.sigma)
     nu, r_c = _smooth_max_and_slope(c, 0.0, params.sigma)
     dnu_dc = 0.5 * (1.0 + r_c)
-    p, q = 0.5 * (1.0 + r), 0.5 * (1.0 - r)
-    swapped = pat.edge_rows > pat.edge_cols
-    w_a = np.where(swapped, np.take(dnu_dc * q, h), np.take(dnu_dc * p, h))
-    w_b = np.where(swapped, np.take(dnu_dc * (1.0 - q), h),
-                   np.take(dnu_dc * (1.0 - p), h))
+    # the forward edges' slope weights, then the reversed edges'
+    pq = np.concatenate((0.5 * (1.0 + r), 0.5 * (1.0 - r)))
+    dnu_dc = np.concatenate((dnu_dc, dnu_dc))
+    w_a = np.take(dnu_dc * pq, pat.edge_half_oriented)
+    w_b = np.take(dnu_dc * (1.0 - pq), pat.edge_half_oriented)
     return np.take(nu, h), (w_a, w_b)
 
 
@@ -455,18 +457,6 @@ def _edge_operator(pat, off, diag=None):
     data = np.zeros(pat.nnz)
     data[pat.edge_pos] = off
     data[pat.diag_pos] = pat.row_sums(data) if diag is None else diag
-    return SparseOperator(pat, data)
-
-
-def _graph_laplacian(pat, nu):
-    """B of edge viscosities ``nu`` (edge order), built straight from them:
-    -nu_ij off the diagonal and the row sums of nu_ij on it, bit for bit
-    ``assemble_B`` of their ``_edge_operator``."""
-    data = np.zeros(pat.nnz)
-    data[pat.edge_pos] = nu
-    diag = pat.row_sums(data)
-    np.negative(data, out=data)
-    data[pat.diag_pos] = diag
     return SparseOperator(pat, data)
 
 

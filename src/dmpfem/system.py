@@ -406,14 +406,15 @@ class ResidualSystem:
             parts.append((
                 nu / scale,
                 du_edge * w_b * K.data[pat.edge_transpose_pos] / scale,
-                np.bincount(pat.edge_rows,
-                            weights=du_edge * w_a * K.data[pat.edge_pos] / scale,
-                            minlength=self.n)))
+                # row sums of the edge terms: their operator's diagonal
+                stab._edge_operator(
+                    pat, du_edge * w_a * K.data[pat.edge_pos] / scale
+                ).data[pat.diag_pos]))
         # reduce, not sum(): sum's 0 + x would turn -0.0 into +0.0
         nu_edge, p_off, p_diag = (functools.reduce(np.add, x)
                                   for x in zip(*parts))
 
-        B = stab._graph_laplacian(pat, nu_edge)
+        B = stab.assemble_B(self.mesh, stab._edge_operator(pat, nu_edge))
         data = F.data + Fp.data + B.data
         # state dependence of F inside the viscosity (nonlinear flux only)
         T3 = convection_entry_derivative_tensor(self.mesh, self.velocity, u)

@@ -200,6 +200,11 @@ def test_half_edges_pair_each_edge_with_its_transpose(mesh_name):
     assert np.array_equal(pat.half_pos, pat.edge_pos[upper])
     assert np.array_equal(pat.half_transpose_pos,
                           pat.edge_transpose_pos[upper])
+    # the oriented map sends the i < j edges into the first half and their
+    # transposes, one to one, into the second
+    oriented = pat.edge_half_oriented
+    assert np.array_equal(oriented, h + n_half * ~upper)
+    assert np.array_equal(np.sort(oriented), np.arange(2 * n_half))
     # the diagonal of row i is the i-th diagonal entry
     assert np.array_equal(pat.rows[pat.diag_pos], np.arange(pat.n))
 
@@ -209,7 +214,8 @@ def test_half_edge_and_node_sum_maps_are_read_only(mesh_name):
     mesh = MESHES[mesh_name]()
     pat = pattern(mesh)
     arrays = [pat.half_rows, pat.half_cols, pat.half_pos,
-              pat.half_transpose_pos, pat.edge_half]
+              pat.half_transpose_pos, pat.edge_half,
+              pat.edge_half_oriented]
     for family in ("sym", "edge"):
         st = stab._stencil(mesh, family)
         arrays += [st.S.data, st.S.indices, st.S.indptr, st.term_row]
