@@ -1,8 +1,9 @@
 """Jacobian and solve-path fingerprints: sha256 digests of the exact
 Jacobian J(u) (CSR ``data``, ``indices`` and ``indptr``), of the residual
-T(u), of one Picard sweep and of one line search for four small systems, and
-of the final fields of three small end-to-end solves, with the Newton step
-lengths of one.
+T(u), of the detector derivative d alpha (the same three arrays, also on a
+state with plateaus, where rows of d alpha are empty), of one Picard sweep
+and of one line search for four small systems, and of the final fields of
+three small end-to-end solves, with the Newton step lengths of one.
 
 Newton's iterates depend on every bit of J and T, so a refactor of the
 viscosity, the detector derivative or the Jacobian assembly must leave them
@@ -120,6 +121,53 @@ EXPECTED = {'burgers_p1': {'J.data': '68c81a2dfff4b401',
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_jacobian_and_residual_are_bit_identical(name):
     assert fingerprint(*CASES[name]()) == EXPECTED[name]
+
+
+def _ramp(mesh):
+    """A ramp across the domain clipped to plateaus, where the limiter is
+    flat and rows of d alpha are empty."""
+    x = mesh.coords[:, 0]
+    return np.clip(3.0 * (x - x.min()) / np.ptp(x) - 1.0, 0.0, 1.0)
+
+
+def dalpha_fingerprint(sys, u):
+    dalpha = stab.detector_derivative(sys.mesh, u, sys.params)[1]
+    return {"data": _digest(dalpha.data), "indices": _digest(dalpha.indices),
+            "indptr": _digest(dalpha.indptr)}
+
+
+# d alpha at each case's state, then on the clipped ramp; taken before
+# d alpha was built from scipy's sparse products
+DALPHA = {
+    'burgers_p1': [{'data': '034e0134ce4fedc0', 'indices': 'a83d46d53b5f7b7a',
+                    'indptr': '4b99d0a64cf864fb'},
+                   {'data': '67a79041b0838a63', 'indices': '46cedd837fe6521d',
+                    'indptr': '90f3bd5409122d0e'}],
+    'steady_linear_q1': [{'data': '79b177fd5e3978c2',
+                          'indices': '3597d1ae971c6de1',
+                          'indptr': '9fb14df7a4560b71'},
+                         {'data': 'c472377b1d99efa8',
+                          'indices': '5b4889e545f6294c',
+                          'indptr': 'ae6c611a225fe48c'}],
+    'transient_gradual_q1': [{'data': 'dbe2c389fc168740',
+                              'indices': '0de476c1e0a93521',
+                              'indptr': 'ae19479312c4e4bb'},
+                             {'data': 'c472377b1d99efa8',
+                              'indices': '5b4889e545f6294c',
+                              'indptr': 'ae6c611a225fe48c'}],
+    'transient_symmetric_mass_q1': [{'data': 'dbe2c389fc168740',
+                                     'indices': '0de476c1e0a93521',
+                                     'indptr': 'ae19479312c4e4bb'},
+                                    {'data': 'c472377b1d99efa8',
+                                     'indices': '5b4889e545f6294c',
+                                     'indptr': 'ae6c611a225fe48c'}]}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_detector_derivative_is_bit_identical(name):
+    sys, u = CASES[name]()
+    assert [dalpha_fingerprint(sys, u),
+            dalpha_fingerprint(sys, _ramp(sys.mesh))] == DALPHA[name]
 
 
 # J.data pins before J moved onto per-mesh structures, and J.indices pins
