@@ -15,9 +15,9 @@ symmetric to the bit, so the kernel evaluates the i < j half of the edges
 (``Pattern.half_rows`` ...) and gathers the result back through
 ``Pattern.edge_half``, and the partials, whose roles swap with the
 direction, through ``Pattern.edge_half_oriented``.  ``detector_derivative``
-fills d alpha / d u on a ``DerivativeStructure`` that the first exact
-Jacobian on a mesh builds; it shares |z|_eps and its square root with the
-detector (``_smooth_abs_parts``).
+forms d alpha / d u from scipy's sparse products on the rows where the
+limiter is not flat; it shares every step up to the limiter with the
+detector (``_smooth_detector``), |z|_eps's square root included.
 
 Sums over a node's detector terms are one product with the stencil's CSR of
 ones, ``DetectorStencil.S``, and an operator's row sums one product with its
@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import SparseOperator, pattern
-from .mesh import row_norms, row_positions
+from .mesh import row_norms
 
 NONSMOOTH = "nonsmooth"
 SIMPLIFIED = "simplified"
@@ -165,17 +165,16 @@ def limiter_df(x):
 class DetectorStencil:
     """Flattened directional terms of one detector family on a mesh.
 
-    Every term t belongs to a node (``term_row``) and is a fixed linear
-    functional of the nodal vector, z_t = (Z u)_t.  Gradient-family terms are
+    Every term t belongs to a node and is a fixed linear functional of the
+    nodal vector, z_t = (Z u)_t.  Gradient-family terms are
     the difference quotients toward each neighbor and its symmetric point
     (mirrored ghost at the boundary); edge-family terms are the plain
     differences u_i - u_j.
 
     The terms of a node are consecutive.  ``S`` is the n x t CSR of ones
     whose row i spans node i's terms, so ``S @ z`` sums each node's terms in
-    order from +0.0: ``np.bincount`` over ``term_row``, bit for bit.  Its
-    ``indptr`` is the one per-term node map held; ``term_row`` is derived
-    from it.
+    order from +0.0: ``np.bincount`` over the terms' nodes, bit for bit.
+    Its ``indptr`` is the one per-term node map held.
     """
 
     def __init__(self, mesh, family):
@@ -225,14 +224,6 @@ class DetectorStencil:
         for a in (self.S.data, self.S.indices, self.S.indptr):
             a.flags.writeable = False
 
-    @property
-    def term_row(self):
-        """The node of each term, read-only; built on each access."""
-        ptr = self.S.indptr
-        rows = np.repeat(np.arange(self.n_nodes), np.diff(ptr))
-        rows.flags.writeable = False
-        return rows
-
 
 def _stencil(mesh, family):
     return mesh.cached(("detector_stencil", family),
@@ -243,91 +234,18 @@ def _family(kind):
     return "edge" if kind in _EDGE_KINDS else "sym"
 
 
-# stencil entries per block of the derivative structure's build; keeps its
-# sort temporaries to a few MB
-_BUILD_BLOCK = 1 << 15
-
-
-class DerivativeStructure:
-    """Fixed sparsity of d alpha / d u on a mesh, with the data maps that
-    fill it.
-
-    Row i holds the column of every stencil entry of node i's terms, in
-    increasing order.  With N = aggregate Z, the constant derivative of each
-    node's sum of z, and D = aggregate diag(|z|_eps') Z,
-
-        d alpha = diag(c_num) N + diag(c_den) D,
-
-    so the data is c_num[row] * ``jump`` + c_den[row] * D.  ``jump`` holds N
-    on this structure, zero where the terms of a node cancel in their sum.
-    ``zmap`` sends each stencil entry to its position, so that D is one
-    bincount of Z's data times |z|_eps' of each entry's term.  Built on the
-    first derivative on a mesh, in blocks of nodes, so that the sort
-    temporaries stay small.
-    """
-
-    def __init__(self, st):
-        Z, n = st.Z, st.n_nodes
-        # the terms of a node are consecutive, so are its stencil entries
-        term_ptr = st.S.indptr
-        entry_ptr = Z.indptr[term_ptr]
-        self.term_ptr = term_ptr
-        idx = sp.get_index_dtype(maxval=max(Z.nnz, n, st.n_terms))
-        self.zmap = np.empty(Z.nnz, dtype=idx)
-        counts = np.zeros(n, dtype=np.int64)
-        cols, jumps = [], []
-        offset, lo = 0, 0
-        while lo < n:
-            hi = int(np.searchsorted(entry_ptr, entry_ptr[lo] + _BUILD_BLOCK,
-                                     side="right")) - 1
-            hi = min(max(hi, lo + 1), n)
-            e = slice(entry_ptr[lo], entry_ptr[hi])
-            node = np.repeat(np.arange(lo, hi), np.diff(entry_ptr[lo:hi + 1]))
-            # distinct (node, column) pairs, sorted by node, then column
-            ukey, inverse = np.unique((node - lo) * n + Z.indices[e],
-                                      return_inverse=True)
-            unode, col = np.divmod(ukey, n)
-            self.zmap[e] = offset + inverse
-            jumps.append(np.bincount(inverse, weights=Z.data[e],
-                                     minlength=ukey.size))
-            cols.append(col)
-            counts[lo:hi] = np.bincount(unode, minlength=hi - lo)
-            offset += ukey.size
-            lo = hi
-        self.shape = (n, n)
-        self.indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(counts, out=self.indptr[1:])
-        self.indices = np.concatenate(cols).astype(idx)
-        self.jump = np.concatenate(jumps)
-        self.nnz = offset
-        for a in (self.indptr, self.indices):
+def _jump(mesh, family):
+    """N = S Z, the constant derivative of each node's sum of terms, with
+    sorted rows and read-only arrays; built on the first exact Jacobian on
+    a mesh."""
+    def build():
+        st = _stencil(mesh, family)
+        N = st.S @ st.Z
+        N.sort_indices()
+        for a in (N.data, N.indices, N.indptr):
             a.flags.writeable = False
-
-    def matrix(self, Z, live, terms, c_num, c_den, d1):
-        """d alpha as zero-free CSR with sorted rows.
-
-        Only the ``live`` nodes, where the limiter is not flat, have entries;
-        ``terms`` are their terms (``row_positions(term_ptr, live)``) and
-        ``d1`` is |z|_eps' there.  c_num and c_den are per node.
-        """
-        n = self.shape[0]
-        entries = row_positions(Z.indptr, terms)
-        d_den = np.bincount(self.zmap[entries], minlength=self.nnz,
-                            weights=Z.data[entries]
-                            * np.repeat(d1, np.diff(Z.indptr)[terms]))
-        pos = row_positions(self.indptr, live)
-        rows = np.repeat(live, np.diff(self.indptr)[live])
-        data = c_num[rows] * self.jump[pos] + c_den[rows] * d_den[pos]
-        keep = data != 0.0
-        indptr = np.zeros_like(self.indptr)
-        np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
-        return sp.csr_matrix((data[keep], self.indices[pos][keep], indptr),
-                             shape=self.shape)
-
-
-def _derivative_structure(mesh, family):
-    return mesh.cached(("derivative_structure", family),
-                       lambda: DerivativeStructure(_stencil(mesh, family)))
+        return N
+    return mesh.cached(("derivative_structure", family), build)
 
 
 def _smooth_eps(mesh, params):
@@ -351,17 +269,26 @@ def _smooth_ratio(st, z, lower, eps, gamma):
     return (upper + gamma) / den, num_sum, upper, den
 
 
+def _smooth_detector(mesh, u, params):
+    """The smooth detector's common steps: (stencil, z, eps, (z^2,
+    sqrt(z^2 + eps)), (ratio, sum z, |sum z|_eps, denominator), f(ratio))."""
+    st = _stencil(mesh, _family(params.detector))
+    z = st.Z @ np.asarray(u, dtype=float)
+    eps, gamma = _smooth_eps(mesh, params)
+    sq, root, lower = _smooth_abs_parts(z, eps)
+    parts = _smooth_ratio(st, z, lower, eps, gamma)
+    return st, z, eps, (sq, root), parts, limiter_f(parts[0])
+
+
 def detector_values(mesh, u, params):
     """Shock detector value per node, in [0, 1], for the configured variant."""
     if params.detector == GALERKIN:
         return np.zeros(mesh.n_nodes)
+    if params.is_smooth:
+        return _smooth_detector(mesh, u, params)[-1] ** params.q
+
     st = _stencil(mesh, _family(params.detector))
     z = st.Z @ np.asarray(u, dtype=float)
-    if params.is_smooth:
-        eps, gamma = _smooth_eps(mesh, params)
-        ratio = _smooth_ratio(st, z, smooth_abs_lower(z, eps), eps, gamma)[0]
-        return limiter_f(ratio) ** params.q
-
     num_sum = st.S @ z
     den = st.S @ np.abs(z)
     ratio = np.divide(np.abs(num_sum), den,
@@ -373,25 +300,25 @@ def detector_derivative(mesh, u, params):
     """(alpha, d alpha / d u) for the smooth variants; raises for the
     non-differentiable ones.
 
-    d alpha is zero-free CSR data on the mesh's ``DerivativeStructure``,
-    built on the first call: row i couples node i to the nodes of its terms,
-    its neighbors and the nodes that interpolate its symmetric points, in
-    increasing column order.  The rows of nodes where the limiter is flat
-    are empty, and |z|_eps' is computed only for the terms of the other
-    nodes.  |z|_eps and its derivative share one square root.  alpha is
-    bit-identical to ``detector_values``.
+    With N = S Z, the constant derivative of each node's sum of terms, and
+    D = S diag(|z|_eps') Z,
+
+        d alpha = diag(c_num) N + diag(c_den) D,
+
+    formed by scipy's sparse products and sum on the rows of the nodes
+    where the limiter is not flat; the other rows are empty, and |z|_eps'
+    is computed only for the terms of the live nodes.  N is cached per mesh
+    on the first call.  Each product adds a node's entries in term order
+    from +0.0 and the sum drops exact zeros, so the result is canonical,
+    zero-free CSR.  Row i couples node i to the nodes of its terms, its
+    neighbors and the nodes that interpolate its symmetric points.  |z|_eps
+    and its derivative share one square root.  alpha is bit-identical to
+    ``detector_values``.
     """
     if not params.is_smooth:
         raise ValueError("exact derivatives require a smooth detector variant")
-    family = _family(params.detector)
-    st = _stencil(mesh, family)
-    z = st.Z @ np.asarray(u, dtype=float)
-    eps, gamma = _smooth_eps(mesh, params)
-    # |z|_eps = z^2 / root; its derivative z (z^2 + 2 eps) / (z^2 + eps)^1.5
-    # takes the same square root
-    sq, root, lower = _smooth_abs_parts(z, eps)
-    ratio, num_sum, upper, den = _smooth_ratio(st, z, lower, eps, gamma)
-    fr = limiter_f(ratio)
+    st, z, eps, (sq, root), (ratio, num_sum, upper, den), fr = \
+        _smooth_detector(mesh, u, params)
     alpha = fr ** params.q
 
     common = params.q * fr ** (params.q - 1.0) * limiter_df(ratio)
@@ -399,14 +326,25 @@ def detector_derivative(mesh, u, params):
     c_num = common * np.divide(num_sum, upper, out=np.zeros_like(upper),
                                where=upper > 0) / den
     c_den = -common * ratio / den
-    # |z|_eps' only where the limiter is not flat
-    ds = _derivative_structure(mesh, family)
     live = np.flatnonzero(common)
-    t = row_positions(ds.term_ptr, live)
+    S_live = st.S[live]
+    t = S_live.indices
+    # |z|_eps = z^2 / root; its derivative z (z^2 + 2 eps) / (z^2 + eps)^1.5
+    # takes the same square root
     sq_t, root_t = sq[t], root[t]
     d1 = _quotient(z[t] * (sq_t + 2.0 * eps), (sq_t + eps) * root_t, root_t,
                    eps)
-    return alpha, ds.matrix(st.Z, live, t, c_num, c_den, d1)
+    D = sp.csr_matrix((d1, t, S_live.indptr), shape=S_live.shape) @ st.Z
+    D.sort_indices()
+    D.data *= np.repeat(c_den[live], np.diff(D.indptr))
+    N = _jump(mesh, _family(params.detector))[live]
+    N.data *= np.repeat(c_num[live], np.diff(N.indptr))
+    d = N + D
+    indptr = np.zeros(st.n_nodes + 1, dtype=d.indptr.dtype)
+    indptr[1:][live] = np.diff(d.indptr)
+    np.cumsum(indptr, out=indptr)
+    return alpha, sp.csr_matrix((d.data, d.indices, indptr),
+                                shape=(st.n_nodes, st.n_nodes))
 
 
 # ----------------------------------------------------------------------

@@ -20,10 +20,10 @@ neighborhood.  The residual and the Jacobian take the viscosity from the same
 kernel, ``stabilization.edge_viscosity``, the Jacobian with its partials.
 
 J is one sparse product and one sum, J = A_on + P @ d alpha, where A_on is
-data on the pattern and d alpha is data on a structure built once per mesh,
-on the first Jacobian (``stabilization.DerivativeStructure``); set-up and
-Anderson never build it.  J is canonical CSR: zero-free, each row's columns
-sorted.
+data on the pattern and d alpha comes from sparse products with a matrix
+built once per mesh, on the first Jacobian
+(``stabilization.detector_derivative``); set-up and Anderson never build
+it.  J is canonical CSR: zero-free, each row's columns sorted.
 
 Both solves go through ``solve_linear``, which first gives every matrix one
 cycle of GMRES(60) right-preconditioned by its diagonal (Jacobi), whose
@@ -373,8 +373,8 @@ class ResidualSystem:
         on the mesh pattern: F, its state derivative, B(nu), the mass term
         and, for a nonlinear flux, F's state dependence inside the viscosity,
         summed element by element.  P holds the viscosity's partials, and
-        its diagonal the gradually lumped mass's diag(w) d alpha.  d alpha is
-        data on its per-mesh structure (``stabilization.detector_derivative``).
+        its diagonal the gradually lumped mass's diag(w) d alpha
+        (``stabilization.detector_derivative``), zero-free with sorted rows.
         J is canonical CSR, each row's columns sorted, and its Dirichlet rows
         become identity rows by index.
         """

@@ -14,6 +14,7 @@ from dmpfem.assembly import (assemble_convection_state_derivative,
                              convection_entry_derivative_tensor)
 from dmpfem.mesh import row_positions
 from dmpfem.system import _without_zeros
+from helpers import term_row
 
 
 def former_detector_derivative(mesh, u, params):
@@ -21,7 +22,7 @@ def former_detector_derivative(mesh, u, params):
     Z diag(|z|_eps')."""
     st = stab._stencil(mesh, stab._family(params.detector))
     t = st.n_terms
-    aggregate = sp.coo_matrix((np.ones(t), (st.term_row, np.arange(t))),
+    aggregate = sp.coo_matrix((np.ones(t), (term_row(st), np.arange(t))),
                               shape=(mesh.n_nodes, t)).tocsr()
     jump_map = (aggregate @ st.Z).tocsr()
     z = st.Z @ np.asarray(u, dtype=float)

@@ -11,6 +11,7 @@ import numpy as np
 
 from dmpfem import stabilization as stab
 from dmpfem.assembly import SparseOperator, pattern
+from helpers import term_row
 
 
 def _smooth_abs_lower(x, eps):
@@ -27,8 +28,9 @@ def _smooth_max_and_dx(x, y, sigma):
 
 
 def former_smooth_ratio(st, z, lower, eps, gamma):
-    num_sum = np.bincount(st.term_row, weights=z, minlength=st.n_nodes)
-    den = np.bincount(st.term_row, weights=lower, minlength=st.n_nodes) + gamma
+    rows = term_row(st)
+    num_sum = np.bincount(rows, weights=z, minlength=st.n_nodes)
+    den = np.bincount(rows, weights=lower, minlength=st.n_nodes) + gamma
     upper = stab.smooth_abs_upper(num_sum, eps)
     return (upper + gamma) / den, num_sum, upper, den
 
@@ -44,8 +46,9 @@ def former_detector_values(mesh, u, params):
                                     eps, gamma)[0]
         return stab.limiter_f(ratio) ** params.q
 
-    num_sum = np.bincount(st.term_row, weights=z, minlength=st.n_nodes)
-    den = np.bincount(st.term_row, weights=np.abs(z), minlength=st.n_nodes)
+    rows = term_row(st)
+    num_sum = np.bincount(rows, weights=z, minlength=st.n_nodes)
+    den = np.bincount(rows, weights=np.abs(z), minlength=st.n_nodes)
     ratio = np.divide(np.abs(num_sum), den,
                       out=np.zeros(st.n_nodes), where=den > stab._ZERO_DEN)
     return np.clip(ratio, 0.0, 1.0) ** params.q

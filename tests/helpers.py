@@ -1,6 +1,7 @@
 """Routines that only the tests use: a graph seminorm, the edge dissipation,
 a single-fan P1 patch, the symmetric points of a mesh, index maps of an
-adjacency ``Pattern`` and a backward-Euler march from the previous state."""
+adjacency ``Pattern``, the node of each detector term and a backward-Euler
+march from the previous state."""
 
 from types import SimpleNamespace
 
@@ -64,6 +65,12 @@ def position(pat, i, j):
     if not np.array_equal(keys[np.minimum(pos, pat.nnz - 1)], key):
         raise KeyError((i, j))
     return pos
+
+
+def term_row(st):
+    """The node of each term of ``DetectorStencil`` ``st``, from the node
+    sums' ``indptr``."""
+    return np.repeat(np.arange(st.n_nodes), np.diff(st.S.indptr))
 
 
 def march_from_previous_state(mesh, problem, cfg):

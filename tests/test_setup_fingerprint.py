@@ -16,7 +16,7 @@ import pytest
 from dmpfem import stabilization as stab
 from dmpfem.assembly import pattern
 from dmpfem.mesh import P1, Q1, Mesh2D, build_structured
-from helpers import transpose_pos
+from helpers import term_row, transpose_pos
 from test_mesh import hex_fan
 
 
@@ -59,7 +59,7 @@ def fingerprint(mesh):
     for family in ("sym", "edge"):
         st = stab._stencil(mesh, family)
         for name, arr in (("Z.indptr", st.Z.indptr), ("Z.indices", st.Z.indices),
-                          ("Z.data", st.Z.data), ("term_row", st.term_row)):
+                          ("Z.data", st.Z.data), ("term_row", term_row(st))):
             out[f"{family}.{name}"] = _digest(arr)
     out["is_boundary"] = _digest(mesh.is_boundary)
     out["h_mean"] = float.hex(mesh.h_mean)

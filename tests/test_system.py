@@ -135,7 +135,12 @@ def test_jacobian_and_detector_derivative_have_sorted_rows(mesh, case, state):
     J = sys.jacobian(u)
     assert J.has_canonical_format and _rows_strictly_increasing(J)
     dalpha = stab.detector_derivative(sys.mesh, u, sys.params)[1]
-    assert _rows_strictly_increasing(dalpha)
+    assert dalpha.has_canonical_format and _rows_strictly_increasing(dalpha)
+    assert np.all(dalpha.data != 0.0)
+    # a row is empty exactly where the limiter is flat
+    ratio = stab._smooth_detector(sys.mesh, u, sys.params)[4][0]
+    assert np.array_equal(np.diff(dalpha.indptr) == 0,
+                          stab.limiter_df(ratio) == 0.0)
 
 
 def test_jacobian_galerkin_is_mass_plus_convection():
