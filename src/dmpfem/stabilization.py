@@ -166,10 +166,9 @@ class DetectorStencil:
     """Flattened directional terms of one detector family on a mesh.
 
     Every term t belongs to a node and is a fixed linear functional of the
-    nodal vector, z_t = (Z u)_t.  Gradient-family terms are
-    the difference quotients toward each neighbor and its symmetric point
-    (mirrored ghost at the boundary); edge-family terms are the plain
-    differences u_i - u_j.
+    nodal vector, z_t = (Z u)_t.  Gradient-family terms are the difference
+    quotients toward each neighbor and its symmetric point (mirrored ghost
+    at the boundary); edge-family terms are the plain differences u_i - u_j.
 
     The terms of a node are consecutive.  ``S`` is the n x t CSR of ones
     whose row i spans node i's terms, so ``S @ z`` sums each node's terms in
