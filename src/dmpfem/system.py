@@ -16,12 +16,14 @@ sparse sum would give it.  The Jacobian is exact for the smooth detector
 variants, including the detector chain rule through the regularized maxima
 and the state dependence of the transport operator; its sparsity extends to
 the distance-2 adjacency because every detector value depends on the whole
-neighborhood.  The residual and the Jacobian take the viscosity from the same
-kernel, ``stabilization.edge_viscosity``, the Jacobian with its partials.
+neighborhood.
 
-J is one sparse product and one sum, J = A_on + P @ d alpha, where A_on is
-data on the pattern and d alpha comes from sparse products with a matrix
-built once per mesh, on the first Jacobian
+J is one sparse product and one sum, J = A_on + P @ d alpha.  A_on is A(u)'s
+own data, as the residual assembles it (``_operator_data``), plus F' and
+the viscosity flux term, both for a nonlinear flux only.  P holds the
+partials from the residual's viscosity kernel,
+``stabilization.edge_viscosity``, and d alpha comes from sparse products
+with a matrix built once per mesh, on the first Jacobian
 (``stabilization.detector_derivative``); set-up and Anderson never build
 it.  J is canonical CSR: zero-free, each row's columns sorted.
 
@@ -59,7 +61,6 @@ benchmark), where Newton's quadratic convergence absorbs them.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from . import stabilization as stab
-from .assembly import (SparseOperator, _linear_convection, _mass,
-                       assemble_convection,
+from .assembly import (_linear_convection, _mass, assemble_convection,
                        assemble_convection_state_derivative,
                        convection_entry_derivative_tensor, pattern)
 from .mesh import row_positions
@@ -312,23 +312,29 @@ class ResidualSystem:
     def alphas(self, u):
         return stab.detector_values(self.mesh, u, self.params)
 
-    def _viscous_operator(self, F, alphas):
-        """B (or B~) for the configured mass treatment."""
-        if self.params.detector == stab.GALERKIN:
-            return SparseOperator.zeros(self.pattern)
-        if not self.steady and self.params.mass == stab.SYMMETRIC_MASS:
-            nu = stab.viscosity_symmetric_mass(self.mesh, F, self.mass,
-                                               alphas, self.dt, self.params)
+    def _operator_data(self, F, alphas):
+        """(data, M): A(u)'s pattern data before its Dirichlet rows, F + B
+        (+ M/dt), and the mass operator M of a transient system, else None.
+        B is B~ and M constant under the symmetric mass; Galerkin has B = 0
+        and the constant M."""
+        galerkin = self.params.detector == stab.GALERKIN
+        symmetric_mass = self.params.mass == stab.SYMMETRIC_MASS
+        if galerkin:
+            data = F.data.copy()
         else:
-            nu = stab.viscosity(self.mesh, F, alphas, self.params)
-        return stab.assemble_B(self.mesh, nu)
-
-    def _mass_operator(self, alphas):
-        if self.params.detector == stab.GALERKIN or \
-                self.params.mass == stab.SYMMETRIC_MASS:
-            return self.mass
-        return stab.assemble_nonlinear_mass(self.mesh, self.mass,
-                                            self.lumped, alphas)
+            if not self.steady and symmetric_mass:
+                nu = stab.viscosity_symmetric_mass(self.mesh, F, self.mass,
+                                                   alphas, self.dt,
+                                                   self.params)
+            else:
+                nu = stab.viscosity(self.mesh, F, alphas, self.params)
+            data = F.data + stab.assemble_B(self.mesh, nu).data
+        if self.steady:
+            return data, None
+        M = self.mass if galerkin or symmetric_mass else \
+            stab.assemble_nonlinear_mass(self.mesh, self.mass, self.lumped,
+                                         alphas)
+        return M.data * (1.0 / self.dt) + data, M
 
     def _dirichlet_rows(self, data):
         """CSR of fresh pattern data whose Dirichlet rows are identity rows."""
@@ -339,15 +345,11 @@ class ResidualSystem:
     def assemble_operator(self, u):
         """Fixed-point operator and right side: A(u) u_next = G(u)."""
         u = np.asarray(u, dtype=float)
-        F = self.convection(u)
-        alphas = self.alphas(u)
-        data = F.data + self._viscous_operator(F, alphas).data
-        if self.steady:
+        data, M = self._operator_data(self.convection(u), self.alphas(u))
+        if M is None:
             G = self.g.copy()
         else:
-            M = self._mass_operator(alphas).to_csr()
-            data = M.data * (1.0 / self.dt) + data
-            G = self.g + (M @ self.u_old) / self.dt
+            G = self.g + M.matvec(self.u_old) / self.dt
         G[self.dirichlet.nodes] = self.dirichlet.values
         return self._dirichlet_rows(data), G
 
@@ -369,66 +371,53 @@ class ResidualSystem:
         """Exact Jacobian J(u) of T(u) as canonical CSR (smooth variants and
         Galerkin only).
 
-        J = A_on + P @ d alpha, one sparse product and one sum.  A_on is data
-        on the mesh pattern: F, its state derivative, B(nu), the mass term
-        and, for a nonlinear flux, F's state dependence inside the viscosity,
-        summed element by element.  P holds the viscosity's partials, and
-        its diagonal the gradually lumped mass's diag(w) d alpha
-        (``stabilization.detector_derivative``), zero-free with sorted rows.
-        J is canonical CSR, each row's columns sorted, and its Dirichlet rows
-        become identity rows by index.
+        J = A_on + P @ d alpha, one sparse product and one sum.  A_on is
+        A(u)'s own data, F + B (+ M/dt) from ``_operator_data``, plus F'
+        and the viscosity flux term, the state dependence of F inside the
+        viscosity summed element by element; both for a nonlinear flux only.
+        P holds the viscosity's partials, and its diagonal the gradually
+        lumped mass's diag(w) d alpha (``stabilization.detector_derivative``,
+        zero-free with sorted rows).  The Dirichlet rows of J are identity
+        rows.
         """
         galerkin = self.params.detector == stab.GALERKIN
         u = np.asarray(u, dtype=float)
-        pat = self.pattern
         F = self.convection(u)
-        Fp = assemble_convection_state_derivative(self.mesh, self.velocity, u)
+        alphas, dalpha = (self.alphas(u), None) if galerkin else \
+            stab.detector_derivative(self.mesh, u, self.params)
+        data, _ = self._operator_data(F, alphas)
+        nonlinear = not self.velocity.is_linear
+        if nonlinear:
+            data += assemble_convection_state_derivative(
+                self.mesh, self.velocity, u).data
         if galerkin:
-            data = F.data + Fp.data
-            if not self.steady:
-                data = data + self.mass.data * (1.0 / self.dt)
             return _without_zeros(self._dirichlet_rows(data))
-        alphas, dalpha = stab.detector_derivative(self.mesh, u, self.params)
 
-        # viscosity from the transport operator, plus the mass-compensated
-        # extra viscosity, whose smooth maxes act on alpha_i M_ij with the
-        # 1/dt factor outside, exactly as in the assembled viscosity
+        # partials of the viscosity of F, and under the symmetric mass of
+        # the extra viscosity of M, 1/dt outside the smooth maxes
+        pat = self.pattern
         symmetric_mass = (not self.steady
                           and self.params.mass == stab.SYMMETRIC_MASS)
         terms = [(F, 1.0)] + ([(self.mass, self.dt)] if symmetric_mass else [])
         du_edge = u[pat.edge_rows] - u[pat.edge_cols]
-        parts = []
+        p_off = p_diag = 0.0
         for K, scale in terms:
-            nu, (w_a, w_b) = stab.edge_viscosity(pat, K, alphas, self.params,
-                                                 partials=True)
-            if K is F:  # F's partials also weight the flux term below
-                w_F = (w_a, w_b)
-            parts.append((
-                nu / scale,
-                du_edge * w_b * K.data[pat.edge_transpose_pos] / scale,
-                # row sums of the edge terms: their operator's diagonal
-                stab._edge_operator(
-                    pat, du_edge * w_a * K.data[pat.edge_pos] / scale
-                ).data[pat.diag_pos]))
-        # reduce, not sum(): sum's 0 + x would turn -0.0 into +0.0
-        nu_edge, p_off, p_diag = (functools.reduce(np.add, x)
-                                  for x in zip(*parts))
-
-        B = stab.assemble_B(self.mesh, stab._edge_operator(pat, nu_edge))
-        data = F.data + Fp.data + B.data
-        # state dependence of F inside the viscosity (nonlinear flux only)
-        T3 = convection_entry_derivative_tensor(self.mesh, self.velocity, u)
-        if T3 is not None:
-            w_a, w_b = w_F
-            data += self._viscosity_flux_term(
-                du_edge * w_a * alphas[pat.edge_rows],
-                du_edge * w_b * alphas[pat.edge_cols], T3)
-        if not self.steady:
-            data += self._mass_operator(alphas).data * (1.0 / self.dt)
-            if not symmetric_mass:
-                du = u - self.u_old
-                w = (self.lumped * du - self.mass.matvec(du)) / self.dt
-                p_diag += w
+            w_a, w_b = stab.edge_viscosity(pat, K, alphas, self.params,
+                                           partials=True)[1]
+            if K is F and nonlinear:
+                data += self._viscosity_flux_term(
+                    du_edge * w_a * alphas[pat.edge_rows],
+                    du_edge * w_b * alphas[pat.edge_cols],
+                    convection_entry_derivative_tensor(self.mesh,
+                                                       self.velocity, u))
+            p_off += du_edge * w_b * K.data[pat.edge_transpose_pos] / scale
+            # row sums of the edge terms: their operator's diagonal
+            p_diag += stab._edge_operator(
+                pat, du_edge * w_a * K.data[pat.edge_pos] / scale
+            ).data[pat.diag_pos]
+        if not self.steady and not symmetric_mass:
+            du = u - self.u_old
+            p_diag += (self.lumped * du - self.mass.matvec(du)) / self.dt
 
         # identity Dirichlet rows: P's rows are zeroed, so P @ dalpha adds
         # nothing there; the sum keeps no zeros

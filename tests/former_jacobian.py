@@ -14,7 +14,7 @@ from dmpfem.assembly import (assemble_convection_state_derivative,
                              convection_entry_derivative_tensor)
 from dmpfem.mesh import row_positions
 from dmpfem.system import _without_zeros
-from helpers import term_row
+from helpers import mass_operator, term_row
 
 
 def former_detector_derivative(mesh, u, params):
@@ -109,7 +109,7 @@ def former_jacobian(sys, u):
     if T3 is not None:
         J = J + _former_flux_term(sys, *W, T3)
     if not sys.steady:
-        J = J + sys._mass_operator(alphas).to_csr() / sys.dt
+        J = J + mass_operator(sys, alphas).to_csr() / sys.dt
         if not symmetric_mass:
             du = u - sys.u_old
             wvec = (sys.lumped * du - sys.mass.matvec(du)) / sys.dt

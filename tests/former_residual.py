@@ -11,7 +11,7 @@ import numpy as np
 
 from dmpfem import stabilization as stab
 from dmpfem.assembly import SparseOperator, pattern
-from helpers import term_row
+from helpers import mass_operator, term_row
 
 
 def _smooth_abs_lower(x, eps):
@@ -115,7 +115,7 @@ def former_operator(sys, u):
     if sys.steady:
         G = sys.g.copy()
     else:
-        M = sys._mass_operator(alphas).to_csr()
+        M = mass_operator(sys, alphas).to_csr()
         data = M.data * (1.0 / sys.dt) + data
         G = sys.g + (M @ sys.u_old) / sys.dt
     G[sys.dirichlet.nodes] = sys.dirichlet.values

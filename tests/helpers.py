@@ -1,12 +1,13 @@
 """Routines that only the tests use: a graph seminorm, the edge dissipation,
 a single-fan P1 patch, the symmetric points of a mesh, index maps of an
-adjacency ``Pattern``, the node of each detector term and a backward-Euler
-march from the previous state."""
+adjacency ``Pattern``, the node of each detector term, a transient system's
+mass operator and a backward-Euler march from the previous state."""
 
 from types import SimpleNamespace
 
 import numpy as np
 
+from dmpfem import stabilization as stab
 from dmpfem.assembly import pattern
 from dmpfem.mesh import P1, Mesh2D
 from dmpfem.timeloop import admissible_bounds, dirichlet_bc, step_backward_euler
@@ -88,3 +89,12 @@ def march_from_previous_state(mesh, problem, cfg):
                                         cfg, bounds=bounds)
         reports.append(report)
     return SimpleNamespace(u=u, reports=reports)
+
+
+def mass_operator(sys, alphas):
+    """The mass operator of transient ``ResidualSystem`` ``sys``: M under the
+    symmetric mass and for Galerkin, else the gradually lumped M(alpha)."""
+    if sys.params.detector == stab.GALERKIN or \
+            sys.params.mass == stab.SYMMETRIC_MASS:
+        return sys.mass
+    return stab.assemble_nonlinear_mass(sys.mesh, sys.mass, sys.lumped, alphas)
