@@ -273,6 +273,23 @@ def test_config_validation():
         TimeConfig(stab=p, steady=False, dt=0.1, t_end=0.05)
 
 
+@pytest.mark.parametrize("steps", [1.5, 2.5])
+def test_t_end_must_be_a_whole_number_of_steps(steps):
+    # round(t_end / dt) steps would end at 2 dt for both: past t_end at
+    # 1.5 dt, short of it at 2.5 dt (round half to even)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        TimeConfig(stab=smooth_params(), dt=1e-3, t_end=steps * 1e-3)
+
+
+@pytest.mark.parametrize("dt, t_end", [(1e-3, 1e-2), (1e-2, 0.2), (0.1, 0.3),
+                                       (0.1, 0.7), (0.01, 0.06)])
+def test_t_end_within_roundoff_of_whole_steps_is_accepted(dt, t_end):
+    # the benchmark's 10 and 20 steps, and 0.3 / 0.1 = 2.9999999999999996
+    # and 0.7 / 0.1 = 6.999999999999999 in floating point
+    cfg = TimeConfig(stab=smooth_params(), dt=dt, t_end=t_end)
+    assert cfg.t_end == t_end
+
+
 @pytest.mark.parametrize("detector", [stab.NONSMOOTH, stab.SIMPLIFIED])
 def test_newton_needs_a_detector_with_an_exact_jacobian(detector):
     p = StabParams(q=4.0, eps=0.0, gamma=0.0, detector=detector)
