@@ -285,6 +285,15 @@ def error_norms(mesh, u, exact, region=OMEGA, inflow_where=None):
     return float(_running_sum(w * diff)), float(np.sqrt(_running_sum(w * diff * diff)))
 
 
+def error_report(mesh, u, problem):
+    """The L1 and L2 errors of u against the problem's exact solution over
+    the domain and over the outflow boundary: keys L1, L2, L1_out, L2_out."""
+    l1, l2 = error_norms(mesh, u, problem.exact)
+    l1o, l2o = error_norms(mesh, u, problem.exact, region=OUTFLOW,
+                           inflow_where=problem.inflow_where)
+    return {"L1": l1, "L2": l2, "L1_out": l1o, "L2_out": l2o}
+
+
 def _running_sum(x):
     """0.0 + x[0] + x[1] + ... in order, so a result is reproducible to the
     last bit, unlike np.sum's pairwise blocks."""

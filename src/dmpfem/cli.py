@@ -16,8 +16,8 @@ import numpy as np
 
 from . import io as dio
 from . import stabilization as stab
-from .bench import (OMEGA, OUTFLOW, convergence_study, dmp_audit,
-                    error_norms, local_dmp_audit, make_problem)
+from .bench import (convergence_study, dmp_audit, error_report,
+                    local_dmp_audit, make_problem)
 from .io import ConfigError, RunConfig, parse_config
 from .mesh import build_structured
 from .timeloop import (ANDERSON, NEWTON, TimeConfig, admissible_bounds,
@@ -93,11 +93,9 @@ def cmd_run(cfg, args):
     print(f"global DMP violation: max {mx:.3e}, min {mn:.3e}")
 
     if problem.exact is not None:
-        l1, l2 = error_norms(mesh, u, problem.exact, region=OMEGA)
-        l1o, l2o = error_norms(mesh, u, problem.exact, region=OUTFLOW,
-                               inflow_where=problem.inflow_where)
-        print(f"errors: L1 {_sci(l1)}  L1_out {_sci(l1o)}  "
-              f"L2 {_sci(l2)}  L2_out {_sci(l2o)}")
+        err = {k: _sci(v) for k, v in error_report(mesh, u, problem).items()}
+        print(f"errors: L1 {err['L1']}  L1_out {err['L1_out']}  "
+              f"L2 {err['L2']}  L2_out {err['L2_out']}")
 
     if not all(r.converged for r in reports):
         print("solver did not converge", file=sys.stderr)
@@ -136,10 +134,7 @@ def _table_row(problem, mesh, q, eps, columns):
         if report.converged:
             u_best = u
     if u_best is not None and problem.exact is not None:
-        row["L1"], row["L2"] = error_norms(mesh, u_best, problem.exact)
-        row["L1_out"], row["L2_out"] = error_norms(
-            mesh, u_best, problem.exact, region=OUTFLOW,
-            inflow_where=problem.inflow_where)
+        row.update(error_report(mesh, u_best, problem))
     return row
 
 

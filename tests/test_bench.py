@@ -102,6 +102,17 @@ def test_error_norms_affine_interpolant_exact(make_mesh):
     assert l1o < 1e-13 and l2o < 1e-13
 
 
+def test_error_report_is_the_domain_and_outflow_norms():
+    prob = make_problem("STRAIGHT_DISCONTINUITY")
+    mesh = build_structured(6, 6)
+    u = np.random.default_rng(4).uniform(0.0, 1.0, mesh.n_nodes)
+    l1, l2 = error_norms(mesh, u, prob.exact)
+    l1o, l2o = error_norms(mesh, u, prob.exact, region=OUTFLOW,
+                           inflow_where=prob.inflow_where)
+    assert bench.error_report(mesh, u, prob) == \
+        {"L1": l1, "L2": l2, "L1_out": l1o, "L2_out": l2o}
+
+
 def test_error_norms_reject_non_rectangular_q1():
     # Q1 shape functions are bilinear on axis-aligned rectangles only
     grid = build_structured(3, 3, kind=Q1)
