@@ -12,20 +12,17 @@ and the residual entry u_i - u_D(x_i).  A(u) is one data vector on the shared
 ``Pattern``, whose Dirichlet rows are replaced by index (positions precomputed
 per system); the zeros this stores add nothing to T(u), and the Picard solve
 drops them on a copy so that SuperLU orders the same zero-free structure as a
-sparse sum would give it.  The Jacobian is exact for the smooth detector
-variants, including the detector chain rule through the regularized maxima
-and the state dependence of the transport operator; its sparsity extends to
-the distance-2 adjacency because every detector value depends on the whole
-neighborhood.
+sparse sum would give it.
 
-J is one sparse product and one sum, J = A_on + P @ d alpha.  A_on is A(u)'s
-own data, as the residual assembles it (``_operator_data``), plus F' and
-the viscosity flux term, both for a nonlinear flux only.  P holds the
-partials from the residual's viscosity kernel,
-``stabilization.edge_viscosity``, and d alpha comes from sparse products
-with a matrix built once per mesh, on the first Jacobian
-(``stabilization.detector_derivative``); set-up and Anderson never build
-it.  J is canonical CSR: zero-free, each row's columns sorted.
+The Jacobian is exact for the smooth detector variants.  It starts from A(u)'s
+own data, as the residual assembles it (``_operator_data``), and adds only the
+chain rule: F' and F's state dependence inside the viscosity (nonlinear flux
+only), and P @ d alpha, with P the partials from the residual's viscosity
+kernel (``stabilization.edge_viscosity``).  d alpha couples every node to its
+whole detector neighborhood, so J lives on the distance-2 adjacency; it comes
+from sparse products with a matrix built once per mesh, on the first Jacobian
+(``stabilization.detector_derivative``), which set-up and Anderson never
+build.  J is canonical CSR: zero-free, each row's columns sorted.
 
 Both solves go through ``solve_linear``, which first gives every matrix one
 cycle of GMRES(60) right-preconditioned by its diagonal (Jacobi), whose
@@ -372,13 +369,10 @@ class ResidualSystem:
         Galerkin only).
 
         J = A_on + P @ d alpha, one sparse product and one sum.  A_on is
-        A(u)'s own data, F + B (+ M/dt) from ``_operator_data``, plus F'
-        and the viscosity flux term, the state dependence of F inside the
-        viscosity summed element by element; both for a nonlinear flux only.
-        P holds the viscosity's partials, and its diagonal the gradually
-        lumped mass's diag(w) d alpha (``stabilization.detector_derivative``,
-        zero-free with sorted rows).  The Dirichlet rows of J are identity
-        rows.
+        ``_operator_data``'s F + B (+ M/dt), plus F' and the viscosity flux
+        term, summed element by element (nonlinear flux only).  P holds the
+        viscosity's partials, and its diagonal the gradually lumped mass's
+        diag(w) d alpha.  The Dirichlet rows of J are identity rows.
         """
         galerkin = self.params.detector == stab.GALERKIN
         u = np.asarray(u, dtype=float)
@@ -402,19 +396,14 @@ class ResidualSystem:
         du_edge = u[pat.edge_rows] - u[pat.edge_cols]
         p_off = p_diag = 0.0
         for K, scale in terms:
-            w_a, w_b = stab.edge_viscosity(pat, K, alphas, self.params,
-                                           partials=True)[1]
+            Wa, Wb = (du_edge * w for w in stab.edge_viscosity(
+                pat, K, alphas, self.params, partials=True)[1])
             if K is F and nonlinear:
-                data += self._viscosity_flux_term(
-                    du_edge * w_a * alphas[pat.edge_rows],
-                    du_edge * w_b * alphas[pat.edge_cols],
-                    convection_entry_derivative_tensor(self.mesh,
-                                                       self.velocity, u))
-            p_off += du_edge * w_b * K.data[pat.edge_transpose_pos] / scale
+                data += self._viscosity_flux_term(u, alphas, Wa, Wb)
+            p_off += Wb * K.data[pat.edge_transpose_pos] / scale
             # row sums of the edge terms: their operator's diagonal
             p_diag += stab._edge_operator(
-                pat, du_edge * w_a * K.data[pat.edge_pos] / scale
-            ).data[pat.diag_pos]
+                pat, Wa * K.data[pat.edge_pos] / scale).data[pat.diag_pos]
         if not self.steady and not symmetric_mass:
             du = u - self.u_old
             p_diag += (self.lumped * du - self.mass.matvec(du)) / self.dt
@@ -427,13 +416,15 @@ class ResidualSystem:
         J.sort_indices()
         return J
 
-    def _viscosity_flux_term(self, W1, W2, T3):
+    def _viscosity_flux_term(self, u, alphas, Wa, Wb):
         """Pattern data of rows sum_j du_ij [w_a alpha_i dF_ij/du
-        + w_b alpha_j dF_ji/du], summed element by element."""
+        + w_b alpha_j dF_ji/du], summed element by element, from the edge
+        values Wa = du w_a and Wb = du w_b."""
         pat = self.pattern
+        T3 = convection_entry_derivative_tensor(self.mesh, self.velocity, u)
         zeros = np.zeros(pat.n)
-        w1, w2 = (stab._edge_operator(pat, W, diag=zeros).data
-                  for W in (W1, W2))
+        w1, w2 = (stab._edge_operator(pat, W * alphas[at], diag=zeros).data
+                  for W, at in ((Wa, pat.edge_rows), (Wb, pat.edge_cols)))
         emap = pat.element_map
         contrib = np.einsum("eab,eabc->eac", w1[emap], T3)
         contrib += np.einsum("eab,ebac->eac", w2[emap], T3)

@@ -49,8 +49,7 @@ class TimeConfig:
                 raise ValueError("transient runs need dt > 0")
             if self.t_end is None or self.t_end < self.dt:
                 raise ValueError("t_end must be at least dt")
-            # run_transient takes round(t_end / dt) steps
-            steps = self.t_end / self.dt
+            steps = self.t_end / self.dt   # run_transient takes round(steps)
             if abs(steps - round(steps)) > 1e-9 * steps:
                 raise ValueError(f"t_end must be a whole number of steps of "
                                  f"dt, not {steps:g}")
