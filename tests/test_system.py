@@ -53,6 +53,8 @@ SMOOTH_CASES = [
          detector=stab.SMOOTH, mass=stab.GRADUAL_LUMPING),
     dict(label="linear-transient-gradual", burgers=False, dt=0.01,
          detector=stab.SMOOTH, mass=stab.GRADUAL_LUMPING),
+    dict(label="linear-transient-symmass", burgers=False, dt=0.01,
+         detector=stab.SMOOTH, mass=stab.SYMMETRIC_MASS),
     dict(label="burgers-transient-gradual", burgers=True, dt=0.02,
          detector=stab.SMOOTH, mass=stab.GRADUAL_LUMPING),
     dict(label="burgers-transient-symmass", burgers=True, dt=0.02,
@@ -160,6 +162,22 @@ def test_jacobian_galerkin_is_mass_plus_convection():
         row = J[i]
         assert row[i] == 1.0
         assert np.max(np.abs(np.delete(row, i))) == 0.0
+
+
+@pytest.mark.parametrize("dt", [None, 0.02])
+def test_jacobian_galerkin_matches_finite_differences_for_burgers(dt):
+    # no viscosity: J is F + F' (+ M/dt) on the rows that are not Dirichlet
+    mesh = build_structured(6, 6)
+    vel = VelocityModel.burgers()
+    params = StabParams(q=3.0, detector=stab.GALERKIN,
+                        beta_bound=vel.beta_bound)
+    u_old = None if dt is None else random_state(mesh, 11)
+    sys = ResidualSystem(mesh, vel, params, dirichlet=dirichlet_west(mesh),
+                         dt=dt, u_old=u_old)
+    u = random_state(mesh, 12)
+    J = sys.jacobian(u).toarray()
+    J_fd = fd_jacobian(sys, u)
+    assert np.max(np.abs(J - J_fd)) / np.max(np.abs(J_fd)) < 1e-6
 
 
 def test_jacobian_rejects_nonsmooth_detector():

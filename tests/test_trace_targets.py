@@ -6,7 +6,8 @@ is gone, so deleting or renaming a traced name would break
 ``perfbench/run.py --trace 1``.  The tracer module is only read here.
 A small Newton solve and a small Anderson solve must also reach the layers
 that the benchmark reconciles per iteration through the bindings that the
-tracer wraps.
+tracer wraps, and a Newton solve its viscosity kernel once per residual and
+once per Jacobian.
 """
 
 import functools
@@ -15,6 +16,8 @@ import importlib.util
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from dmpfem import solvers
 from dmpfem import stabilization as stab
@@ -89,6 +92,35 @@ def test_newton_calls_the_traced_layers_once_per_iteration(monkeypatch):
     assert counts == {"jacobian": iterations,
                       "detector_derivative": iterations,
                       "solve_linear": iterations}
+
+
+@pytest.mark.parametrize("mass, kernel", [
+    (stab.GRADUAL_LUMPING, "viscosity"),
+    (stab.SYMMETRIC_MASS, "viscosity_symmetric_mass")])
+def test_viscosity_is_traced_once_per_residual_and_jacobian(monkeypatch, mass,
+                                                            kernel):
+    # the exact Jacobian takes B from the residual's route, so the traced
+    # viscosity kernel holds its time in stabilization.viscosity_s
+    counts = Counter()
+    counting = functools.partial(_counting, counts)
+    for name in ("residual", "jacobian"):
+        method = getattr(system.ResidualSystem, name)
+        monkeypatch.setattr(system.ResidualSystem, name,
+                            counting(name, method))
+    _patch_everywhere(monkeypatch, getattr(stab, kernel),
+                      counting(kernel, getattr(stab, kernel)))
+
+    problem = make_problem("THREE_BODY_ROTATION")
+    mesh = build_structured(8, 8, domain=problem.domain)
+    params = StabParams(q=25.0, eps=1e-4, sigma=1e-12, gamma=1e-8,
+                        detector=stab.SMOOTH, mass=mass,
+                        beta_bound=problem.velocity.beta_bound)
+    cfg = TimeConfig(stab=params, dt=1e-3, t_end=2e-3, solver=NEWTON,
+                     projection=False, tol=1e-8)
+    result = run_transient(mesh, problem, cfg)
+    assert all(r.converged for r in result.reports)
+    assert counts["jacobian"] == sum(r.iterations for r in result.reports) > 0
+    assert counts[kernel] == counts["residual"] + counts["jacobian"]
 
 
 def test_anderson_calls_picard_once_per_iteration(monkeypatch):
