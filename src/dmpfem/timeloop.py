@@ -47,8 +47,8 @@ class TimeConfig:
         if not self.steady:
             if self.dt is None or self.dt <= 0:
                 raise ValueError("transient runs need dt > 0")
-            if self.t_end is None or self.t_end < self.dt:
-                raise ValueError("t_end must be at least dt")
+            if self.t_end is None or not self.dt <= self.t_end < np.inf:
+                raise ValueError("t_end must be at least dt, and finite")
             steps = self.t_end / self.dt   # run_transient takes round(steps)
             if abs(steps - round(steps)) > 1e-9 * steps:
                 raise ValueError(f"t_end must be a whole number of steps of "

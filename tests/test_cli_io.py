@@ -254,6 +254,8 @@ def test_cli_unknown_problem_exits_2(tmp_path, monkeypatch, capsys):
       "--t_end", "1e-3"], "t_end must be at least dt"),
     (["run", "--problem", "THREE_BODY_ROTATION", "--dt", "1e-3",
       "--t_end", "2.5e-3"], "t_end must be a whole number of steps of dt"),
+    (["run", "--problem", "THREE_BODY_ROTATION", "--t_end", "inf"],
+     "t_end must be at least dt, and finite"),
     (["run", "--solver", "newton", "--detector", "nonsmooth"],
      "the exact Jacobian needs a smooth detector variant"),
     (["run", "--problem", "STEADY_PARABOLIC", "--steady", "false"],
@@ -264,7 +266,7 @@ def test_cli_unknown_problem_exits_2(tmp_path, monkeypatch, capsys):
     (["converge", "--problem", "STEADY_PARABOLIC", "--sizes", "0,4"],
      "nx and ny must be >= 1"),
 ], ids=["run-q", "run-eps-gamma", "run-t_end", "run-t_end-steps",
-        "run-newton-nonsmooth",
+        "run-t_end-inf", "run-newton-nonsmooth",
         "run-steady-problem-transient", "table-qs", "table-transient",
         "converge-sizes"])
 def test_cli_invalid_option_exits_2(args, message, tmp_path, monkeypatch,

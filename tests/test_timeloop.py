@@ -271,6 +271,9 @@ def test_config_validation():
         TimeConfig(stab=p, steady=False, dt=None, t_end=1.0)
     with pytest.raises(ValueError):
         TimeConfig(stab=p, steady=False, dt=0.1, t_end=0.05)
+    for t_end in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            TimeConfig(stab=p, steady=False, dt=0.1, t_end=t_end)
 
 
 @pytest.mark.parametrize("steps", [1.5, 2.5])
