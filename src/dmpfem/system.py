@@ -26,16 +26,22 @@ build.  J is canonical CSR: zero-free, each row's columns sorted.
 
 Both solves go through ``solve_linear``, which first gives every matrix one
 cycle of GMRES(60) right-preconditioned by its diagonal (Jacobi), whose
-result is kept only at a relative residual of 1e-12.  A transient matrix,
-Newton's J or the Picard A(u), is M/dt plus transport terms that are small
-beside it at the time steps used (median off-diagonal row sum 0.05 of the
-diagonal of J on the THREE_BODY_ROTATION benchmark), so M/dt dominates the
-diagonal and the cycle converges in about 30 iterations: 13 ms against 64 ms
-for the factorization of J at 96^2, and every rotation J and every Picard
-A(u) of the BURGERS2D benchmark was taken.  A steady matrix has no M/dt
-term.  Every 10 iterations the cycle checks that the rate of the last 10,
-kept up, reaches the tolerance within 60.  The 15 J of the
-STRAIGHT_DISCONTINUITY benchmark fail the first check, after about 2.5 ms.
+result is kept only at the relative residual asked for: 1e-12 for the
+Picard A(u), whose Anderson mixing follows the last bits of each sweep, and
+for J Newton's forcing term min(1e-2, ||T_k|| / ||T_0||), never below 1e-12
+(``solvers.newton_solve``).  A transient matrix, Newton's J or the Picard
+A(u), is M/dt plus transport terms that are small beside it at the time
+steps used (median off-diagonal row sum 0.05 of the diagonal of J on the
+THREE_BODY_ROTATION benchmark), so M/dt dominates the diagonal and the cycle
+reaches 1e-12 in about 30 iterations, 14 ms against 66 ms for the
+factorization of J at 96^2; every rotation J and every Picard A(u) of the
+BURGERS2D benchmark is taken.  At the forcing term a rotation J takes a
+median of 7 iterations (2.3 ms): 514 products over that benchmark's 41 J,
+where 1e-12 took 1221 over 38.  A steady matrix has no M/dt term.  Every 10
+iterations the cycle checks that the rate of the last 10, kept up, reaches
+the tolerance within 60.  The 15 J of the STRAIGHT_DISCONTINUITY benchmark
+fail the first check at the forcing cap 1e-2 as at 1e-12, after about
+2.5 ms, so the steady field keeps its bits.
 A steady A(u) of that problem passes it, then stalls near a relative
 residual of 1e-3 and fails the second: 6 ms per operator at 96^2, against
 54 ms for all 60 iterations (the first 60 Picard operators of the STRAIGHT
@@ -58,6 +64,7 @@ benchmark), where Newton's quadratic convergence absorbs them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,11 +102,11 @@ class DirichletBC:
 
 _KRYLOV = 60        # GMRES(m): Krylov vectors in the one cycle tried
 _PROBE = 10         # iterations between checks that the recent rate suffices
-_KRYLOV_RTOL = 1e-12
+KRYLOV_RTOL = 1e-12  # the default tolerance, and the floor of Newton's
 
 
-def _jacobi_gmres(A, b):
-    """x with ||A x - b|| <= 1e-12 ||b|| from one cycle of GMRES(m), or None.
+def _jacobi_gmres(A, b, rtol=KRYLOV_RTOL):
+    """x with ||A x - b|| <= rtol ||b|| from one cycle of GMRES(m), or None.
 
     GMRES (Saad & Schultz, SISSC 1986) from x = 0, right-preconditioned by
     diag(A), so that it minimizes the true residual; classical Gram-Schmidt
@@ -107,74 +114,82 @@ def _jacobi_gmres(A, b):
     n <= m (within n iterations GMRES would solve a small singular but
     consistent system instead of letting the factorization report it), when
     a diagonal entry is zero, when at a multiple of ``_PROBE`` iterations
-    the rate of the last ``_PROBE`` cannot reach the tolerance within m, when
-    m iterations do not reach it, or when the residual of the formed x
-    misses it.
+    the rate of the last ``_PROBE`` cannot reach ``rtol`` within m, when m
+    iterations do not reach it, or when the residual of the formed x misses
+    it.  The rotations and the least-squares right side are Python floats,
+    the same IEEE operations as numpy's scalars at less cost per iteration.
     """
     n, m = b.size, _KRYLOV
     d = A.diagonal()
-    beta = np.linalg.norm(b)
-    if n <= m or not np.all(d) or not 0.0 < beta < np.inf:
+    beta = math.sqrt(b.dot(b))
+    if n <= m or not np.all(d) or not 0.0 < beta < math.inf:
         return None
-    target = _KRYLOV_RTOL * beta
+    target = rtol * beta
     V = np.empty((m + 1, n))
+    z = np.empty(n)
     R = np.zeros((m, m))
-    cs, sn = np.empty(m), np.empty(m)
-    g = np.zeros(m + 1)
-    V[0], g[0] = b / beta, beta
+    cs, sn = [], []
+    g = [beta]
+    np.divide(b, beta, out=V[0])
     checked = 1.0   # relative residual at the last rate check
     for k in range(m):
-        w = A @ (V[k] / d)
+        w = A @ np.divide(V[k], d, out=z)
         h = V[:k + 1] @ w
         w -= h @ V[:k + 1]
         c = V[:k + 1] @ w
         w -= c @ V[:k + 1]
         h += c
-        h_next = np.linalg.norm(w)
+        h_next = math.sqrt(w.dot(w))
+        h = h.tolist()
         for i in range(k):
             h[i], h[i + 1] = (cs[i] * h[i] + sn[i] * h[i + 1],
                               cs[i] * h[i + 1] - sn[i] * h[i])
-        r = np.hypot(h[k], h_next)
+        r = float(np.hypot(h[k], h_next))
         if r == 0.0:
             return None
-        cs[k], sn[k] = h[k] / r, h_next / r
+        cs.append(h[k] / r)
+        sn.append(h_next / r)
         h[k] = r
         R[:k + 1, k] = h
-        g[k], g[k + 1] = cs[k] * g[k], -sn[k] * g[k]
-        if abs(g[k + 1]) <= target:
+        g[k], g_next = cs[k] * g[k], -sn[k] * g[k]
+        g.append(g_next)
+        if abs(g_next) <= target:
             y = scipy.linalg.solve_triangular(R[:k + 1, :k + 1], g[:k + 1])
             x = (y @ V[:k + 1]) / d
-            return x if np.linalg.norm(A @ x - b) <= target else None
+            res = A @ x - b
+            return x if math.sqrt(res.dot(res)) <= target else None
         # every _PROBE iterations: the rate of the last _PROBE, kept for the
         # rest of the cycle, would not get there
         if (k + 1) % _PROBE == 0:
-            rel = abs(g[k + 1]) / beta
-            if rel * (rel / checked) ** ((m - k - 1) / _PROBE) > _KRYLOV_RTOL:
+            rel = abs(g_next) / beta
+            if rel * (rel / checked) ** ((m - k - 1) / _PROBE) > rtol:
                 return None
             checked = rel
-        V[k + 1] = w / h_next
+        np.divide(w, h_next, out=V[k + 1])
     return None
 
 
-def solve_linear(A, b, order=None):
+def solve_linear(A, b, order=None, rtol=KRYLOV_RTOL):
     """(x, factorized) for A x = b; raises SingularSystemError on breakdown.
 
     First one cycle of GMRES(60) right-preconditioned by diag(A), skipped
     for n <= 60 or a zero diagonal entry, abandoned at every tenth iteration
-    when the rate of the last ten cannot reach the tolerance within 60, and
-    its x returned only
-    when ||A x - b|| <= 1e-12 ||b||; ``factorized`` is then False.
-    Otherwise, in the same call, A is factorized and ``factorized`` is True
-    (see the module docstring for which matrices take which path).  With
-    ``order``, a permutation of the unknowns, as Newton passes for J, A is
-    permuted symmetrically by it and factorized in SuperLU's symmetric mode,
-    a diagonal pivot kept unless below 0.01 of its column's largest entry.
-    Without it, as for A(u), SuperLU with COLAMD and partial pivoting, the
-    result bit-identical to ``spsolve``.  A singular A raises through the
-    factorization, except that a large, exactly singular A with b in its
-    range may return a GMRES solution instead.
+    when the rate of the last ten cannot reach ``rtol`` within 60, and its x
+    returned only when ||A x - b|| <= rtol ||b||; ``factorized`` is then
+    False.  Newton passes its forcing term as ``rtol``; the Picard sweep
+    keeps the default 1e-12.  Otherwise, in the same call, A is factorized
+    and ``factorized`` is True (see the module docstring for which matrices
+    take which path); the factorization solves to roundoff whatever
+    ``rtol``.  With ``order``, a permutation of the unknowns, as Newton
+    passes for J, A is permuted symmetrically by it and factorized in
+    SuperLU's symmetric mode, a diagonal pivot kept unless below 0.01 of its
+    column's largest entry.  Without it, as for A(u), SuperLU with COLAMD
+    and partial pivoting, the result bit-identical to ``spsolve``.  A
+    singular A raises through the factorization, except that a large,
+    exactly singular A with b in its range may return a GMRES solution
+    instead.
     """
-    x = _jacobi_gmres(A, b)
+    x = _jacobi_gmres(A, b, rtol)
     if x is not None:
         return x, False
     try:

@@ -27,9 +27,15 @@ reproduce the old digest, the iterations and the step lengths, and stay
 within 1e-12 of the new field.  The transient run digests pin each step
 after the first starting its solver from the extrapolation 2u^n - u^(n-1);
 each run and each reference run also marches with every step started from
-u^n, as before that change, and must reproduce the pin from before it.  The
-J digests and the Newton-run digests pin J assembled on per-mesh structures
-(one sparse product, one sum); its data moved in the last bits.  They also pin J as canonical CSR, each row's
+u^n, as before that change, and must reproduce the pin from before it.
+The transient Newton runs and all their references solve every J to
+1e-12, with ``solvers.FORCING_CAP`` set to it, as before Newton solved each
+J only to its forcing term; a separate test pins the run with the forcing
+term, which takes one more iteration per step to a field within 1e-15.  The
+steady Newton run is pinned with the forcing term: every steady J still
+falls back to the factorization.  The J digests and the Newton-run digests
+pin J assembled on per-mesh structures (one sparse product, one sum); its
+data moved in the last bits.  They also pin J as canonical CSR, each row's
 columns sorted: the entries kept their values bit for bit, but the J
 digests and the transient Newton-run digest, whose GMRES sums each row of
 J @ x in stored order, moved.  The former assembly, kept in
@@ -226,7 +232,7 @@ PICARD_DIRECT = {'burgers_p1': '418c6583dda608da',
 
 def _without_krylov(monkeypatch):
     """Every matrix factorized, no GMRES cycle, as before it was tried."""
-    monkeypatch.setattr(system, "_jacobi_gmres", lambda A, b: None)
+    monkeypatch.setattr(system, "_jacobi_gmres", lambda A, b, rtol: None)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -298,7 +304,7 @@ def _with_mmd_jacobian_solve(monkeypatch):
     """Newton's J solved in symmetric mode on a minimum-degree ordering of
     J^T + J made per factorization, as before the nested-dissection
     ordering."""
-    def solve(A, b, order=None):
+    def solve(A, b, order=None, rtol=None):
         return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.01,
                          options=dict(SymmetricMode=True)).solve(b), True
@@ -393,6 +399,11 @@ def test_burgers_anderson_run_matches_the_direct_reference(monkeypatch):
         assert np.all(np.diff(run.min_series) >= -1e-10)
 
 
+def _with_exact_newton_solves(monkeypatch):
+    """Every Newton linear solve to 1e-12, as before the forcing term."""
+    monkeypatch.setattr(solvers, "FORCING_CAP", system.KRYLOV_RTOL)
+
+
 def _rotation_newton_run(march=run_transient):
     # the rotation_newton benchmark's stabilization on Q1 16^2, three steps,
     # unprojected: with projection this grid stalls at step 1 (see
@@ -407,10 +418,22 @@ def _rotation_newton_run(march=run_transient):
     return march(mesh, problem, cfg)
 
 
-def test_rotation_newton_run_is_bit_identical():
+def test_rotation_newton_run_with_the_forcing_term_is_bit_identical():
+    # each J solved to min(1e-2, ||T_k|| / ||T_0||): one more iteration per
+    # step, within 1e-15 of the run with every J solved to 1e-12
+    result = _rotation_newton_run()
+    assert [r.iterations for r in result.reports] == [4, 4, 4]
+    assert [r.omega_or_xi_history for r in result.reports] == [
+        [0.9998269297282878, 0.9999338930386481, 1.0, 1.0],
+        [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]
+    assert _digest(result.u) == "abf6b0b828a12cf0"
+
+
+def test_rotation_newton_run_is_bit_identical(monkeypatch):
     # The first line search ends just short of the full step, at
     # 1 - 1.7 ls_tol, so a full-step check that accepted a mere decrease
     # would move the field.
+    _with_exact_newton_solves(monkeypatch)
     result = _rotation_newton_run()
     assert [r.iterations for r in result.reports] == [3, 3, 3]
     assert [r.omega_or_xi_history for r in result.reports] == [
@@ -418,7 +441,8 @@ def test_rotation_newton_run_is_bit_identical():
     assert _digest(result.u) == "005f1aab16d08e3a"
 
 
-def test_rotation_newton_run_matches_the_previous_state_start():
+def test_rotation_newton_run_matches_the_previous_state_start(monkeypatch):
+    _with_exact_newton_solves(monkeypatch)
     result = _rotation_newton_run()
     ref = _rotation_newton_run(march_from_previous_state)
     # the pin from before the extrapolated start
@@ -447,6 +471,7 @@ def _assert_close_to_references(runs, refs, pins, step_lengths=True):
 
 
 def test_rotation_newton_run_matches_the_former_jacobian(monkeypatch):
+    _with_exact_newton_solves(monkeypatch)
     runs = _both_starts()
     _with_former_jacobian(monkeypatch)
     _assert_close_to_references(runs, _both_starts(),
@@ -461,6 +486,7 @@ def test_rotation_newton_run_matches_the_former_jacobian(monkeypatch):
 # GMRES run 1.0; the fields agree to 5e-16.
 
 def test_rotation_newton_run_matches_the_direct_reference(monkeypatch):
+    _with_exact_newton_solves(monkeypatch)
     runs = _both_starts()
     # every J factorized on the nested-dissection ordering
     _with_former_jacobian(monkeypatch)
@@ -471,6 +497,7 @@ def test_rotation_newton_run_matches_the_direct_reference(monkeypatch):
 
 
 def test_rotation_newton_run_matches_the_mmd_reference(monkeypatch):
+    _with_exact_newton_solves(monkeypatch)
     runs = _both_starts()
     _with_former_jacobian(monkeypatch)
     _with_mmd_jacobian_solve(monkeypatch)

@@ -12,8 +12,9 @@ from dmpfem.mesh import Q1, build_structured
 from dmpfem.solvers import (GOLDEN, _anderson_coefficients, anderson_solve,
                             line_search, newton_solve, project_admissible)
 from dmpfem.stabilization import StabParams
-from dmpfem.system import AdmissibleBounds, SingularSystemError, solve_linear
-from dmpfem.timeloop import NEWTON, TimeConfig, run_steady
+from dmpfem.system import (KRYLOV_RTOL, AdmissibleBounds, SingularSystemError,
+                           solve_linear)
+from dmpfem.timeloop import NEWTON, TimeConfig, run_steady, run_transient
 from test_jacobian_fingerprint import (_digest, _rotation_newton_run,
                                        _steady_newton_run)
 
@@ -450,6 +451,7 @@ def test_newton_solves_with_the_residual_of_the_current_iterate(project,
         assert np.array_equal(b, -sys.inner.residual(u_k))
     assert (sys.jacobian_points[1][0] == 2.1) == project
     assert rep.residual_norm == np.linalg.norm(sys.inner.residual(u))
+    assert rep.residual_history == [np.linalg.norm(b) for b in rhs]
 
 
 @pytest.mark.parametrize("reports", [
@@ -466,6 +468,51 @@ def test_newton_runs_call_solve_linear_once_per_iteration(reports,
     reports = reports()
     assert all(r.converged for r in reports)
     assert len(calls) == sum(r.iterations for r in reports) > 0
+
+
+@pytest.mark.parametrize("reports", [
+    lambda: [_steady_newton_run()[1]],
+    lambda: _rotation_newton_run().reports], ids=["steady", "transient"])
+def test_newton_solves_each_jacobian_to_its_forcing_term(reports,
+                                                         monkeypatch):
+    # eta_k = min(cap, ||T_k|| / ||T_0||), never below the Picard 1e-12
+    rtols = []
+    monkeypatch.setattr(solvers, "solve_linear",
+                        lambda A, b, **kw: rtols.append(kw["rtol"])
+                        or solve_linear(A, b, **kw))
+    reports = reports()
+    assert all(len(r.residual_history) == r.iterations for r in reports)
+    assert rtols == [max(1e-12, min(1e-2, r / rep.residual_history[0]))
+                     for rep in reports for r in rep.residual_history]
+    assert rtols[0] == 1e-2 and min(rtols) < 1e-4
+
+
+def _projected_rotation_run():
+    # the rotation_newton benchmark's stabilization and solver on Q1 24^2,
+    # three steps
+    problem = make_problem("THREE_BODY_ROTATION")
+    mesh = build_structured(24, 24, domain=problem.domain, kind=Q1)
+    params = StabParams(q=25.0, eps=1e-4, sigma=1e-12, gamma=1e-8,
+                        detector=stab.SMOOTH, mass=stab.GRADUAL_LUMPING,
+                        beta_bound=problem.velocity.beta_bound)
+    cfg = TimeConfig(stab=params, dt=1e-3, t_end=3e-3, solver=NEWTON,
+                     projection=True, tol=1e-8)
+    return run_transient(mesh, problem, cfg)
+
+
+@pytest.mark.parametrize("run", [_rotation_newton_run,
+                                 _projected_rotation_run],
+                         ids=["unprojected_16", "projected_24"])
+def test_forcing_term_moves_the_iterates_not_the_solution(run, monkeypatch):
+    result = run()
+    monkeypatch.setattr(solvers, "FORCING_CAP", KRYLOV_RTOL)
+    pinned = run()
+    diff = np.max(np.abs(result.u - pinned.u)) / np.max(np.abs(pinned.u))
+    print(f"\nNewton iterations with the forcing term "
+          f"{[r.iterations for r in result.reports]}, every J to 1e-12 "
+          f"{[r.iterations for r in pinned.reports]}; fields {diff:.1e} apart")
+    assert all(r.converged for r in result.reports + pinned.reports)
+    assert diff <= 1e-12
 
 
 @pytest.mark.parametrize("solve", [anderson_solve, newton_solve])
@@ -486,9 +533,11 @@ def test_report_history_lengths_match_iterations():
                  rep.omega_or_xi_history):
         assert len(hist) == rep.iterations
 
+    assert rep.residual_history == []    # Newton's only
+
     _, rep = newton_solve(ScalarNewton(), np.array([3.0]), tol=1e-10, k_max=20)
     for hist in (rep.nlerr_history, rep.dmp_violation_history,
-                 rep.omega_or_xi_history):
+                 rep.omega_or_xi_history, rep.residual_history):
         assert len(hist) == rep.iterations
 
 

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
+from dmpfem import solvers, system
 from dmpfem import stabilization as stab
 from dmpfem.assembly import (VelocityModel, assemble_convection, assemble_mass,
                              pattern)
@@ -22,7 +23,8 @@ from dmpfem.timeloop import (ANDERSON, NEWTON, TimeConfig, dirichlet_bc,
 from test_assembly import constant_velocity
 from former_jacobian import former_jacobian
 from meshes import jittered_p1
-from test_jacobian_fingerprint import CASES, _system, assert_same_jacobian
+from test_jacobian_fingerprint import (CASES, _steady_newton_run, _system,
+                                       assert_same_jacobian)
 from test_mesh import neighbors
 
 
@@ -452,6 +454,21 @@ def test_steady_operator_falls_back_to_the_colamd_solve(monkeypatch):
     assert np.array_equal(x, ref)
 
 
+class Counting:
+    """A matrix that counts the products the GMRES cycle takes with it."""
+
+    def __init__(self, A):
+        self.A = A
+        self.products = 0
+
+    def diagonal(self):
+        return self.A.diagonal()
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.A @ x
+
+
 def test_krylov_cycle_gives_up_when_the_recent_rate_stalls():
     # the first Picard operator of STRAIGHT_DISCONTINUITY q=4 on Q1 48^2:
     # the rate of the first 10 iterations would reach the tolerance, the
@@ -468,20 +485,44 @@ def test_krylov_cycle_gives_up_when_the_recent_rate_stalls():
     u = np.zeros(mesh.n_nodes)
     u[bc.nodes] = bc.values
     A, G = sys.assemble_operator(u)
-
-    class Counting:
-        products = 0
-
-        def diagonal(self):
-            return A.diagonal()
-
-        def __matmul__(self, x):
-            self.products += 1
-            return A @ x
-
-    counting = Counting()
+    counting = Counting(A)
     assert _jacobi_gmres(counting, G) is None
     assert counting.products == 20
+
+
+def test_krylov_cycle_stops_at_the_given_tolerance():
+    # a transient J solved to Newton's forcing term: the residual meets the
+    # looser tolerance, in fewer products than at 1e-12
+    sys, u = CASES["transient_gradual_q1"]()
+    J, b = sys.jacobian(u), -sys.residual(u)
+    products = {}
+    for rtol in (1e-12, 1e-4):
+        counting = Counting(J)
+        x = _jacobi_gmres(counting, b, rtol)
+        assert np.linalg.norm(J @ x - b) <= rtol * np.linalg.norm(b)
+        products[rtol] = counting.products
+    assert products[1e-4] < products[1e-12]
+
+
+def test_steady_jacobian_cycle_gives_up_at_the_forcing_cap(monkeypatch):
+    # every steady J of the steady_newton stabilization (Q1 16^2) misses
+    # even the loosest forcing term at the first rate check, so Newton still
+    # factorizes each one and the steady field keeps its bits.  (The q = 3,
+    # eps = 1e-2 J of CASES["steady_linear_q1"] on Q1 8^2 passes that check
+    # at 1e-2 and converges in 12 products.)
+    calls = []
+
+    def counted(A, b, rtol):
+        counting = Counting(A)
+        x = _jacobi_gmres(counting, b, rtol)
+        calls.append((rtol, counting.products, x is None))
+        return x
+
+    monkeypatch.setattr(system, "_jacobi_gmres", counted)
+    _, report = _steady_newton_run()
+    assert report.converged and len(calls) == report.iterations
+    assert calls[0][0] == solvers.FORCING_CAP
+    assert all(products == 10 and gave_up for _, products, gave_up in calls)
 
 
 def test_factorized_solve_matches_spsolve_for_each_structure():
