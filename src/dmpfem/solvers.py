@@ -15,6 +15,13 @@ phi(0) and phi(1 - ls_tol), xi = 1 is taken for one or two residuals instead
 of about 24.  The residual at the accepted point is handed back and reused as
 the next iterate's T(u) unless projection moved that point.
 
+Newton keeps one evaluation per iterate: the one whose T(u_k) it linearizes
+at, the step's first residual or the point the line search accepted.  From
+a ``ResidualSystem`` that evaluation also hands back A(u_k) as assembled and
+the detector's node state (``system.Evaluation``); J(u_k) starts from them
+and releases them once it is built.  The line search keeps the evaluation of
+its best point only, and the Picard sweep asks for none.
+
 Newton is inexact (Dembo, Eisenstat & Steihaug, SINUM 1982): each J is
 solved only to the forcing term eta_k = min(FORCING_CAP, ||T(u_k)|| /
 ||T(u_0)||), never below the 1e-12 that the Picard sweep keeps.  Since
@@ -31,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .system import KRYLOV_RTOL, SingularSystemError, solve_linear
+from .system import (KRYLOV_RTOL, ResidualSystem, SingularSystemError,
+                     solve_linear)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 FORCING_CAP = 1e-2   # largest relative tolerance of a Newton linear solve
@@ -201,7 +209,15 @@ def anderson_solve(sys, u0, m=5, s_min=-0.05, omega0=1.0, omega_min=0.3,
     return _iterate(sys, u0, step, tol, k_max, project)
 
 
-def line_search(sys, u, du, ls_tol=1e-4, T0=None):
+def _evaluate(sys, u):
+    """(T(u), the ``Evaluation`` a ``ResidualSystem`` keeps for J(u), or
+    None for a system that keeps none)."""
+    if isinstance(sys, ResidualSystem):
+        return sys.residual(u, keep=True)
+    return sys.residual(u), None
+
+
+def line_search(sys, u, du, ls_tol=1e-4, T0=None, keep=False):
     """Step length xi in [0, 1] minimizing ||T(u + xi du)||, and T there.
 
     The endpoints are sampled first; ``T0``, the residual at u when the
@@ -220,29 +236,37 @@ def line_search(sys, u, du, ls_tol=1e-4, T0=None):
     would have picked anywhere in [0, 1].
 
     Returns ``(xi, T(u + xi du))``; only the best residual vector is kept.
+    With ``keep``, ``(xi, T, evaluation)``, the third being what T's own
+    evaluation left for the Jacobian there (``_evaluate``); it is kept with
+    the best T only, and is None at xi = 0 when ``T0`` stood in for it.
     """
     evals = {}
-    best_xi = best_T = None
+    best_xi = best_T = best_kept = None
 
     def phi(xi, T=None):
-        nonlocal best_xi, best_T
+        nonlocal best_xi, best_T, best_kept
         if xi not in evals:
+            kept = None
             if T is None:
-                T = sys.residual(u + xi * du)
+                v = u + xi * du
+                T, kept = _evaluate(sys, v) if keep else (sys.residual(v), None)
             evals[xi] = float(np.linalg.norm(T))
             # strict "<" in sampling order keeps the first point among ties
             if best_xi is None or evals[xi] < evals[best_xi]:
-                best_xi, best_T = xi, T
+                best_xi, best_T, best_kept = xi, T, kept
         return evals[xi]
+
+    def result(xi):
+        return (xi, best_T, best_kept) if keep else (xi, best_T)
 
     phi(0.0, T0)
     phi(1.0)
     if evals[1.0] < evals[0.0]:
         if evals[1.0] <= ls_tol * evals[0.0]:    # decisive: no probe
-            return 1.0, best_T
+            return result(1.0)
         probe = float(np.linalg.norm(sys.residual(u + (1.0 - ls_tol) * du)))
         if evals[1.0] <= probe:
-            return 1.0, best_T
+            return result(1.0)
     a, b = 0.0, 1.0
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
@@ -256,25 +280,35 @@ def line_search(sys, u, du, ls_tol=1e-4, T0=None):
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
             f2 = phi(x2)
-    return best_xi, best_T
+    return result(best_xi)
 
 
 def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, ls_tol=1e-4):
     """Newton's method with residual-norm line search and optional projection.
 
     Projection is onto the admissible ``sys.bounds``.  The line search hands
-    back the residual at its accepted point; it serves as the next
-    iteration's T(u) whenever projection leaves that point unchanged, so a
-    residual is evaluated afresh only after projection moved the iterate.
-    ||T(u_k)|| goes to ``report.residual_history``, and J is solved to
-    relative residual max(1e-12, min(FORCING_CAP, ||T(u_k)|| / ||T(u_0)||))
-    (see the module docstring).
+    back the residual at its accepted point, and with it what that
+    residual's evaluation left for the Jacobian; both serve the next
+    iteration whenever projection leaves that point unchanged, so a residual
+    is evaluated afresh only after projection moved the iterate, and J(u_k)
+    always starts from T(u_k)'s evaluation.  ||T(u_k)|| goes to
+    ``report.residual_history``, and J is solved to relative residual
+    max(1e-12, min(FORCING_CAP, ||T(u_k)|| / ||T(u_0)||)) (see the module
+    docstring).
     """
     order = getattr(sys, "jacobian_order", None)
+    kept = None     # the evaluation behind the T that the last step handed on
+
+    def jacobian(u):
+        nonlocal kept
+        evaluation, kept = kept, None     # released once J is built
+        return sys.jacobian(u) if evaluation is None else \
+            sys.jacobian(u, evaluation)
 
     def step(u, T, report):
+        nonlocal kept
         if T is None:
-            T = sys.residual(u)
+            T, kept = _evaluate(sys, u)
         if not np.all(np.isfinite(T)):
             raise _StepFailed("non-finite residual")
         norms = report.residual_history
@@ -282,11 +316,11 @@ def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, ls_tol=1e-4):
         rtol = max(KRYLOV_RTOL, min(FORCING_CAP, norms[-1] / norms[0])) \
             if norms[0] > 0.0 else KRYLOV_RTOL
         try:
-            du, factorized = solve_linear(sys.jacobian(u), -T, order=order,
+            du, factorized = solve_linear(jacobian(u), -T, order=order,
                                           rtol=rtol)
         except SingularSystemError as exc:
             raise _StepFailed(f"singular Jacobian: {exc}") from exc
-        xi, T = line_search(sys, u, du, ls_tol, T)
+        xi, T, kept = line_search(sys, u, du, ls_tol, T, keep=True)
         update = xi * du
         return u + update, T, update, xi, factorized
 

@@ -9,15 +9,17 @@ maxima with twice-differentiable surrogates so that the assembled operators
 admit an exact Jacobian.
 
 ``edge_viscosity`` is the one edge-viscosity kernel: the residual takes nu
-from it, and the exact Jacobian takes nu together with its partials.  Edge
-(j, i) sees the arguments of edge (i, j) swapped, and the maxima are
-symmetric to the bit, so the kernel evaluates the i < j half of the edges
+from it, and the exact Jacobian, which starts from the residual's B, takes
+only its partials, in its one evaluation of the smooth maxima.  Edge (j, i)
+sees the arguments of edge (i, j) swapped, and the maxima are symmetric to
+the bit, so the kernel evaluates the i < j half of the edges
 (``Pattern.half_rows`` ...) and gathers the result back through
 ``Pattern.edge_half``, and the partials, whose roles swap with the
 direction, through ``Pattern.edge_half_oriented``.  ``detector_derivative``
 forms d alpha / d u from scipy's sparse products on the rows where the
-limiter is not flat; it shares every step up to the limiter with the
-detector (``_smooth_detector``), |z|_eps's square root included.
+limiter is not flat.  It takes the detector's node state (``_smooth_detector``)
+as the residual's ``detector_values`` left it, and forms again only z = Z u
+and, on the live nodes' terms, |z|_eps'.
 
 Sums over a node's detector terms are one product with the stencil's CSR of
 ones, ``DetectorStencil.S``, and an operator's row sums one product with its
@@ -102,20 +104,14 @@ def smooth_abs_upper(x, eps):
 
 
 def smooth_abs_lower(x, eps):
-    """x^2 / sqrt(x^2 + eps), a lower surrogate of |x| (0 at x = 0)."""
-    return _smooth_abs_parts(x, eps)[2]
-
-
-def _smooth_abs_parts(x, eps):
-    """(x^2, sqrt(x^2 + eps), |x|_eps = x^2 / sqrt(x^2 + eps)): the one
-    evaluation of |x|_eps, shared by the detector and its derivative.  The
+    """x^2 / sqrt(x^2 + eps), a lower surrogate of |x| (0 at x = 0).  The
     root is taken in the buffer of x^2 + eps: at 96^2 a fresh array of the
     detector's terms costs about as much as the arithmetic on it."""
     x = np.asarray(x, dtype=float)
     sq = np.square(x)
     root = np.add(sq, eps, out=np.empty(x.shape))
     np.sqrt(root, out=root)
-    return sq, root, _quotient(sq, root, root, eps)
+    return _quotient(sq, root, root, eps)
 
 
 def _quotient(num, den, root, eps):
@@ -269,33 +265,40 @@ def _smooth_ratio(st, z, lower, eps, gamma):
 
 
 def _smooth_detector(mesh, u, params):
-    """The smooth detector's common steps: (stencil, z, eps, (z^2,
-    sqrt(z^2 + eps)), (ratio, sum z, |sum z|_eps, denominator), f(ratio))."""
+    """The smooth detector's node state at u: (ratio, sum z, |sum z|_eps,
+    denominator, f(ratio))."""
     st = _stencil(mesh, _family(params.detector))
     z = st.Z @ np.asarray(u, dtype=float)
     eps, gamma = _smooth_eps(mesh, params)
-    sq, root, lower = _smooth_abs_parts(z, eps)
-    parts = _smooth_ratio(st, z, lower, eps, gamma)
-    return st, z, eps, (sq, root), parts, limiter_f(parts[0])
+    state = _smooth_ratio(st, z, smooth_abs_lower(z, eps), eps, gamma)
+    return state + (limiter_f(state[0]),)
 
 
-def detector_values(mesh, u, params):
-    """Shock detector value per node, in [0, 1], for the configured variant."""
+def detector_values(mesh, u, params, state=False):
+    """Shock detector value per node, in [0, 1], for the configured variant.
+
+    With ``state``, (alpha, node state): for the smooth variants the node
+    quantities of ``_smooth_detector``, which ``detector_derivative`` at the
+    same u takes instead of a forward pass of its own; else None.
+    """
+    node = None
     if params.detector == GALERKIN:
-        return np.zeros(mesh.n_nodes)
-    if params.is_smooth:
-        return _smooth_detector(mesh, u, params)[-1] ** params.q
+        alpha = np.zeros(mesh.n_nodes)
+    elif params.is_smooth:
+        node = _smooth_detector(mesh, u, params)
+        alpha = node[-1] ** params.q
+    else:
+        st = _stencil(mesh, _family(params.detector))
+        z = st.Z @ np.asarray(u, dtype=float)
+        num_sum = st.S @ z
+        den = st.S @ np.abs(z)
+        ratio = np.divide(np.abs(num_sum), den,
+                          out=np.zeros(st.n_nodes), where=den > _ZERO_DEN)
+        alpha = np.clip(ratio, 0.0, 1.0) ** params.q
+    return (alpha, node) if state else alpha
 
-    st = _stencil(mesh, _family(params.detector))
-    z = st.Z @ np.asarray(u, dtype=float)
-    num_sum = st.S @ z
-    den = st.S @ np.abs(z)
-    ratio = np.divide(np.abs(num_sum), den,
-                      out=np.zeros(st.n_nodes), where=den > _ZERO_DEN)
-    return np.clip(ratio, 0.0, 1.0) ** params.q
 
-
-def detector_derivative(mesh, u, params):
+def detector_derivative(mesh, u, params, state=None):
     """(alpha, d alpha / d u) for the smooth variants; raises for the
     non-differentiable ones.
 
@@ -305,19 +308,22 @@ def detector_derivative(mesh, u, params):
         d alpha = diag(c_num) N + diag(c_den) D,
 
     formed by scipy's sparse products and sum on the rows of the nodes
-    where the limiter is not flat; the other rows are empty, and |z|_eps'
-    is computed only for the terms of the live nodes.  N is cached per mesh
-    on the first call.  Each product adds a node's entries in term order
-    from +0.0 and the sum drops exact zeros, so the result is canonical,
-    zero-free CSR.  Row i couples node i to the nodes of its terms, its
-    neighbors and the nodes that interpolate its symmetric points.  |z|_eps
-    and its derivative share one square root.  alpha is bit-identical to
-    ``detector_values``.
+    where the limiter is not flat; the other rows are empty.  ``state`` is
+    the node state that ``detector_values(..., state=True)`` returned at u;
+    without it the forward pass runs here.  Either way only z = Z u is
+    formed again, and |z|_eps' only for the terms of the live nodes.  N is
+    cached per mesh on the first call.  Each product adds a node's entries
+    in term order from +0.0 and the sum drops exact zeros, so the result is
+    canonical, zero-free CSR.  Row i couples node i to the nodes of its
+    terms, its neighbors and the nodes that interpolate its symmetric
+    points.  alpha is bit-identical to ``detector_values``.
     """
     if not params.is_smooth:
         raise ValueError("exact derivatives require a smooth detector variant")
-    st, z, eps, (sq, root), (ratio, num_sum, upper, den), fr = \
-        _smooth_detector(mesh, u, params)
+    ratio, num_sum, upper, den, fr = \
+        _smooth_detector(mesh, u, params) if state is None else state
+    st = _stencil(mesh, _family(params.detector))
+    eps = _smooth_eps(mesh, params)[0]
     alpha = fr ** params.q
 
     common = params.q * fr ** (params.q - 1.0) * limiter_df(ratio)
@@ -330,8 +336,10 @@ def detector_derivative(mesh, u, params):
     t = S_live.indices
     # |z|_eps = z^2 / root; its derivative z (z^2 + 2 eps) / (z^2 + eps)^1.5
     # takes the same square root
-    sq_t, root_t = sq[t], root[t]
-    d1 = _quotient(z[t] * (sq_t + 2.0 * eps), (sq_t + eps) * root_t, root_t,
+    z_t = (st.Z @ np.asarray(u, dtype=float))[t]
+    sq_t = np.square(z_t)
+    root_t = np.sqrt(sq_t + eps)
+    d1 = _quotient(z_t * (sq_t + 2.0 * eps), (sq_t + eps) * root_t, root_t,
                    eps)
     D = sp.csr_matrix((d1, t, S_live.indptr), shape=S_live.shape) @ st.Z
     D.sort_indices()

@@ -14,15 +14,20 @@ per system); the zeros this stores add nothing to T(u), and the Picard solve
 drops them on a copy so that SuperLU orders the same zero-free structure as a
 sparse sum would give it.
 
-The Jacobian is exact for the smooth detector variants.  It starts from A(u)'s
-own data, as the residual assembles it (``_operator_data``), and adds only the
-chain rule: F' and F's state dependence inside the viscosity (nonlinear flux
-only), and P @ d alpha, with P the partials from the residual's viscosity
-kernel (``stabilization.edge_viscosity``).  d alpha couples every node to its
-whole detector neighborhood, so J lives on the distance-2 adjacency; it comes
-from sparse products with a matrix built once per mesh, on the first Jacobian
-(``stabilization.detector_derivative``), which set-up and Anderson never
-build.  J is canonical CSR: zero-free, each row's columns sorted.
+The Jacobian is exact for the smooth detector variants.  It starts from
+the residual's A(u) at the same iterate: the evaluation of T(u) that Newton
+linearizes at keeps A(u) as assembled, Dirichlet rows included, and the
+smooth detector's node state (``Evaluation``, from ``residual(u,
+keep=True)``), so J runs neither the detector's forward pass, nor nu, B and
+the nonlinear mass again.  It adds only the chain rule: F' and F's state
+dependence inside the viscosity (nonlinear flux only), and P @ d alpha, with
+P the partials of the residual's viscosity kernel
+(``stabilization.edge_viscosity``), J's one evaluation of the smooth maxima.
+d alpha couples every node to its whole detector neighborhood, so J lives on
+the distance-2 adjacency; it comes from sparse products with a matrix built
+once per mesh, on the first Jacobian (``stabilization.detector_derivative``),
+which set-up and Anderson never build.  J is canonical CSR: zero-free, each
+row's columns sorted.
 
 Both solves go through ``solve_linear``, which first gives every matrix one
 cycle of GMRES(60) right-preconditioned by its diagonal (Jacobi), whose
@@ -66,6 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -100,9 +106,20 @@ class DirichletBC:
     values: np.ndarray
 
 
+class Evaluation(NamedTuple):
+    """What one evaluation of T(u) leaves for the exact Jacobian at u."""
+
+    A: object           # A(u) as assembled, CSR with identity Dirichlet rows
+    F: object           # the convection operator at u
+    alphas: np.ndarray
+    detector: tuple | None   # the smooth detector's node state, else None
+
+
 _KRYLOV = 60        # GMRES(m): Krylov vectors in the one cycle tried
 _PROBE = 10         # iterations between checks that the recent rate suffices
 KRYLOV_RTOL = 1e-12  # the default tolerance, and the floor of Newton's
+FACTORIZED_RTOL = 1e-8   # relative residual above which a factorized A is
+                         # reported numerically singular
 
 
 def _jacobi_gmres(A, b, rtol=KRYLOV_RTOL):
@@ -180,14 +197,15 @@ def solve_linear(A, b, order=None, rtol=KRYLOV_RTOL):
     keeps the default 1e-12.  Otherwise, in the same call, A is factorized
     and ``factorized`` is True (see the module docstring for which matrices
     take which path); the factorization solves to roundoff whatever
-    ``rtol``.  With ``order``, a permutation of the unknowns, as Newton
+    ``rtol``, and ||A x - b|| > 1e-8 ||b|| then means a numerically singular
+    A and raises.  With ``order``, a permutation of the unknowns, as Newton
     passes for J, A is permuted symmetrically by it and factorized in
     SuperLU's symmetric mode, a diagonal pivot kept unless below 0.01 of its
     column's largest entry.  Without it, as for A(u), SuperLU with COLAMD
     and partial pivoting, the result bit-identical to ``spsolve``.  A
-    singular A raises through the factorization, except that a large,
-    exactly singular A with b in its range may return a GMRES solution
-    instead.
+    singular A raises through the factorization or that residual check,
+    except that a large, exactly singular A with b in its range may return
+    a GMRES solution instead.
     """
     x = _jacobi_gmres(A, b, rtol)
     if x is not None:
@@ -206,6 +224,12 @@ def solve_linear(A, b, order=None, rtol=KRYLOV_RTOL):
         raise SingularSystemError(str(exc)) from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("linear solve produced non-finite values")
+    # a numerically singular A factorizes without complaint, and its x then
+    # misses b by far more than a solve to roundoff does
+    rel = np.linalg.norm(A @ x - b) / (np.linalg.norm(b) or 1.0)
+    if rel > FACTORIZED_RTOL:
+        raise SingularSystemError(f"relative residual {rel:.1e} after "
+                                  "factorization")
     return x, True
 
 
@@ -321,14 +345,17 @@ class ResidualSystem:
             return self._F_linear
         return assemble_convection(self.mesh, self.velocity, u)
 
-    def alphas(self, u):
-        return stab.detector_values(self.mesh, u, self.params)
+    def assemble_operator(self, u, keep=False):
+        """Fixed-point operator and right side: A(u) u_next = G(u).
 
-    def _operator_data(self, F, alphas):
-        """(data, M): A(u)'s pattern data before its Dirichlet rows, F + B
-        (+ M/dt), and the mass operator M of a transient system, else None.
-        B is B~ and M constant under the symmetric mass; Galerkin has B = 0
-        and the constant M."""
+        A(u) is F + B (+ M/dt); B is B~ and M constant under the symmetric
+        mass, and Galerkin has B = 0 and the constant M.  With ``keep``, a
+        third value: the ``Evaluation`` that ``jacobian`` at u starts from.
+        """
+        u = np.asarray(u, dtype=float)
+        F = self.convection(u)
+        alphas, detector = stab.detector_values(self.mesh, u, self.params,
+                                                state=True)
         galerkin = self.params.detector == stab.GALERKIN
         symmetric_mass = self.params.mass == stab.SYMMETRIC_MASS
         if galerkin:
@@ -342,11 +369,16 @@ class ResidualSystem:
                 nu = stab.viscosity(self.mesh, F, alphas, self.params)
             data = F.data + stab.assemble_B(self.mesh, nu).data
         if self.steady:
-            return data, None
-        M = self.mass if galerkin or symmetric_mass else \
-            stab.assemble_nonlinear_mass(self.mesh, self.mass, self.lumped,
-                                         alphas)
-        return M.data * (1.0 / self.dt) + data, M
+            G = self.g.copy()
+        else:
+            M = self.mass if galerkin or symmetric_mass else \
+                stab.assemble_nonlinear_mass(self.mesh, self.mass,
+                                             self.lumped, alphas)
+            data = M.data * (1.0 / self.dt) + data
+            G = self.g + M.matvec(self.u_old) / self.dt
+        G[self.dirichlet.nodes] = self.dirichlet.values
+        A = self._dirichlet_rows(data)
+        return (A, G, Evaluation(A, F, alphas, detector)) if keep else (A, G)
 
     def _dirichlet_rows(self, data):
         """CSR of fresh pattern data whose Dirichlet rows are identity rows."""
@@ -354,21 +386,12 @@ class ResidualSystem:
         data[self._dir_diag] = 1.0
         return self.pattern.csr(data)
 
-    def assemble_operator(self, u):
-        """Fixed-point operator and right side: A(u) u_next = G(u)."""
-        u = np.asarray(u, dtype=float)
-        data, M = self._operator_data(self.convection(u), self.alphas(u))
-        if M is None:
-            G = self.g.copy()
-        else:
-            G = self.g + M.matvec(self.u_old) / self.dt
-        G[self.dirichlet.nodes] = self.dirichlet.values
-        return self._dirichlet_rows(data), G
-
-    def residual(self, u):
-        """T(u); Dirichlet rows carry u_i - u_D."""
-        A, G = self.assemble_operator(u)
-        return A @ np.asarray(u, dtype=float) - G
+    def residual(self, u, keep=False):
+        """T(u); Dirichlet rows carry u_i - u_D.  With ``keep``, (T(u), the
+        ``Evaluation`` at u) for ``jacobian``, as Newton asks for it."""
+        A, G, *kept = self.assemble_operator(u, keep)
+        T = A @ np.asarray(u, dtype=float) - G
+        return (T, *kept) if keep else T
 
     def picard_solve(self, u):
         """One fixed-point sweep: (u_next, factorized) for A(u) u_next = G."""
@@ -379,57 +402,64 @@ class ResidualSystem:
     # exact Jacobian
     # ------------------------------------------------------------------
 
-    def jacobian(self, u):
+    def jacobian(self, u, evaluation=None):
         """Exact Jacobian J(u) of T(u) as canonical CSR (smooth variants and
         Galerkin only).
 
-        J = A_on + P @ d alpha, one sparse product and one sum.  A_on is
-        ``_operator_data``'s F + B (+ M/dt), plus F' and the viscosity flux
-        term, summed element by element (nonlinear flux only).  P holds the
+        J = A(u) + A' + P @ d alpha, one sparse product and one sum.  J
+        starts from A(u) as T(u)'s evaluation assembled it: ``evaluation``,
+        which ``residual(u, keep=True)`` returned, or else one made here
+        through the same code.  A' holds F' and the viscosity flux term,
+        summed element by element (nonlinear flux only).  P holds the
         viscosity's partials, and its diagonal the gradually lumped mass's
-        diag(w) d alpha.  The Dirichlet rows of J are identity rows.
+        diag(w) d alpha; d alpha takes the evaluation's detector state.  The
+        Dirichlet rows of J are identity rows.
         """
-        galerkin = self.params.detector == stab.GALERKIN
         u = np.asarray(u, dtype=float)
-        F = self.convection(u)
-        alphas, dalpha = (self.alphas(u), None) if galerkin else \
-            stab.detector_derivative(self.mesh, u, self.params)
-        data, _ = self._operator_data(F, alphas)
+        A, F, alphas, detector = \
+            evaluation or self.assemble_operator(u, keep=True)[2]
+        data = A.data
         nonlinear = not self.velocity.is_linear
         if nonlinear:
-            data += assemble_convection_state_derivative(
+            data = data + assemble_convection_state_derivative(
                 self.mesh, self.velocity, u).data
-        if galerkin:
+        if self.params.detector == stab.GALERKIN:
             return _without_zeros(self._dirichlet_rows(data))
+        dalpha = stab.detector_derivative(self.mesh, u, self.params,
+                                          detector)[1]
 
         # partials of the viscosity of F, and under the symmetric mass of
         # the extra viscosity of M, 1/dt outside the smooth maxes
         pat = self.pattern
         symmetric_mass = (not self.steady
                           and self.params.mass == stab.SYMMETRIC_MASS)
-        terms = [(F, 1.0)] + ([(self.mass, self.dt)] if symmetric_mass else [])
         du_edge = u[pat.edge_rows] - u[pat.edge_cols]
         p_off = p_diag = 0.0
-        for K, scale in terms:
+        for K in [F] + ([self.mass] if symmetric_mass else []):
             Wa, Wb = (du_edge * w for w in stab.edge_viscosity(
                 pat, K, alphas, self.params, partials=True)[1])
             if K is F and nonlinear:
                 data += self._viscosity_flux_term(u, alphas, Wa, Wb)
-            p_off += Wb * K.data[pat.edge_transpose_pos] / scale
+            off = Wb * K.data[pat.edge_transpose_pos]
+            diag = Wa * K.data[pat.edge_pos]
+            if K is not F:
+                off, diag = off / self.dt, diag / self.dt
+            p_off += off
             # row sums of the edge terms: their operator's diagonal
-            p_diag += stab._edge_operator(
-                pat, Wa * K.data[pat.edge_pos] / scale).data[pat.diag_pos]
+            p_diag += stab._edge_operator(pat, diag).data[pat.diag_pos]
         if not self.steady and not symmetric_mass:
             du = u - self.u_old
             p_diag += (self.lumped * du - self.mass.matvec(du)) / self.dt
 
         # identity Dirichlet rows: P's rows are zeroed, so P @ dalpha adds
-        # nothing there; the sum keeps no zeros
+        # nothing there.  Both terms are canonical, sorted and free of
+        # duplicates, so scipy's sum merges them in order, sorted and
+        # without zeros
         P = stab._edge_operator(pat, p_off, diag=p_diag)
         P.data[self._dir_pos] = 0.0
-        J = self._dirichlet_rows(data) + P.to_csr() @ dalpha
-        J.sort_indices()
-        return J
+        chain = P.to_csr() @ dalpha
+        chain.sort_indices()
+        return self._dirichlet_rows(data) + chain
 
     def _viscosity_flux_term(self, u, alphas, Wa, Wb):
         """Pattern data of rows sum_j du_ij [w_a alpha_i dF_ij/du

@@ -78,8 +78,12 @@ def _former_flux_term(sys, W1, W2, T3):
                          shape=(sys.n, sys.n)).tocsr()
 
 
-def former_jacobian(sys, u):
-    """J(u) of a smooth-variant ``ResidualSystem``, assembled the former way."""
+def former_jacobian(sys, u, evaluation=None):
+    """J(u) of a smooth-variant ``ResidualSystem``, assembled the former way.
+
+    Takes the place of ``ResidualSystem.jacobian``, so it accepts the kept
+    ``evaluation`` that Newton passes, and ignores it: every quantity is
+    formed again from u."""
     u = np.asarray(u, dtype=float)
     pat, params = sys.pattern, sys.params
     F = sys.convection(u)

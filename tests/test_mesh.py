@@ -5,6 +5,7 @@ import pytest
 
 from dmpfem.mesh import P1, Q1, Mesh2D, build_structured
 from helpers import sym_points, triangle_fan
+from meshes import DELAUNAY_SHIFT, delaunay_p1
 
 
 def neighbors(mesh, i):
@@ -227,3 +228,27 @@ def test_only_the_mesh_module_names_its_cache():
     offenders = [m.name for m in modules
                  if m.name != "mesh.py" and "_cache" in m.read_text()]
     assert offenders == []
+
+
+def test_delaunay_meshes_are_seeded_counter_clockwise_and_irregular():
+    valences = set()
+    for seed in range(3):
+        mesh = delaunay_p1(24, seed)
+        again = delaunay_p1(24, seed)
+        assert np.array_equal(mesh.coords, again.coords)
+        assert np.array_equal(mesh.elements, again.elements)
+        a, b, c = (mesh.coords[mesh.elements[:, k]] for k in range(3))
+        area = 0.5 * ((b - a)[:, 0] * (c - a)[:, 1]
+                      - (b - a)[:, 1] * (c - a)[:, 0])
+        assert np.all(area > 0.0) and np.isclose(area.sum(), 1.0)
+        # boundary nodes stay on the grid; interior ones move by at most
+        # DELAUNAY_SHIFT * h per coordinate
+        ticks = np.linspace(0.0, 1.0, 25)
+        grid = np.stack(np.meshgrid(ticks, ticks, indexing="xy"),
+                        axis=-1).reshape(-1, 2)
+        shift = np.abs(mesh.coords - grid)
+        assert np.all(shift[mesh.is_boundary] == 0.0)
+        assert np.max(shift) <= DELAUNAY_SHIFT / 24
+        degree = np.bincount(mesh.pair_i, minlength=mesh.n_nodes)
+        valences |= set(degree[~mesh.is_boundary].tolist())
+    assert valences == set(range(3, 10))

@@ -12,11 +12,12 @@ from dmpfem.mesh import Q1, build_structured
 from dmpfem.solvers import (GOLDEN, _anderson_coefficients, anderson_solve,
                             line_search, newton_solve, project_admissible)
 from dmpfem.stabilization import StabParams
-from dmpfem.system import (KRYLOV_RTOL, AdmissibleBounds, SingularSystemError,
-                           solve_linear)
+from dmpfem.system import (KRYLOV_RTOL, AdmissibleBounds, ResidualSystem,
+                           SingularSystemError, solve_linear)
 from dmpfem.timeloop import NEWTON, TimeConfig, run_steady, run_transient
-from test_jacobian_fingerprint import (_digest, _rotation_newton_run,
+from test_jacobian_fingerprint import (CASES, _digest, _rotation_newton_run,
                                        _steady_newton_run)
+from test_system import _nearly_singular
 
 
 class ScalarPicard:
@@ -221,6 +222,16 @@ def test_newton_reports_a_singular_jacobian_from_its_factorization():
     assert (rep.converged, rep.iterations) == (False, 0)
     # SuperLU's message from splu; spsolve would say "Matrix is ..."
     assert rep.failure == "singular Jacobian: Factor is exactly singular"
+
+
+def test_newton_names_a_numerically_singular_jacobian():
+    # SuperLU factorizes this J without complaint; the residual of its x
+    # names the failure, where the line search used to stall on the step
+    A, b = _nearly_singular(20, 1e-16)
+    u, rep = newton_solve(LinearSystem(A.toarray(), b), np.zeros(20),
+                          tol=1e-8, k_max=5)
+    assert (rep.converged, rep.iterations) == (False, 0)
+    assert rep.failure.startswith("singular Jacobian: relative residual")
 
 
 def test_newton_nonfinite_residual_fails_gracefully():
@@ -452,6 +463,48 @@ def test_newton_solves_with_the_residual_of_the_current_iterate(project,
     assert (sys.jacobian_points[1][0] == 2.1) == project
     assert rep.residual_norm == np.linalg.norm(sys.inner.residual(u))
     assert rep.residual_history == [np.linalg.norm(b) for b in rhs]
+
+
+@pytest.mark.parametrize("project", [False, True])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_newton_builds_each_jacobian_from_its_residual_evaluation(
+        name, project, monkeypatch):
+    # every J(u_k) starts from the evaluation behind T(u_k): the line
+    # search's accepted point, or a fresh residual after projection moved it
+    sys, u0 = CASES[name]()
+    seen = []
+    jacobian = ResidualSystem.jacobian
+
+    def recording(self, u, evaluation=None):
+        seen.append((np.array(u, copy=True), evaluation))
+        return jacobian(self, u, evaluation)
+    monkeypatch.setattr(ResidualSystem, "jacobian", recording)
+    u, rep = newton_solve(sys, u0, tol=1e-10, k_max=4, project=project)
+    assert len(seen) == rep.iterations > 0
+    for u_k, evaluation in seen:
+        A, _ = sys.assemble_operator(u_k)
+        assert evaluation.A.data.tobytes() == A.data.tobytes()
+        assert evaluation.alphas.tobytes() == \
+            stab.detector_values(sys.mesh, u_k, sys.params).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_line_search_keeps_the_evaluation_of_its_best_point(name):
+    sys, u = CASES[name]()
+    du = -u
+    xi, T = line_search(sys, u, du)
+    xi_kept, T_kept, evaluation = line_search(sys, u, du, keep=True)
+    assert (xi_kept, T_kept.tobytes()) == (xi, T.tobytes())
+    A, _ = sys.assemble_operator(u + xi * du)
+    assert evaluation.A.data.tobytes() == A.data.tobytes()
+    # the residual handed in for xi = 0 comes without an evaluation
+    T0 = sys.residual(u)
+    xi, T, evaluation = line_search(sys, u, np.zeros_like(u), T0=T0,
+                                    keep=True)
+    assert (xi, evaluation) == (0.0, None) and T is T0
+    # a system that is not a ResidualSystem keeps none
+    assert line_search(RootSystem(0.5), np.zeros(1), np.ones(1),
+                       keep=True)[2] is None
 
 
 @pytest.mark.parametrize("reports", [

@@ -22,7 +22,7 @@ from dmpfem.timeloop import (ANDERSON, NEWTON, TimeConfig, dirichlet_bc,
                              forcing_vector, run_transient)
 from test_assembly import constant_velocity
 from former_jacobian import former_jacobian
-from meshes import jittered_p1
+from meshes import delaunay_p1, jittered_p1
 from test_jacobian_fingerprint import (CASES, _steady_newton_run, _system,
                                        assert_same_jacobian)
 from test_mesh import neighbors
@@ -113,8 +113,9 @@ def _states(mesh):
 
 
 def _state_system(mesh, case, state):
-    mesh = jittered_p1(6, 1) if mesh == "jittered_p1" else \
-        build_structured(7, 6)
+    mesh = {"jittered_p1": lambda: jittered_p1(6, 1),
+            "delaunay_p1": lambda: delaunay_p1(6, 2),
+            "q1": lambda: build_structured(7, 6)}[mesh]()
     return build_system(mesh, case, seed=6), _states(mesh)[state]
 
 
@@ -142,9 +143,51 @@ def test_jacobian_and_detector_derivative_have_sorted_rows(mesh, case, state):
     assert dalpha.has_canonical_format and _rows_strictly_increasing(dalpha)
     assert np.all(dalpha.data != 0.0)
     # a row is empty exactly where the limiter is flat
-    ratio = stab._smooth_detector(sys.mesh, u, sys.params)[4][0]
+    ratio = stab._smooth_detector(sys.mesh, u, sys.params)[0]
     assert np.array_equal(np.diff(dalpha.indptr) == 0,
                           stab.limiter_df(ratio) == 0.0)
+
+
+def _same_bits(A, B):
+    return (np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices)
+            and A.data.tobytes() == B.data.tobytes())
+
+
+@pytest.mark.parametrize("state", ["random", "clipped_ramp", "disc"])
+@pytest.mark.parametrize("case", SMOOTH_CASES, ids=lambda c: c["label"])
+@pytest.mark.parametrize("mesh", ["jittered_p1", "delaunay_p1", "q1"])
+def test_jacobian_from_the_kept_evaluation_is_the_jacobian_from_scratch(
+        mesh, case, state):
+    # J starts from the A(u) and detector state that T(u)'s evaluation kept;
+    # a bare jacobian(u) makes that evaluation itself.  Same bits either
+    # way, the evaluation is left as it was, and J is canonical CSR.  The
+    # former assembly sums in another order, so it agrees to roundoff.
+    sys, u = _state_system(mesh, case, state)
+    T, evaluation = sys.residual(u, keep=True)
+    assert T.tobytes() == sys.residual(u).tobytes()
+    A = evaluation.A.copy()
+    J = sys.jacobian(u, evaluation)
+    assert _same_bits(J, sys.jacobian(u))
+    assert _same_bits(evaluation.A, A)
+    assert _same_bits(sys.jacobian(u, evaluation), J)
+    assert _rows_strictly_increasing(J) and np.all(J.data != 0.0)
+    assert_same_jacobian(J, former_jacobian(sys, u))
+
+
+def test_galerkin_jacobian_from_the_kept_evaluation():
+    mesh = build_structured(6, 6)
+    vel = VelocityModel.burgers()
+    params = StabParams(q=3.0, detector=stab.GALERKIN,
+                        beta_bound=vel.beta_bound)
+    sys = ResidualSystem(mesh, vel, params, dirichlet=dirichlet_west(mesh),
+                         dt=0.02, u_old=random_state(mesh, 11))
+    u = random_state(mesh, 12)
+    evaluation = sys.residual(u, keep=True)[1]
+    assert evaluation.detector is None
+    J = sys.jacobian(u, evaluation)
+    assert _same_bits(J, sys.jacobian(u))
+    assert _rows_strictly_increasing(J) and np.all(J.data != 0.0)
 
 
 def test_jacobian_galerkin_is_mass_plus_convection():
@@ -373,6 +416,36 @@ def test_krylov_solve_of_an_inconsistent_singular_matrix_raises(block):
         with pytest.raises(SingularSystemError,
                            match="Factor is exactly singular"):
             solve_linear(A.tocsr(), b, order=order)
+
+
+def _nearly_singular(n, s_min, seed=0):
+    """Dense random n x n CSR matrix with singular values 1 and one s_min."""
+    rng = np.random.default_rng(seed)
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    s = np.ones(n)
+    s[-1] = s_min
+    return sp.csr_matrix(Q1 @ np.diag(s) @ Q2.T), rng.standard_normal(n)
+
+
+def test_factorized_solve_of_a_numerically_singular_matrix_raises():
+    # sigma_min / sigma_max = 1e-16: not exactly singular, so SuperLU
+    # factorizes it in both modes and returns a finite x, whose residual
+    # shows that it solves nothing
+    A, b = _nearly_singular(20, 1e-16)
+    for x in (spla.splu(A.tocsc()).solve(b), _nested_dissection_solve(
+            A, b, np.arange(A.shape[0]))):
+        assert np.all(np.isfinite(x))
+        assert np.linalg.norm(A @ x - b) > 1e-2 * np.linalg.norm(b)
+    for order in (np.arange(A.shape[0]), None):
+        with pytest.raises(SingularSystemError,
+                           match="relative residual .* after factorization"):
+            solve_linear(A, b, order=order)
+    # conditioned at 1e6, its relative residual, about 2e-11, stays far
+    # below the bound
+    A, b = _nearly_singular(20, 1e-6)
+    x, factorized = solve_linear(A, b)
+    assert factorized
+    assert np.linalg.norm(A @ x - b) <= 1e-9 * np.linalg.norm(b)
 
 
 def _nested_dissection_solve(A, b, order):

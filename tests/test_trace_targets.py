@@ -6,8 +6,9 @@ is gone, so deleting or renaming a traced name would break
 ``perfbench/run.py --trace 1``.  The tracer module is only read here.
 A small Newton solve and a small Anderson solve must also reach the layers
 that the benchmark reconciles per iteration through the bindings that the
-tracer wraps, and a Newton solve its viscosity kernel once per residual and
-once per Jacobian.
+tracer wraps, and a Newton solve its detector and viscosity kernel once per
+residual and never inside a Jacobian, which reaches the detector's derivative
+once.
 """
 
 import functools
@@ -97,18 +98,36 @@ def test_newton_calls_the_traced_layers_once_per_iteration(monkeypatch):
 @pytest.mark.parametrize("mass, kernel", [
     (stab.GRADUAL_LUMPING, "viscosity"),
     (stab.SYMMETRIC_MASS, "viscosity_symmetric_mass")])
-def test_viscosity_is_traced_once_per_residual_and_jacobian(monkeypatch, mass,
-                                                            kernel):
-    # the exact Jacobian takes B from the residual's route, so the traced
-    # viscosity kernel holds its time in stabilization.viscosity_s
+def test_detector_and_viscosity_are_traced_once_per_residual_only(
+        monkeypatch, mass, kernel):
+    # the exact Jacobian starts from the A(u) and detector state of the
+    # residual at its iterate: the traced detector and viscosity kernel hold
+    # the residuals' time only, and each Jacobian reaches the detector's
+    # derivative once
     counts = Counter()
+    inside = Counter()      # calls made while a Jacobian is being built
     counting = functools.partial(_counting, counts)
     for name in ("residual", "jacobian"):
         method = getattr(system.ResidualSystem, name)
         monkeypatch.setattr(system.ResidualSystem, name,
                             counting(name, method))
-    _patch_everywhere(monkeypatch, getattr(stab, kernel),
-                      counting(kernel, getattr(stab, kernel)))
+    jacobian = system.ResidualSystem.jacobian
+
+    def tracking(*args, **kwargs):
+        inside["depth"] += 1
+        try:
+            return jacobian(*args, **kwargs)
+        finally:
+            inside["depth"] -= 1
+    monkeypatch.setattr(system.ResidualSystem, "jacobian", tracking)
+    for name in ("detector_values", kernel, "detector_derivative"):
+        fn = getattr(stab, name)
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            inside[_name] += inside["depth"] > 0
+            return _fn(*args, **kwargs)
+        _patch_everywhere(monkeypatch, fn, wrapper)
 
     problem = make_problem("THREE_BODY_ROTATION")
     mesh = build_structured(8, 8, domain=problem.domain)
@@ -120,7 +139,11 @@ def test_viscosity_is_traced_once_per_residual_and_jacobian(monkeypatch, mass,
     result = run_transient(mesh, problem, cfg)
     assert all(r.converged for r in result.reports)
     assert counts["jacobian"] == sum(r.iterations for r in result.reports) > 0
-    assert counts[kernel] == counts["residual"] + counts["jacobian"]
+    assert counts["residual"] > counts["jacobian"]
+    assert counts["detector_values"] == counts[kernel] == counts["residual"]
+    assert counts["detector_derivative"] == counts["jacobian"]
+    assert inside["detector_values"] == inside[kernel] == 0
+    assert inside["detector_derivative"] == counts["jacobian"]
 
 
 def test_anderson_calls_picard_once_per_iteration(monkeypatch):
