@@ -249,7 +249,8 @@ def line_search(sys, u, du, ls_tol=1e-4, T0=None, keep=False):
             kept = None
             if T is None:
                 v = u + xi * du
-                T, kept = _evaluate(sys, v) if keep else (sys.residual(v), None)
+                T, kept = _evaluate(sys, v) if keep else \
+                    (sys.residual(v), None)
             evals[xi] = float(np.linalg.norm(T))
             # strict "<" in sampling order keeps the first point among ties
             if best_xi is None or evals[xi] < evals[best_xi]:

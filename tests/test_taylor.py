@@ -9,16 +9,18 @@ is O(h^2) where J is T's derivative and T is smooth, and only O(h) where J
 is wrong (the ``taylor_test`` of Farrell, Ham, Funke & Rognes, *Automated
 derivation of the adjoint of high-level transient finite element
 programs*, SISC 2013).  Roundoff puts a floor under r(h); each case fits the
-slope of log r against log h over the two decades of h above the smallest h
-whose r is a hundred times that floor, and prints the onset of the h^2
-regime: the largest h down from which every half-decade slope is in
+slope of log r against log h over the two decades of h that start at the
+smallest h whose r is a hundred times that floor, and prints the onset of the
+h^2 regime: the largest h down from which every half-decade slope is in
 [1.9, 2.1].  The finite-difference tests check J to 1e-6 relative on mild
 parameters; this test also runs at the benchmark workloads' q, eps and
-sigma, where the h^2 regime starts a hundred times lower.
+sigma, where the h^2 regime starts up to a thousand times lower.
 
 The second difference (T(u + h v) - 2 T(u) + T(u - h v)) / h^2 tends to
 T''(u)[v, v] as h falls where T is twice differentiable, which the abstract
-claims of the smooth schemes; it blows up where T has a kink.
+claims of the smooth schemes, and grows like 1/h where T has a kink at u.
+At random and converged states the kinks of the non-smooth scheme lie off
+the segment u +- h v, so there this check sees T'' along v only.
 """
 
 import numpy as np
@@ -153,8 +155,8 @@ def test_second_differences_converge(label, mesh, state):
     u = _state(sys, state)
     v = _direction(sys)
     T = sys.residual(u)
-    d2 = np.array([(sys.residual(u + h * v) - 2.0 * T + sys.residual(u - h * v))
-                   / (h * h) for h in HS[:12]])
+    d2 = np.array([(sys.residual(u + h * v) - 2.0 * T
+                    + sys.residual(u - h * v)) / (h * h) for h in HS[:12]])
     # relative change from each h to the next; 0 where d2 vanishes, as it
     # does where T is odd along v (at u = 0)
     size = np.linalg.norm(d2[1:], axis=1)
