@@ -16,11 +16,13 @@ of about 24.  The residual at the accepted point is handed back and reused as
 the next iterate's T(u) unless projection moved that point.
 
 Newton keeps one evaluation per iterate: the one whose T(u_k) it linearizes
-at, the step's first residual or the point the line search accepted.  From
-a ``ResidualSystem`` that evaluation also hands back A(u_k) as assembled and
-the detector's node state (``system.Evaluation``); J(u_k) starts from them
-and releases them once it is built.  The line search keeps the evaluation of
-its best point only, and the Picard sweep asks for none.
+at, the step's first residual or the point the line search accepted.  It
+asks for it as ``sys.residual(u, keep=True)``, which returns T(u) and what
+the evaluation leaves for the Jacobian at u: for a ``ResidualSystem``, A(u)
+as assembled and the detector's state.  J(u_k) = ``sys.jacobian(u_k,
+evaluation)`` starts from it, and Newton releases it once J is built.  The
+line search keeps the evaluation of its best point only, and the Picard
+sweep asks for none.
 
 Newton is inexact (Dembo, Eisenstat & Steihaug, SINUM 1982): each J is
 solved only to the forcing term eta_k = min(FORCING_CAP, ||T(u_k)|| /
@@ -38,8 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .system import (KRYLOV_RTOL, ResidualSystem, SingularSystemError,
-                     solve_linear)
+from .system import KRYLOV_RTOL, SingularSystemError, solve_linear
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 FORCING_CAP = 1e-2   # largest relative tolerance of a Newton linear solve
@@ -209,15 +210,7 @@ def anderson_solve(sys, u0, m=5, s_min=-0.05, omega0=1.0, omega_min=0.3,
     return _iterate(sys, u0, step, tol, k_max, project)
 
 
-def _evaluate(sys, u):
-    """(T(u), the ``Evaluation`` a ``ResidualSystem`` keeps for J(u), or
-    None for a system that keeps none)."""
-    if isinstance(sys, ResidualSystem):
-        return sys.residual(u, keep=True)
-    return sys.residual(u), None
-
-
-def line_search(sys, u, du, ls_tol=1e-4, T0=None, keep=False):
+def line_search(sys, u, du, ls_tol=1e-4, T0=None):
     """Step length xi in [0, 1] minimizing ||T(u + xi du)||, and T there.
 
     The endpoints are sampled first; ``T0``, the residual at u when the
@@ -235,10 +228,10 @@ def line_search(sys, u, du, ls_tol=1e-4, T0=None, keep=False):
     profile is noise, the full step may win over a point golden section
     would have picked anywhere in [0, 1].
 
-    Returns ``(xi, T(u + xi du))``; only the best residual vector is kept.
-    With ``keep``, ``(xi, T, evaluation)``, the third being what T's own
-    evaluation left for the Jacobian there (``_evaluate``); it is kept with
-    the best T only, and is None at xi = 0 when ``T0`` stood in for it.
+    Returns ``(xi, T(u + xi du), evaluation)``: the evaluation that
+    ``sys.residual(., keep=True)`` returned with that T, for the Jacobian
+    there, or None at xi = 0 when ``T0`` stood in for it.  Only the best
+    residual and its evaluation are kept.
     """
     evals = {}
     best_xi = best_T = best_kept = None
@@ -248,26 +241,21 @@ def line_search(sys, u, du, ls_tol=1e-4, T0=None, keep=False):
         if xi not in evals:
             kept = None
             if T is None:
-                v = u + xi * du
-                T, kept = _evaluate(sys, v) if keep else \
-                    (sys.residual(v), None)
+                T, kept = sys.residual(u + xi * du, keep=True)
             evals[xi] = float(np.linalg.norm(T))
             # strict "<" in sampling order keeps the first point among ties
             if best_xi is None or evals[xi] < evals[best_xi]:
                 best_xi, best_T, best_kept = xi, T, kept
         return evals[xi]
 
-    def result(xi):
-        return (xi, best_T, best_kept) if keep else (xi, best_T)
-
     phi(0.0, T0)
     phi(1.0)
     if evals[1.0] < evals[0.0]:
         if evals[1.0] <= ls_tol * evals[0.0]:    # decisive: no probe
-            return result(1.0)
+            return 1.0, best_T, best_kept
         probe = float(np.linalg.norm(sys.residual(u + (1.0 - ls_tol) * du)))
         if evals[1.0] <= probe:
-            return result(1.0)
+            return 1.0, best_T, best_kept
     a, b = 0.0, 1.0
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
@@ -281,7 +269,7 @@ def line_search(sys, u, du, ls_tol=1e-4, T0=None, keep=False):
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
             f2 = phi(x2)
-    return result(best_xi)
+    return best_xi, best_T, best_kept
 
 
 def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, ls_tol=1e-4):
@@ -303,13 +291,12 @@ def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, ls_tol=1e-4):
     def jacobian(u):
         nonlocal kept
         evaluation, kept = kept, None     # released once J is built
-        return sys.jacobian(u) if evaluation is None else \
-            sys.jacobian(u, evaluation)
+        return sys.jacobian(u, evaluation)
 
     def step(u, T, report):
         nonlocal kept
         if T is None:
-            T, kept = _evaluate(sys, u)
+            T, kept = sys.residual(u, keep=True)
         if not np.all(np.isfinite(T)):
             raise _StepFailed("non-finite residual")
         norms = report.residual_history
@@ -321,7 +308,7 @@ def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, ls_tol=1e-4):
                                           rtol=rtol)
         except SingularSystemError as exc:
             raise _StepFailed(f"singular Jacobian: {exc}") from exc
-        xi, T, kept = line_search(sys, u, du, ls_tol, T, keep=True)
+        xi, T, kept = line_search(sys, u, du, ls_tol, T)
         update = xi * du
         return u + update, T, update, xi, factorized
 

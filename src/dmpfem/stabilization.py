@@ -17,9 +17,9 @@ the bit, so the kernel evaluates the i < j half of the edges
 ``Pattern.edge_half``, and the partials, whose roles swap with the
 direction, through ``Pattern.edge_half_oriented``.  ``detector_derivative``
 forms d alpha / d u from scipy's sparse products on the rows where the
-limiter is not flat.  It takes the detector's node state (``_smooth_detector``)
-as the residual's ``detector_values`` left it, and forms again only z = Z u
-and, on the live nodes' terms, |z|_eps'.
+limiter is not flat.  It takes the detector's state (``_smooth_detector``) as
+the residual's ``detector_values`` left it, and forms again only z = Z u and,
+on the live nodes' terms, |z|_eps'.
 
 Sums over a node's detector terms are one product with the stencil's CSR of
 ones, ``DetectorStencil.S``, and an operator's row sums one product with its
@@ -265,28 +265,29 @@ def _smooth_ratio(st, z, lower, eps, gamma):
 
 
 def _smooth_detector(mesh, u, params):
-    """The smooth detector's node state at u: (ratio, sum z, |sum z|_eps,
-    denominator, f(ratio))."""
+    """The smooth detector's state at u: (stencil, eps, and per node ratio,
+    sum z, |sum z|_eps, denominator, f(ratio), alpha)."""
     st = _stencil(mesh, _family(params.detector))
     z = st.Z @ np.asarray(u, dtype=float)
     eps, gamma = _smooth_eps(mesh, params)
-    state = _smooth_ratio(st, z, smooth_abs_lower(z, eps), eps, gamma)
-    return state + (limiter_f(state[0]),)
+    node = _smooth_ratio(st, z, smooth_abs_lower(z, eps), eps, gamma)
+    fr = limiter_f(node[0])
+    return (st, eps) + node + (fr, fr ** params.q)
 
 
 def detector_values(mesh, u, params, state=False):
     """Shock detector value per node, in [0, 1], for the configured variant.
 
-    With ``state``, (alpha, node state): for the smooth variants the node
-    quantities of ``_smooth_detector``, which ``detector_derivative`` at the
-    same u takes instead of a forward pass of its own; else None.
+    With ``state``, (alpha, state): for the smooth variants the state of
+    ``_smooth_detector``, which ``detector_derivative`` at the same u takes
+    instead of a forward pass of its own; else None.
     """
     node = None
     if params.detector == GALERKIN:
         alpha = np.zeros(mesh.n_nodes)
     elif params.is_smooth:
         node = _smooth_detector(mesh, u, params)
-        alpha = node[-1] ** params.q
+        alpha = node[-1]
     else:
         st = _stencil(mesh, _family(params.detector))
         z = st.Z @ np.asarray(u, dtype=float)
@@ -298,7 +299,7 @@ def detector_values(mesh, u, params, state=False):
     return (alpha, node) if state else alpha
 
 
-def detector_derivative(mesh, u, params, state=None):
+def detector_derivative(mesh, u, params, state):
     """(alpha, d alpha / d u) for the smooth variants; raises for the
     non-differentiable ones.
 
@@ -309,9 +310,9 @@ def detector_derivative(mesh, u, params, state=None):
 
     formed by scipy's sparse products and sum on the rows of the nodes
     where the limiter is not flat; the other rows are empty.  ``state`` is
-    the node state that ``detector_values(..., state=True)`` returned at u;
-    without it the forward pass runs here.  Either way only z = Z u is
-    formed again, and |z|_eps' only for the terms of the live nodes.  N is
+    the detector state that ``detector_values(..., state=True)`` returned at
+    u, so no forward pass runs here: only z = Z u is formed again, and
+    |z|_eps' only for the terms of the live nodes.  N is
     cached per mesh on the first call.  Each product adds a node's entries
     in term order from +0.0 and the sum drops exact zeros, so the result is
     canonical, zero-free CSR.  Row i couples node i to the nodes of its
@@ -320,11 +321,7 @@ def detector_derivative(mesh, u, params, state=None):
     """
     if not params.is_smooth:
         raise ValueError("exact derivatives require a smooth detector variant")
-    ratio, num_sum, upper, den, fr = \
-        _smooth_detector(mesh, u, params) if state is None else state
-    st = _stencil(mesh, _family(params.detector))
-    eps = _smooth_eps(mesh, params)[0]
-    alpha = fr ** params.q
+    st, eps, ratio, num_sum, upper, den, fr, alpha = state
 
     common = params.q * fr ** (params.q - 1.0) * limiter_df(ratio)
     # d ratio = upper'/den d(sum z) - ratio/den d(sum |z|_eps)

@@ -16,13 +16,13 @@ sparse sum would give it.
 
 The Jacobian is exact for the smooth detector variants.  It starts from
 the residual's A(u) at the same iterate: the evaluation of T(u) that Newton
-linearizes at keeps A(u) as assembled, Dirichlet rows included, and the
-smooth detector's node state (``Evaluation``, from ``residual(u,
-keep=True)``), so J runs neither the detector's forward pass, nor nu, B and
-the nonlinear mass again.  It adds only the chain rule: F' and F's state
-dependence inside the viscosity (nonlinear flux only), and P @ d alpha, with
-P the partials of the residual's viscosity kernel
-(``stabilization.edge_viscosity``), J's one evaluation of the smooth maxima.
+linearizes at, ``residual(u, keep=True)``, also returns (A(u) as assembled,
+Dirichlet rows included, the smooth detector's node state), so J runs
+neither the detector's forward pass, nor nu, B and the nonlinear mass again.
+It adds only the chain rule: F' and F's state dependence inside the
+viscosity (nonlinear flux only), and P @ d alpha, with P the partials of the
+residual's viscosity kernel (``stabilization.edge_viscosity``), J's one
+evaluation of the smooth maxima.
 d alpha couples every node to its whole detector neighborhood, so J lives on
 the distance-2 adjacency; it comes from sparse products with a matrix built
 once per mesh, on the first Jacobian (``stabilization.detector_derivative``),
@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -104,15 +103,6 @@ class AdmissibleBounds:
 class DirichletBC:
     nodes: np.ndarray
     values: np.ndarray
-
-
-class Evaluation(NamedTuple):
-    """What one evaluation of T(u) leaves for the exact Jacobian at u."""
-
-    A: object           # A(u) as assembled, CSR with identity Dirichlet rows
-    F: object           # the convection operator at u
-    alphas: np.ndarray
-    detector: tuple | None   # the smooth detector's node state, else None
 
 
 _KRYLOV = 60        # GMRES(m): Krylov vectors in the one cycle tried
@@ -350,7 +340,8 @@ class ResidualSystem:
 
         A(u) is F + B (+ M/dt); B is B~ and M constant under the symmetric
         mass, and Galerkin has B = 0 and the constant M.  With ``keep``, a
-        third value: the ``Evaluation`` that ``jacobian`` at u starts from.
+        third value, the evaluation that ``jacobian`` at u starts from: (A(u),
+        the smooth detector's node state at u, else None).
         """
         u = np.asarray(u, dtype=float)
         F = self.convection(u)
@@ -378,7 +369,7 @@ class ResidualSystem:
             G = self.g + M.matvec(self.u_old) / self.dt
         G[self.dirichlet.nodes] = self.dirichlet.values
         A = self._dirichlet_rows(data)
-        return (A, G, Evaluation(A, F, alphas, detector)) if keep else (A, G)
+        return (A, G, (A, detector)) if keep else (A, G)
 
     def _dirichlet_rows(self, data):
         """CSR of fresh pattern data whose Dirichlet rows are identity rows."""
@@ -388,7 +379,8 @@ class ResidualSystem:
 
     def residual(self, u, keep=False):
         """T(u); Dirichlet rows carry u_i - u_D.  With ``keep``, (T(u), the
-        ``Evaluation`` at u) for ``jacobian``, as Newton asks for it."""
+        evaluation at u that ``jacobian`` starts from), as Newton asks for
+        it (see ``assemble_operator``)."""
         A, G, *kept = self.assemble_operator(u, keep)
         T = A @ np.asarray(u, dtype=float) - G
         return (T, *kept) if keep else T
@@ -410,43 +402,43 @@ class ResidualSystem:
         starts from A(u) as T(u)'s evaluation assembled it: ``evaluation``,
         which ``residual(u, keep=True)`` returned, or else one made here
         through the same code.  A' holds F' and the viscosity flux term,
-        summed element by element (nonlinear flux only).  P holds the
+        summed element by element (nonlinear flux only), on a copy of A(u)'s
+        data whose Dirichlet rows are then reset; the kept A(u) is never
+        written.  P holds the
         viscosity's partials, and its diagonal the gradually lumped mass's
         diag(w) d alpha; d alpha takes the evaluation's detector state.  The
         Dirichlet rows of J are identity rows.
         """
         u = np.asarray(u, dtype=float)
-        A, F, alphas, detector = \
-            evaluation or self.assemble_operator(u, keep=True)[2]
-        data = A.data
+        A, detector = evaluation or self.assemble_operator(u, keep=True)[2]
+        F, data = self.convection(u), A.data
         nonlinear = not self.velocity.is_linear
         if nonlinear:
             data = data + assemble_convection_state_derivative(
                 self.mesh, self.velocity, u).data
         if self.params.detector == stab.GALERKIN:
-            return _without_zeros(self._dirichlet_rows(data))
-        dalpha = stab.detector_derivative(self.mesh, u, self.params,
-                                          detector)[1]
+            # a copy: for a linear flux, data is still the kept A(u)'s
+            return _without_zeros(self._dirichlet_rows(data.copy()))
+        alphas, dalpha = stab.detector_derivative(self.mesh, u, self.params,
+                                                  detector)
 
         # partials of the viscosity of F, and under the symmetric mass of
         # the extra viscosity of M, 1/dt outside the smooth maxes
         pat = self.pattern
         symmetric_mass = (not self.steady
                           and self.params.mass == stab.SYMMETRIC_MASS)
+        terms = [(F, 1.0)] + ([(self.mass, self.dt)] if symmetric_mass else [])
         du_edge = u[pat.edge_rows] - u[pat.edge_cols]
         p_off = p_diag = 0.0
-        for K in [F] + ([self.mass] if symmetric_mass else []):
+        for K, scale in terms:
             Wa, Wb = (du_edge * w for w in stab.edge_viscosity(
                 pat, K, alphas, self.params, partials=True)[1])
             if K is F and nonlinear:
                 data += self._viscosity_flux_term(u, alphas, Wa, Wb)
-            off = Wb * K.data[pat.edge_transpose_pos]
-            diag = Wa * K.data[pat.edge_pos]
-            if K is not F:
-                off, diag = off / self.dt, diag / self.dt
-            p_off += off
+            p_off += Wb * K.data[pat.edge_transpose_pos] / scale
             # row sums of the edge terms: their operator's diagonal
-            p_diag += stab._edge_operator(pat, diag).data[pat.diag_pos]
+            p_diag += stab._edge_operator(
+                pat, Wa * K.data[pat.edge_pos] / scale).data[pat.diag_pos]
         if not self.steady and not symmetric_mass:
             du = u - self.u_old
             p_diag += (self.lumped * du - self.mass.matvec(du)) / self.dt
@@ -459,7 +451,7 @@ class ResidualSystem:
         P.data[self._dir_pos] = 0.0
         chain = P.to_csr() @ dalpha
         chain.sort_indices()
-        return self._dirichlet_rows(data) + chain
+        return (self._dirichlet_rows(data) if nonlinear else A) + chain
 
     def _viscosity_flux_term(self, u, alphas, Wa, Wb):
         """Pattern data of rows sum_j du_ij [w_a alpha_i dF_ij/du

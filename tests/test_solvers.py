@@ -20,6 +20,12 @@ from test_jacobian_fingerprint import (CASES, _digest, _rotation_newton_run,
 from test_system import _nearly_singular
 
 
+def kept(T, keep):
+    """What ``residual(u, keep)`` returns: a test system keeps no evaluation
+    for its Jacobian."""
+    return (T, None) if keep else T
+
+
 class ScalarPicard:
     """Fixed point of u <- a u + b, as a 1-dof system."""
 
@@ -39,10 +45,10 @@ class ScalarNewton:
 
     bounds = None
 
-    def residual(self, u):
-        return np.array([u[0] ** 2 - 4.0])
+    def residual(self, u, keep=False):
+        return kept(np.array([u[0] ** 2 - 4.0]), keep)
 
-    def jacobian(self, u):
+    def jacobian(self, u, evaluation=None):
         return sp.csr_matrix(np.array([[2.0 * u[0]]]))
 
 
@@ -55,10 +61,10 @@ class LinearSystem:
         from dmpfem.system import solve_linear
         return solve_linear(self.A, self.b)
 
-    def residual(self, u):
-        return self.A @ u - self.b
+    def residual(self, u, keep=False):
+        return kept(self.A @ u - self.b, keep)
 
-    def jacobian(self, u):
+    def jacobian(self, u, evaluation=None):
         return self.A
 
 
@@ -196,10 +202,10 @@ def test_newton_singular_jacobian_fails_gracefully():
     class Singular:
         bounds = None
 
-        def residual(self, u):
-            return np.array([1.0])
+        def residual(self, u, keep=False):
+            return kept(np.array([1.0]), keep)
 
-        def jacobian(self, u):
+        def jacobian(self, u, evaluation=None):
             return sp.csr_matrix(np.zeros((1, 1)))
 
     u, rep = newton_solve(Singular(), np.zeros(1), tol=1e-8, k_max=5)
@@ -212,10 +218,10 @@ def test_newton_reports_a_singular_jacobian_from_its_factorization():
         # J = [[1, 1], [1, 1]]: the second pivot of its LU is exactly zero
         bounds = None
 
-        def residual(self, u):
-            return np.array([1.0, 2.0])
+        def residual(self, u, keep=False):
+            return kept(np.array([1.0, 2.0]), keep)
 
-        def jacobian(self, u):
+        def jacobian(self, u, evaluation=None):
             return sp.csr_matrix(np.ones((2, 2)))
 
     u, rep = newton_solve(RankOne(), np.zeros(2), tol=1e-8, k_max=5)
@@ -238,10 +244,10 @@ def test_newton_nonfinite_residual_fails_gracefully():
     class Bad:
         bounds = None
 
-        def residual(self, u):
-            return np.array([np.nan])
+        def residual(self, u, keep=False):
+            return kept(np.array([np.nan]), keep)
 
-        def jacobian(self, u):
+        def jacobian(self, u, evaluation=None):
             return sp.csr_matrix(np.eye(1))
 
     u, rep = newton_solve(Bad(), np.zeros(1), tol=1e-8, k_max=5)
@@ -259,25 +265,25 @@ class PhiSystem:
     def __init__(self, c):
         self.c = c
 
-    def residual(self, u):
-        return np.array([u[0] - self.c, 1.0])
+    def residual(self, u, keep=False):
+        return kept(np.array([u[0] - self.c, 1.0]), keep)
 
 
 def test_line_search_interior_minimum():
     sys = PhiSystem(0.3)
-    xi, _ = line_search(sys, np.zeros(1), np.ones(1), ls_tol=1e-4)
+    xi, _, _ = line_search(sys, np.zeros(1), np.ones(1), ls_tol=1e-4)
     assert xi == pytest.approx(0.3, abs=1e-4)
 
 
 def test_line_search_decreasing_profile_returns_one():
     sys = PhiSystem(2.0)   # minimum beyond the interval
-    xi, _ = line_search(sys, np.zeros(1), np.ones(1), ls_tol=1e-4)
+    xi, _, _ = line_search(sys, np.zeros(1), np.ones(1), ls_tol=1e-4)
     assert xi == 1.0
 
 
 def test_line_search_exact_newton_step():
     sys = PhiSystem(1.0)
-    xi, _ = line_search(sys, np.zeros(1), np.ones(1), ls_tol=1e-4)
+    xi, _, _ = line_search(sys, np.zeros(1), np.ones(1), ls_tol=1e-4)
     assert xi == 1.0
 
 
@@ -316,8 +322,8 @@ class WavySystem:
     def __init__(self, w, theta):
         self.w, self.theta = w, theta
 
-    def residual(self, u):
-        return np.array([2.0 + np.sin(self.w * u[0] + self.theta)])
+    def residual(self, u, keep=False):
+        return kept(np.array([2.0 + np.sin(self.w * u[0] + self.theta)]), keep)
 
 
 def _profiles():
@@ -347,7 +353,7 @@ def test_line_search_is_golden_section_unless_full_step_accepted(
     def phi(xi):
         return float(np.linalg.norm(sys.residual(u + xi * du)))
 
-    xi, T = line_search(sys, u, du, ls_tol)
+    xi, T, _ = line_search(sys, u, du, ls_tol)
     ref = _golden_section_reference(sys, u, du, ls_tol)
     accept = phi(1.0) < phi(0.0) and (phi(1.0) <= ls_tol * phi(0.0)
                                       or phi(1.0) <= phi(1.0 - ls_tol))
@@ -364,13 +370,13 @@ class CountingSystem:
         self.inner, self.calls, self.jacobian_points = inner, 0, []
         self.bounds = getattr(inner, "bounds", None)
 
-    def residual(self, u):
+    def residual(self, u, keep=False):
         self.calls += 1
-        return self.inner.residual(u)
+        return self.inner.residual(u, keep)
 
-    def jacobian(self, u):
+    def jacobian(self, u, evaluation=None):
         self.jacobian_points.append(np.array(u, copy=True))
-        return self.inner.jacobian(u)
+        return self.inner.jacobian(u, evaluation)
 
 
 class RootSystem:
@@ -379,8 +385,8 @@ class RootSystem:
     def __init__(self, c):
         self.c = c
 
-    def residual(self, u):
-        return np.array([u[0] - self.c])
+    def residual(self, u, keep=False):
+        return kept(np.array([u[0] - self.c]), keep)
 
 
 def test_line_search_takes_a_decisive_full_step_without_the_probe():
@@ -391,7 +397,7 @@ def test_line_search_takes_a_decisive_full_step_without_the_probe():
     for inner, calls in ((RootSystem(1.0 - 0.6 * ls_tol), 1),
                          (PhiSystem(2.0), 2)):
         sys = CountingSystem(inner)
-        xi, T = line_search(sys, u, du, ls_tol, T0=inner.residual(u))
+        xi, T, _ = line_search(sys, u, du, ls_tol, T0=inner.residual(u))
         assert (xi, sys.calls) == (1.0, calls)
         assert np.array_equal(T, inner.residual(u + du))
     root = RootSystem(1.0 - 0.6 * ls_tol)
@@ -403,7 +409,7 @@ def test_line_search_uses_the_given_residual_at_zero():
     u, du = np.zeros(1), -np.ones(1)    # the profile only grows along -e
     sys = CountingSystem(PhiSystem(0.5))
     T0 = sys.inner.residual(u)
-    xi, T = line_search(sys, u, du, ls_tol=1e-4, T0=T0)
+    xi, T, _ = line_search(sys, u, du, ls_tol=1e-4, T0=T0)
     assert xi == 0.0 and T is T0
     ref = CountingSystem(PhiSystem(0.5))
     assert _golden_section_reference(ref, u, du, ls_tol=1e-4) == 0.0
@@ -420,10 +426,10 @@ class CubicSystem:
         self.A = rng.standard_normal((n, n)) + n * np.eye(n)
         self.b = rng.standard_normal(n)
 
-    def residual(self, u):
-        return self.A @ u + u ** 3 - self.b
+    def residual(self, u, keep=False):
+        return kept(self.A @ u + u ** 3 - self.b, keep)
 
-    def jacobian(self, u):
+    def jacobian(self, u, evaluation=None):
         return sp.csr_matrix(self.A + np.diag(3.0 * u ** 2))
 
 
@@ -481,30 +487,26 @@ def test_newton_builds_each_jacobian_from_its_residual_evaluation(
     monkeypatch.setattr(ResidualSystem, "jacobian", recording)
     u, rep = newton_solve(sys, u0, tol=1e-10, k_max=4, project=project)
     assert len(seen) == rep.iterations > 0
-    for u_k, evaluation in seen:
+    for u_k, (A_k, detector) in seen:
         A, _ = sys.assemble_operator(u_k)
-        assert evaluation.A.data.tobytes() == A.data.tobytes()
-        assert evaluation.alphas.tobytes() == \
-            stab.detector_values(sys.mesh, u_k, sys.params).tobytes()
+        assert A_k.data.tobytes() == A.data.tobytes()
+        state = stab.detector_values(sys.mesh, u_k, sys.params, state=True)[1]
+        assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                   for a, b in zip(detector[1:], state[1:]))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_line_search_keeps_the_evaluation_of_its_best_point(name):
     sys, u = CASES[name]()
     du = -u
-    xi, T = line_search(sys, u, du)
-    xi_kept, T_kept, evaluation = line_search(sys, u, du, keep=True)
-    assert (xi_kept, T_kept.tobytes()) == (xi, T.tobytes())
+    xi, T, (A_kept, _) = line_search(sys, u, du)
+    assert T.tobytes() == sys.residual(u + xi * du).tobytes()
     A, _ = sys.assemble_operator(u + xi * du)
-    assert evaluation.A.data.tobytes() == A.data.tobytes()
+    assert A_kept.data.tobytes() == A.data.tobytes()
     # the residual handed in for xi = 0 comes without an evaluation
     T0 = sys.residual(u)
-    xi, T, evaluation = line_search(sys, u, np.zeros_like(u), T0=T0,
-                                    keep=True)
+    xi, T, evaluation = line_search(sys, u, np.zeros_like(u), T0=T0)
     assert (xi, evaluation) == (0.0, None) and T is T0
-    # a system that is not a ResidualSystem keeps none
-    assert line_search(RootSystem(0.5), np.zeros(1), np.ones(1),
-                       keep=True)[2] is None
 
 
 @pytest.mark.parametrize("reports", [

@@ -251,7 +251,8 @@ def test_detector_derivative_second_order_fd():
     u = rng.standard_normal(mesh.n_nodes)
     p = StabParams(q=3.0, eps=1e-2, sigma=0.0, gamma=1e-6,
                    detector=stab.SMOOTH, beta_bound=1.0)
-    _, dalpha = stab.detector_derivative(mesh, u, p)
+    _, dalpha = stab.detector_derivative(
+        mesh, u, p, detector_values(mesh, u, p, state=True)[1])
     v = rng.standard_normal(mesh.n_nodes)
     exact = dalpha @ v
 
@@ -269,7 +270,7 @@ def test_detector_derivative_requires_smooth_variant():
     mesh = build_structured(3, 3)
     with pytest.raises(ValueError):
         stab.detector_derivative(mesh, np.zeros(mesh.n_nodes),
-                                 params_for(stab.NONSMOOTH))
+                                 params_for(stab.NONSMOOTH), None)
 
 
 # ----------------------------------------------------------------------
