@@ -282,12 +282,12 @@ def detector_values(mesh, u, params, state=False):
     ``_smooth_detector``, which ``detector_derivative`` at the same u takes
     instead of a forward pass of its own; else None.
     """
-    node = None
+    smooth = None
     if params.detector == GALERKIN:
         alpha = np.zeros(mesh.n_nodes)
     elif params.is_smooth:
-        node = _smooth_detector(mesh, u, params)
-        alpha = node[-1]
+        smooth = _smooth_detector(mesh, u, params)
+        alpha = smooth[-1]
     else:
         st = _stencil(mesh, _family(params.detector))
         z = st.Z @ np.asarray(u, dtype=float)
@@ -296,7 +296,7 @@ def detector_values(mesh, u, params, state=False):
         ratio = np.divide(np.abs(num_sum), den,
                           out=np.zeros(st.n_nodes), where=den > _ZERO_DEN)
         alpha = np.clip(ratio, 0.0, 1.0) ** params.q
-    return (alpha, node) if state else alpha
+    return (alpha, smooth) if state else alpha
 
 
 def detector_derivative(mesh, u, params, state):
