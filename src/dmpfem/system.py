@@ -17,7 +17,7 @@ sparse sum would give it.
 The Jacobian is exact for the smooth detector variants.  It starts from
 the residual's A(u) at the same iterate: the evaluation of T(u) that Newton
 linearizes at, ``residual(u, keep=True)``, also returns (A(u) as assembled,
-Dirichlet rows included, the smooth detector's node state), so J runs
+Dirichlet rows included, the smooth detector's state), so J runs
 neither the detector's forward pass, nor nu, B and the nonlinear mass again.
 It adds only the chain rule: F' and F's state dependence inside the
 viscosity (nonlinear flux only), and P @ d alpha, with P the partials of the
@@ -341,7 +341,7 @@ class ResidualSystem:
         A(u) is F + B (+ M/dt); B is B~ and M constant under the symmetric
         mass, and Galerkin has B = 0 and the constant M.  With ``keep``, a
         third value, the evaluation that ``jacobian`` at u starts from: (A(u),
-        the smooth detector's node state at u, else None).
+        the smooth detector's state at u, else None).
         """
         u = np.asarray(u, dtype=float)
         F = self.convection(u)
