@@ -1,11 +1,14 @@
 """Galerkin operators on the mesh-adjacency sparsity pattern.
 
-Nodal fields are plain 1D numpy arrays of length ``mesh.n_nodes``.  All
-operators (mass, convection, viscosity, stabilization, ...) share one
-``Pattern`` per mesh whose stored entries are exactly the adjacency graph:
-entry (i, j) exists iff j is in the neighborhood of i.  Explicit zeros are
-kept so that structural identities (symmetry, row sums) can be checked
-entrywise.
+Nodal fields are plain 1D numpy arrays of length ``mesh.n_nodes``.  Every
+assembled operator (mass, convection, stabilization, ...) is a scipy CSR
+matrix made by ``Pattern.csr`` on the one ``Pattern`` per mesh, whose stored
+entries are exactly the adjacency graph: entry (i, j) exists iff j is in the
+neighborhood of i.  The operators share the pattern's read-only index
+arrays, so their ``data`` vectors line up entry by entry.  Explicit zeros
+are kept so that structural identities (symmetry, row sums) can be checked
+entrywise; a row sum is ``A @ np.ones(n)``, each row added in storage order
+from +0.0.
 
 The per-mesh quadrature is held once, with the element index last, so each
 numpy operation runs over contiguous arrays of length n_elements rather than
@@ -58,9 +61,8 @@ class Pattern:
     two ends is computed once per half edge and gathered back through it.
     ``edge_half_oriented`` is ``edge_half`` plus the half's size on the
     i > j edges: it gathers from a forward half followed by a reversed one.
-    ``row_sums`` adds each row of pattern data in storage order from +0.0,
-    as ``np.bincount`` over ``rows`` would.  These maps, ``csr_indices`` and
-    ``csr_indptr`` are read-only and in scipy's index dtype.
+    These maps, ``csr_indices`` and ``csr_indptr`` are read-only and in
+    scipy's index dtype; every operator's CSR (``csr``) shares the last two.
     """
 
     def __init__(self, mesh):
@@ -87,8 +89,8 @@ class Pattern:
         if not np.array_equal(keys[np.minimum(self.element_map, self.nnz - 1)],
                               pair_keys):
             raise KeyError("an element node pair is not in the pattern")
-        # index arrays in scipy's dtype that every CSR view of pattern data
-        # shares; read-only, so an in-place sparse operation on a view raises
+        # index arrays in scipy's dtype that every operator's CSR shares;
+        # read-only, so an in-place structural operation on one raises
         self.csr_indices, self.csr_indptr = (
             a.astype(idx) for a in (self.indices, self.indptr))
         self.csr_indices.flags.writeable = self.csr_indptr.flags.writeable = False
@@ -114,40 +116,10 @@ class Pattern:
                    self.edge_half_oriented)
 
     def csr(self, data):
-        """CSR matrix of pattern data, sharing the read-only index arrays."""
+        """CSR matrix of pattern data ``data`` (not copied), sharing the
+        read-only index arrays."""
         return sp.csr_matrix((data, self.csr_indices, self.csr_indptr),
                              shape=(self.n, self.n))
-
-    def row_sums(self, data):
-        """Row sums of pattern data, each added in storage order from +0.0.
-
-        A sequential CSR product: the sums of ``np.bincount`` over ``rows``,
-        bit for bit, in half to two thirds of its time at 96^2.  An explicit
-        +0.0 stored on the diagonal leaves the sum of a row's off-diagonal
-        entries unchanged, since a sum begun at +0.0 is never -0.0.
-        """
-        return self.csr(data) @ np.ones(self.n)
-
-
-@dataclass
-class SparseOperator:
-    """Square sparse matrix with values pinned to a shared Pattern."""
-
-    pattern: Pattern
-    data: np.ndarray
-
-    @classmethod
-    def zeros(cls, pattern):
-        return cls(pattern, np.zeros(pattern.nnz))
-
-    def to_csr(self):
-        return self.pattern.csr(self.data)
-
-    def matvec(self, x):
-        return self.to_csr() @ x
-
-    def row_sums(self):
-        return self.pattern.row_sums(self.data)
 
 
 def pattern(mesh):
@@ -230,8 +202,8 @@ def _assemble_pairs(mesh, elem_vals):
     """Sum per-element (nloc x nloc) blocks into pattern data (deterministic)."""
     pat = pattern(mesh)
     flat_idx = pat.element_map.ravel()
-    data = np.bincount(flat_idx, weights=elem_vals.ravel(), minlength=pat.nnz)
-    return SparseOperator(pat, data)
+    return pat.csr(np.bincount(flat_idx, weights=elem_vals.ravel(),
+                               minlength=pat.nnz))
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +220,7 @@ def _mass(mesh):
     """(M, lumped masses) of a mesh, assembled once per mesh; read-only."""
     def build():
         M = assemble_mass(mesh)
-        lumped = M.row_sums()
+        lumped = M @ np.ones(mesh.n_nodes)
         _read_only(M.data, lumped)
         return M, lumped
     return mesh.cached("mass", build)
@@ -318,7 +290,7 @@ def assemble_convection_state_derivative(mesh, vel, w):
     """d(F(w)w)/dw minus F(w): the extra term phi_i phi_b (dv/dw . grad w)."""
     pat = pattern(mesh)
     if vel.is_linear:
-        return SparseOperator.zeros(pat)
+        return pat.csr(np.zeros(pat.nnz))
     (x, y), wq, shape, (gx, gy) = quadrature(mesh)
     w = np.asarray(w, dtype=float)
     we = w[mesh.elements]

@@ -8,9 +8,11 @@ plain nodal differences.  The smooth variants replace absolute values and
 maxima with twice-differentiable surrogates so that the assembled operators
 admit an exact Jacobian.
 
-``edge_viscosity`` is the one edge-viscosity kernel: the residual takes nu
-from it, and the exact Jacobian, which starts from the residual's B, takes
-only its partials, in its one evaluation of the smooth maxima.  Edge (j, i)
+``edge_viscosity`` is the one edge-viscosity kernel: ``viscosity`` turns
+its nu into the residual's B in place (nu's CSR, its row sums, the data
+negated and the row sums written back onto the diagonal), and the exact
+Jacobian, which starts from the residual's B, takes only its partials, in
+its one evaluation of the smooth maxima.  Edge (j, i)
 sees the arguments of edge (i, j) swapped, and the maxima are symmetric to
 the bit, so the kernel evaluates the i < j half of the edges
 (``Pattern.half_rows`` ...) and gathers the result back through
@@ -22,8 +24,8 @@ the residual's ``detector_values`` left it, and forms again only z = Z u and,
 on the live nodes' terms, |z|_eps'.
 
 Sums over a node's detector terms are one product with the stencil's CSR of
-ones, ``DetectorStencil.S``, and an operator's row sums one product with its
-pattern CSR (``Pattern.row_sums``).  Both add in storage order from +0.0,
+ones, ``DetectorStencil.S``, and an operator's row sums one product of its
+CSR with ones (``_edge_operator``).  Both add in storage order from +0.0,
 the arithmetic of the ``np.bincount`` they replace, so results are the same
 to the bit, and at 96^2 they take a third (node sums) and a half to two
 thirds (row sums) of bincount's time.
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import SparseOperator, pattern
+from .assembly import pattern
 from .mesh import row_norms
 
 NONSMOOTH = "nonsmooth"
@@ -357,7 +359,7 @@ def detector_derivative(mesh, u, params, state):
 
 def edge_viscosity(pat, K, alphas, params, partials=False):
     """Edge viscosity nu_ij of a = alpha_i K_ij and b = alpha_j K_ji, in
-    ``pat.edge_pos`` order.
+    ``pat.edge_pos`` order; ``K`` is a CSR made by ``pat.csr``.
 
     Non-smooth variants use max(a, b, 0); smooth variants use the
     regularized maximum with parameter sigma, first over (a, b) and then
@@ -369,7 +371,8 @@ def edge_viscosity(pat, K, alphas, params, partials=False):
     also negates the slope r of the inner maximum exactly, so (j, i) takes
     its partials from (1 - r) / 2 where (i, j) takes them from (1 + r) / 2.
     """
-    if K.pattern is not pat:
+    if not (np.may_share_memory(K.indices, pat.csr_indices)
+            and np.may_share_memory(K.indptr, pat.csr_indptr)):
         raise ValueError("operator does not live on this mesh's sparsity pattern")
     # np.take: fancy indexing would first copy the int32 maps to intp
     a = np.take(alphas, pat.half_rows) * np.take(K.data, pat.half_pos)
@@ -394,37 +397,42 @@ def edge_viscosity(pat, K, alphas, params, partials=False):
 
 
 def _edge_operator(pat, off, diag=None):
-    """Operator with off-diagonal entries ``off`` (edge order) and diagonal
-    ``diag``, by default the row sums of ``off``."""
+    """CSR with off-diagonal entries ``off`` (edge order) and diagonal
+    ``diag``, by default the row sums of ``off``: the CSR times ones while
+    its diagonal holds +0.0, each row added in storage order from +0.0 as
+    ``np.bincount`` would (a sum begun at +0.0 is never -0.0)."""
     data = np.zeros(pat.nnz)
     data[pat.edge_pos] = off
-    data[pat.diag_pos] = pat.row_sums(data) if diag is None else diag
-    return SparseOperator(pat, data)
+    A = pat.csr(data)
+    data[pat.diag_pos] = A @ np.ones(pat.n) if diag is None else diag
+    return A
+
+
+def _laplacian(pat, nu):
+    """B_ij = -nu_ij, B_ii = nu_ii from nu's operator, in place."""
+    diag = nu.data[pat.diag_pos]
+    np.negative(nu.data, out=nu.data)
+    nu.data[pat.diag_pos] = diag
+    return nu
 
 
 def viscosity(mesh, F, alphas, params):
-    """Edge viscosity from the detector and the transport operator, as a
-    symmetric operator with row-sum diagonal."""
+    """Stabilization operator B of the edge viscosity nu of the detector
+    and the transport operator F: symmetric, with zero row sums."""
     pat = pattern(mesh)
-    return _edge_operator(pat, edge_viscosity(pat, F, alphas, params))
+    return _laplacian(pat, _edge_operator(pat, edge_viscosity(pat, F, alphas,
+                                                              params)))
 
 
 def viscosity_symmetric_mass(mesh, F, M, alphas, dt, params):
-    """Viscosity augmented with max(alpha_i M_ij, 0, alpha_j M_ji) / dt."""
+    """B~: B of nu augmented with max(alpha_i M_ij, 0, alpha_j M_ji) / dt."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     pat = pattern(mesh)
-    extra = edge_viscosity(pat, M, alphas, params) / dt
-    nu = viscosity(mesh, F, alphas, params)
-    return SparseOperator(pat, nu.data + _edge_operator(pat, extra).data)
-
-
-def assemble_B(mesh, nu):
-    """Graph-Laplacian stabilization: B_ii = nu_ii, B_ij = -nu_ij."""
-    pat = nu.pattern
-    data = -nu.data
-    data[pat.diag_pos] = nu.data[pat.diag_pos]
-    return SparseOperator(pat, data)
+    nu = _edge_operator(pat, edge_viscosity(pat, F, alphas, params))
+    nu.data += _edge_operator(pat, edge_viscosity(pat, M, alphas, params)
+                              / dt).data
+    return _laplacian(pat, nu)
 
 
 def assemble_nonlinear_mass(mesh, M, lumped, alphas):
@@ -433,8 +441,8 @@ def assemble_nonlinear_mass(mesh, M, lumped, alphas):
     Row sums equal the lumped masses for every alpha, so constants are
     propagated exactly.
     """
-    pat = M.pattern
+    pat = pattern(mesh)
     alphas = np.asarray(alphas, dtype=float)
     data = (1.0 - alphas[pat.rows]) * M.data
     data[pat.diag_pos] += alphas * lumped
-    return SparseOperator(pat, data)
+    return pat.csr(data)

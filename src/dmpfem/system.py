@@ -353,12 +353,11 @@ class ResidualSystem:
             data = F.data.copy()
         else:
             if not self.steady and symmetric_mass:
-                nu = stab.viscosity_symmetric_mass(self.mesh, F, self.mass,
-                                                   alphas, self.dt,
-                                                   self.params)
+                B = stab.viscosity_symmetric_mass(self.mesh, F, self.mass,
+                                                  alphas, self.dt, self.params)
             else:
-                nu = stab.viscosity(self.mesh, F, alphas, self.params)
-            data = F.data + stab.assemble_B(self.mesh, nu).data
+                B = stab.viscosity(self.mesh, F, alphas, self.params)
+            data = np.add(F.data, B.data, out=B.data)
         if self.steady:
             G = self.g.copy()
         else:
@@ -366,7 +365,7 @@ class ResidualSystem:
                 stab.assemble_nonlinear_mass(self.mesh, self.mass,
                                              self.lumped, alphas)
             data = M.data * (1.0 / self.dt) + data
-            G = self.g + M.matvec(self.u_old) / self.dt
+            G = self.g + (M @ self.u_old) / self.dt
         G[self.dirichlet.nodes] = self.dirichlet.values
         A = self._dirichlet_rows(data)
         return (A, G, (A, detector)) if keep else (A, G)
@@ -441,7 +440,7 @@ class ResidualSystem:
                 pat, Wa * K.data[pat.edge_pos] / scale).data[pat.diag_pos]
         if not self.steady and not symmetric_mass:
             du = u - self.u_old
-            p_diag += (self.lumped * du - self.mass.matvec(du)) / self.dt
+            p_diag += (self.lumped * du - self.mass @ du) / self.dt
 
         # identity Dirichlet rows: P's rows are zeroed, so P @ dalpha adds
         # nothing there.  Both terms are canonical, sorted and free of
@@ -449,7 +448,7 @@ class ResidualSystem:
         # without zeros
         P = stab._edge_operator(pat, p_off, diag=p_diag)
         P.data[self._dir_pos] = 0.0
-        chain = P.to_csr() @ dalpha
+        chain = P @ dalpha
         chain.sort_indices()
         return (self._dirichlet_rows(data) if nonlinear else A) + chain
 

@@ -8,7 +8,7 @@ reference of ``assemble_mass``, ``assemble_convection``,
 
 import numpy as np
 
-from dmpfem.assembly import SparseOperator, _assemble_pairs, pattern
+from dmpfem.assembly import _assemble_pairs, pattern
 from dmpfem.assembly import quadrature as element_last_quadrature
 
 
@@ -41,7 +41,7 @@ def former_convection(mesh, vel, w):
 def former_convection_state_derivative(mesh, vel, w):
     pat = pattern(mesh)
     if vel.is_linear:
-        return SparseOperator.zeros(pat)
+        return pat.csr(np.zeros(pat.nnz))
     pts, wq, shape, grads = quadrature(mesh)
     w = np.asarray(w, dtype=float)
     we = w[mesh.elements]

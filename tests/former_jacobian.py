@@ -14,6 +14,7 @@ from dmpfem.assembly import (assemble_convection_state_derivative,
                              convection_entry_derivative_tensor)
 from dmpfem.mesh import row_positions
 from dmpfem.system import _without_zeros
+from former_residual import former_assemble_B, former_edge_operator
 from helpers import mass_operator, term_row
 
 
@@ -105,18 +106,18 @@ def former_jacobian(sys, u, evaluation=None):
                         weights=du_edge * w_a * K.data[pat.edge_pos] / scale,
                         minlength=sys.n)))
     nu_edge, p_off, p_diag = (functools.reduce(np.add, x) for x in zip(*parts))
-    B = stab.assemble_B(sys.mesh, stab._edge_operator(pat, nu_edge))
+    B = former_assemble_B(sys.mesh, former_edge_operator(pat, nu_edge))
     J = _without_zeros(pat.csr(F.data + Fp.data + B.data))
-    P = stab._edge_operator(pat, p_off, diag=p_diag).to_csr()
+    P = former_edge_operator(pat, p_off, diag=p_diag)
     J = J + P @ dalpha
     T3 = convection_entry_derivative_tensor(sys.mesh, sys.velocity, u)
     if T3 is not None:
         J = J + _former_flux_term(sys, *W, T3)
     if not sys.steady:
-        J = J + mass_operator(sys, alphas).to_csr() / sys.dt
+        J = J + mass_operator(sys, alphas) / sys.dt
         if not symmetric_mass:
             du = u - sys.u_old
-            wvec = (sys.lumped * du - sys.mass.matvec(du)) / sys.dt
+            wvec = (sys.lumped * du - sys.mass @ du) / sys.dt
             J = J + sp.diags(wvec) @ dalpha
     nodes = sys.dirichlet.nodes
     J.data[row_positions(J.indptr, nodes)] = 0.0

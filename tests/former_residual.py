@@ -3,14 +3,15 @@ moved onto half edges and the node sums onto sequential CSR products: every
 edge's viscosity computed in both directions, and each sum over a node's
 detector terms or a row's edges an ``np.bincount``.  Kept as the bit-for-bit
 reference of ``stabilization.detector_values``, ``edge_viscosity``,
-``viscosity``, ``viscosity_symmetric_mass`` and ``assemble_B``, and of
+``viscosity`` and ``viscosity_symmetric_mass`` (the former nu operator and
+``former_assemble_B``, its negated copy), and of
 ``ResidualSystem.assemble_operator`` and ``residual``.
 """
 
 import numpy as np
 
 from dmpfem import stabilization as stab
-from dmpfem.assembly import SparseOperator, pattern
+from dmpfem.assembly import pattern
 from helpers import mass_operator, term_row
 
 
@@ -73,7 +74,7 @@ def former_edge_operator(pat, off, diag=None):
     if diag is None:
         diag = np.bincount(pat.edge_rows, weights=off, minlength=pat.n)
     data[pat.diag_pos] = diag[pat.rows[pat.diag_pos]]
-    return SparseOperator(pat, data)
+    return pat.csr(data)
 
 
 def former_viscosity(mesh, F, alphas, params):
@@ -86,14 +87,14 @@ def former_viscosity_symmetric_mass(mesh, F, M, alphas, dt, params):
     pat = pattern(mesh)
     extra = former_edge_viscosity(pat, M, alphas, params) / dt
     nu = former_viscosity(mesh, F, alphas, params)
-    return SparseOperator(pat, nu.data + former_edge_operator(pat, extra).data)
+    return pat.csr(nu.data + former_edge_operator(pat, extra).data)
 
 
 def former_assemble_B(mesh, nu):
-    pat = nu.pattern
+    pat = pattern(mesh)
     data = -nu.data
     data[pat.diag_pos] = nu.data[pat.diag_pos]
-    return SparseOperator(pat, data)
+    return pat.csr(data)
 
 
 def former_operator(sys, u):
@@ -103,7 +104,7 @@ def former_operator(sys, u):
     F = sys.convection(u)
     alphas = former_detector_values(sys.mesh, u, params)
     if params.detector == stab.GALERKIN:
-        B = SparseOperator.zeros(sys.pattern)
+        B = sys.pattern.csr(np.zeros(sys.pattern.nnz))
     else:
         if not sys.steady and params.mass == stab.SYMMETRIC_MASS:
             nu = former_viscosity_symmetric_mass(sys.mesh, F, sys.mass, alphas,
@@ -115,7 +116,7 @@ def former_operator(sys, u):
     if sys.steady:
         G = sys.g.copy()
     else:
-        M = mass_operator(sys, alphas).to_csr()
+        M = mass_operator(sys, alphas)
         data = M.data * (1.0 / sys.dt) + data
         G = sys.g + (M @ sys.u_old) / sys.dt
     G[sys.dirichlet.nodes] = sys.dirichlet.values

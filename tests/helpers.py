@@ -21,16 +21,17 @@ def graph_seminorm(mesh, w):
     return float(np.sqrt(0.5 * (d @ d)))
 
 
-def dissipation(mesh, nu, u):
-    """sum_i sum_{j in N_i} nu_ij (u_i - u_j)^2 over the stored edges.
+def dissipation(mesh, B, u):
+    """sum_i sum_{j in N_i} nu_ij (u_i - u_j)^2 over the stored edges, with
+    nu_ij = -B_ij read off the stabilization operator B.
 
     Counts each unordered pair twice (once per row), so it equals twice the
     quadratic form <B u, u>.
     """
-    pat = nu.pattern
+    pat = pattern(mesh)
     u = np.asarray(u, dtype=float)
     d = u[pat.edge_rows] - u[pat.edge_cols]
-    return float(np.sum(nu.data[pat.edge_pos] * d * d))
+    return float(np.sum(-B.data[pat.edge_pos] * d * d))
 
 
 def triangle_fan(center_xy, ring_xy):

@@ -48,7 +48,7 @@ def q1_element_integral(h, integrand_fn):
 def test_single_q1_mass_matches_symbolic():
     h = 0.35
     mesh = build_structured(1, 1, domain=(0, h, 0, h), kind=Q1)
-    M = assemble_mass(mesh).to_csr().toarray()
+    M = assemble_mass(mesh).toarray()
     exact = q1_element_integral(h, lambda x, y, pa, pb: pa * pb)
     assert np.max(np.abs(M - exact)) < 1e-12
     # headline entries of the bilinear products
@@ -68,12 +68,12 @@ def test_single_q1_constant_convection_matches_symbolic():
         for b in range(4):
             integrand = phis[a] * (vx * sp.diff(phis[b], x) + vy * sp.diff(phis[b], y))
             exact[a, b] = float(sp.integrate(integrand, (x, 0, h), (y, 0, h)))
-    assert np.max(np.abs(F.to_csr().toarray() - exact)) < 1e-12
+    assert np.max(np.abs(F.toarray() - exact)) < 1e-12
 
 
 def test_single_p1_mass_matches_symbolic():
     mesh = build_structured(1, 1, kind=P1)
-    M = assemble_mass(mesh).to_csr().toarray()
+    M = assemble_mass(mesh).toarray()
     x, y = sp.symbols("x y")
     # first triangle (0,0)-(1,0)-(1,1), barycentric coordinates on 0<=y<=x<=1
     lam = [1 - x, x - y, y]
@@ -107,13 +107,13 @@ def test_mass_partition_of_unity(kind):
     mesh = build_structured(3, 4, kind=kind)
     M = assemble_mass(mesh)
     assert M.data.sum() == pytest.approx(1.0, abs=1e-13)
-    assert np.max(np.abs(M.data - M.data[transpose_pos(M.pattern)])) < 1e-15
+    assert np.max(np.abs(M.data - M.data[transpose_pos(pattern(mesh))])) < 1e-15
 
 
 @pytest.mark.parametrize("kind", [Q1, P1])
 def test_mass_spd(kind):
     mesh = build_structured(3, 3, kind=kind)
-    A = assemble_mass(mesh).to_csr().toarray()
+    A = assemble_mass(mesh).toarray()
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = rng.standard_normal(mesh.n_nodes)
@@ -124,7 +124,7 @@ def test_lumped_masses_are_the_cached_row_sums_of_the_mass():
     mesh = jittered_p1(6, 2)
     m = _mass(mesh)[1]
     assert _mass(mesh)[1] is m
-    assert m.tobytes() == assemble_mass(mesh).row_sums().tobytes()
+    assert m.tobytes() == (assemble_mass(mesh) @ np.ones(mesh.n_nodes)).tobytes()
     with pytest.raises(ValueError):
         m[0] = 1.0
 
@@ -146,7 +146,7 @@ def test_lumped_masses():
 def test_constant_velocity_row_sums_vanish(kind):
     mesh = build_structured(4, 3, kind=kind)
     F = assemble_convection(mesh, constant_velocity(1.0, 0.0), np.zeros(mesh.n_nodes))
-    assert np.max(np.abs(F.row_sums())) < 1e-13
+    assert np.max(np.abs(F @ np.ones(mesh.n_nodes))) < 1e-13
 
 
 def test_rotational_velocity_row_sums_vanish():
@@ -156,7 +156,7 @@ def test_rotational_velocity_row_sums_vanish():
         lambda x, y: (np.asarray(y, dtype=float), -np.asarray(x, dtype=float)),
         beta_bound=np.sqrt(2))
     F = assemble_convection(mesh, vel, np.zeros(mesh.n_nodes))
-    assert np.max(np.abs(F.row_sums())) < 1e-13
+    assert np.max(np.abs(F @ np.ones(mesh.n_nodes))) < 1e-13
 
 
 def test_zero_velocity_gives_zero_operator():
@@ -182,7 +182,7 @@ def test_burgers_residual_is_conservative_divergence():
     x, y = mesh.coords[:, 0], mesh.coords[:, 1]
     w = np.sin(x) * (1 + 0.3 * y)
     F = assemble_convection(mesh, VelocityModel.burgers(), w)
-    lhs = F.matvec(w)
+    lhs = F @ w
 
     _, wq, shape, (gx, gy) = quadrature(mesh)
     we = w[mesh.elements]

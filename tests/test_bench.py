@@ -215,13 +215,13 @@ def test_dissipation_zero_cases():
     F = assemble_convection(mesh, constant_velocity(1.0, 0.2), np.zeros(mesh.n_nodes))
     p = StabParams(q=2.0, eps=0.0, sigma=0.0, gamma=0.0,
                    detector=stab.NONSMOOTH, beta_bound=1.0)
-    nu0 = viscosity(mesh, F, np.zeros(mesh.n_nodes), p)
+    B0 = viscosity(mesh, F, np.zeros(mesh.n_nodes), p)
     rng = np.random.default_rng(2)
     u = rng.standard_normal(mesh.n_nodes)
-    assert dissipation(mesh, nu0, u) == 0.0
-    nu = viscosity(mesh, F, detector_values(mesh, u, p), p)
-    assert dissipation(mesh, nu, np.full(mesh.n_nodes, 1.3)) == 0.0
-    assert dissipation(mesh, nu, u) >= 0.0
+    assert dissipation(mesh, B0, u) == 0.0
+    B = viscosity(mesh, F, detector_values(mesh, u, p), p)
+    assert dissipation(mesh, B, np.full(mesh.n_nodes, 1.3)) == 0.0
+    assert dissipation(mesh, B, u) >= 0.0
 
 
 def test_dissipation_smooth_dominates():
@@ -234,9 +234,9 @@ def test_dissipation_smooth_dominates():
     rng = np.random.default_rng(14)
     for _ in range(20):
         u = rng.standard_normal(mesh.n_nodes)
-        nu_ns = viscosity(mesh, F, detector_values(mesh, u, p_ns), p_ns)
-        nu_s = viscosity(mesh, F, detector_values(mesh, u, p_s), p_s)
-        assert dissipation(mesh, nu_s, u) >= dissipation(mesh, nu_ns, u) - 1e-14
+        B_ns = viscosity(mesh, F, detector_values(mesh, u, p_ns), p_ns)
+        B_s = viscosity(mesh, F, detector_values(mesh, u, p_s), p_s)
+        assert dissipation(mesh, B_s, u) >= dissipation(mesh, B_ns, u) - 1e-14
 
 
 def test_convergence_study_galerkin_second_order():

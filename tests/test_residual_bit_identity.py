@@ -13,16 +13,18 @@ import numpy as np
 import pytest
 
 from dmpfem import stabilization as stab
-from dmpfem.assembly import (SparseOperator, VelocityModel, _mass,
-                             assemble_convection, pattern)
+from dmpfem.assembly import (VelocityModel, _mass, assemble_convection,
+                             pattern)
 from dmpfem.mesh import P1, Q1, build_structured
 from dmpfem.stabilization import StabParams
 from dmpfem.system import DirichletBC, ResidualSystem
 from former_jacobian import former_detector_derivative
-from former_residual import (_smooth_abs_lower, former_detector_values,
-                             former_edge_operator, former_edge_viscosity,
-                             former_operator, former_residual,
-                             former_smooth_ratio)
+from former_residual import (_smooth_abs_lower, former_assemble_B,
+                             former_detector_values, former_edge_operator,
+                             former_edge_viscosity, former_operator,
+                             former_residual, former_smooth_ratio,
+                             former_viscosity,
+                             former_viscosity_symmetric_mass)
 from helpers import term_row
 from meshes import jittered_p1
 from test_assembly import constant_velocity
@@ -128,6 +130,31 @@ def test_edge_viscosity_matches_the_former_kernel(mesh_name, kind, sigma):
             assert_bits(w_b, w_b_old)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1e-10])
+@pytest.mark.parametrize("kind", stab.DETECTOR_KINDS)
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_viscosity_is_the_former_B_of_the_former_nu_operator(mesh_name, kind,
+                                                             sigma):
+    # B is now built in place from nu's operator; the former route built
+    # that operator and then its negated copy
+    mesh = MESHES[mesh_name]()
+    p = params_for(kind, sigma=sigma)
+    F = assemble_convection(mesh, constant_velocity(0.8, -0.35),
+                            np.zeros(mesh.n_nodes))
+    M = _mass(mesh)[0]
+    for seed in (0, 1):
+        alphas = former_detector_values(mesh, plateau_state(mesh, seed), p)
+        # a third of the nodes at alpha = 0: a = 0 * K_ij, a signed zero
+        alphas[::3] = 0.0
+        assert_bits(stab.viscosity(mesh, F, alphas, p).data,
+                    former_assemble_B(mesh, former_viscosity(
+                        mesh, F, alphas, p)).data)
+        assert_bits(stab.viscosity_symmetric_mass(mesh, F, M, alphas, 0.02,
+                                                  p).data,
+                    former_assemble_B(mesh, former_viscosity_symmetric_mass(
+                        mesh, F, M, alphas, 0.02, p)).data)
+
+
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))
 def test_node_and_row_sums_match_bincount(mesh_name):
     mesh = MESHES[mesh_name]()
@@ -144,8 +171,11 @@ def test_node_and_row_sums_match_bincount(mesh_name):
                 former_edge_operator(pat, off, diag=diag).data)
     data = rng.standard_normal(pat.nnz)
     data[::3] = -0.0
-    assert_bits(SparseOperator(pat, data).row_sums(),
+    assert_bits(pat.csr(data) @ np.ones(pat.n),
                 np.bincount(pat.rows, weights=data, minlength=pat.n))
+    M = _mass(mesh)[0]
+    assert_bits(M @ np.ones(pat.n),
+                np.bincount(pat.rows, weights=M.data, minlength=pat.n))
     for family in ("sym", "edge"):
         st = stab._stencil(mesh, family)
         z = rng.standard_normal(st.n_terms)

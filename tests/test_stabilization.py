@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from dmpfem import stabilization as stab
-from dmpfem.assembly import (SparseOperator, assemble_convection,
-                             assemble_mass, pattern)
+from dmpfem.assembly import assemble_convection, assemble_mass, pattern
 from dmpfem.mesh import P1, Q1, build_structured
-from dmpfem.stabilization import (StabParams, assemble_B,
-                                  assemble_nonlinear_mass, detector_values,
+from dmpfem.stabilization import (StabParams, assemble_nonlinear_mass,
+                                  detector_values,
                                   edge_viscosity, limiter_df, limiter_f,
                                   smooth_abs_lower, smooth_abs_upper,
                                   smooth_max, viscosity,
@@ -279,27 +278,65 @@ def test_detector_derivative_requires_smooth_variant():
 
 def hand_operator(mesh, entries):
     pat = pattern(mesh)
-    op = SparseOperator.zeros(pat)
+    op = pat.csr(np.zeros(pat.nnz))
     for (i, j), v in entries.items():
         op.data[position(pat, i, j)] = v
     return op
+
+
+@pytest.mark.parametrize("kind", [Q1, P1])
+def test_every_operator_is_a_csr_on_the_pattern(kind):
+    # each builder's CSR shares the pattern's read-only index arrays, so
+    # operators' data vectors line up entry by entry
+    from dmpfem.assembly import (VelocityModel, _linear_convection, _mass,
+                                 assemble_convection_state_derivative)
+    from dmpfem.system import ResidualSystem
+    mesh = build_structured(4, 3, kind=kind)
+    pat = pattern(mesh)
+    rng = np.random.default_rng(3)
+    u = rng.random(mesh.n_nodes)
+    alphas = rng.random(mesh.n_nodes)
+    vel = constant_velocity(0.6, -0.3)
+    burgers = VelocityModel.burgers()
+    F = assemble_convection(mesh, vel, u)
+    M, lumped = _mass(mesh)
+    p = params_for(stab.SMOOTH)
+    system = ResidualSystem(mesh, burgers, p, dt=0.1, u_old=u)
+    ops = [assemble_mass(mesh), F, assemble_convection(mesh, burgers, u), M,
+           _linear_convection(mesh, vel),
+           assemble_convection_state_derivative(mesh, vel, u),
+           assemble_convection_state_derivative(mesh, burgers, u),
+           viscosity(mesh, F, alphas, p),
+           viscosity_symmetric_mass(mesh, F, M, alphas, 0.1, p),
+           assemble_nonlinear_mass(mesh, M, lumped, alphas),
+           stab._edge_operator(pat, rng.random(pat.edge_pos.size)),
+           system.assemble_operator(u)[0]]
+    for A in ops:
+        assert A.format == "csr" and A.shape == (pat.n, pat.n)
+        assert A.data.size == pat.nnz
+        for mine, shared in ((A.indices, pat.csr_indices),
+                             (A.indptr, pat.csr_indptr)):
+            assert np.shares_memory(mine, shared)
+            assert np.array_equal(mine, shared)
+            assert not mine.flags.writeable
+        with pytest.raises(ValueError):
+            A.indices[0] = A.indices[0]
 
 
 def test_viscosity_direct_max():
     mesh = build_structured(1, 1)
     F = hand_operator(mesh, {(0, 1): 2.0, (1, 0): -1.0})
     alphas = np.array([1.0, 0.0, 0.0, 0.0])
-    nu = viscosity(mesh, F, alphas, params_for(stab.NONSMOOTH))
-    nu = nu.to_csr()
-    assert nu[0, 1] == pytest.approx(2.0)
-    assert nu[1, 0] == pytest.approx(2.0)
+    B = viscosity(mesh, F, alphas, params_for(stab.NONSMOOTH))
+    assert -B[0, 1] == pytest.approx(2.0)
+    assert -B[1, 0] == pytest.approx(2.0)
 
 
 def test_viscosity_zero_alphas():
     mesh = build_structured(2, 2)
     F = assemble_convection(mesh, constant_velocity(1.0, 0.0), np.zeros(9))
-    nu = viscosity(mesh, F, np.zeros(9), params_for(stab.NONSMOOTH))
-    assert np.max(np.abs(nu.data)) == 0.0
+    B = viscosity(mesh, F, np.zeros(9), params_for(stab.NONSMOOTH))
+    assert np.max(np.abs(B.data)) == 0.0
 
 
 def test_viscosity_symmetric_and_row_sums():
@@ -307,15 +344,16 @@ def test_viscosity_symmetric_and_row_sums():
     F = assemble_convection(mesh, constant_velocity(0.7, -0.3), np.zeros(mesh.n_nodes))
     rng = np.random.default_rng(4)
     alphas = rng.uniform(0, 1, mesh.n_nodes)
+    pat = pattern(mesh)
     for p in (params_for(stab.NONSMOOTH), params_for(stab.SMOOTH, sigma=1e-6)):
-        nu = viscosity(mesh, F, alphas, p)
-        assert np.max(np.abs(nu.data - nu.data[transpose_pos(nu.pattern)])) == 0.0
-        pat = nu.pattern
-        off = np.bincount(pat.edge_rows, weights=nu.data[pat.edge_pos],
-                          minlength=pat.n)
-        diag = nu.data[pat.diag_pos]
+        B = viscosity(mesh, F, alphas, p)
+        assert np.max(np.abs(B.data - B.data[transpose_pos(pat)])) == 0.0
+        # nu = -B off the diagonal, and B's diagonal its row sums
+        nu = -B.data[pat.edge_pos]
+        off = np.bincount(pat.edge_rows, weights=nu, minlength=pat.n)
+        diag = B.data[pat.diag_pos]
         assert np.allclose(diag, off, atol=1e-15)
-        assert np.all(nu.data[pat.edge_pos] >= 0)
+        assert np.all(nu >= 0)
 
 
 def test_smooth_viscosity_dominates_nonsmooth():
@@ -327,10 +365,11 @@ def test_smooth_viscosity_dominates_nonsmooth():
                      detector=stab.SMOOTH, beta_bound=1.0)
     for _ in range(50):
         u = rng.standard_normal(mesh.n_nodes)
-        nu_ns = viscosity(mesh, F, detector_values(mesh, u, p_ns), p_ns)
-        nu_s = viscosity(mesh, F, detector_values(mesh, u, p_s), p_s)
-        assert np.all(nu_s.data[nu_s.pattern.edge_pos]
-                      >= nu_ns.data[nu_ns.pattern.edge_pos] - 1e-15)
+        nu_ns = edge_viscosity(pattern(mesh), F,
+                               detector_values(mesh, u, p_ns), p_ns)
+        nu_s = edge_viscosity(pattern(mesh), F,
+                              detector_values(mesh, u, p_s), p_s)
+        assert np.all(nu_s >= nu_ns - 1e-15)
 
 
 def test_viscosity_pattern_mismatch_rejected():
@@ -339,6 +378,16 @@ def test_viscosity_pattern_mismatch_rejected():
     F = assemble_convection(mesh_b, constant_velocity(1, 0), np.zeros(16))
     with pytest.raises(ValueError):
         viscosity(mesh_a, F, np.zeros(9), params_for(stab.NONSMOOTH))
+    # a CSR of the right shape and structure whose index arrays are not the
+    # pattern's: its data need not be pattern data
+    pat = pattern(mesh_b)
+    copy = F.copy()
+    assert copy.shape == F.shape and np.array_equal(copy.indices, F.indices)
+    with pytest.raises(ValueError):
+        edge_viscosity(pat, copy, np.zeros(16), params_for(stab.NONSMOOTH))
+    with pytest.raises(ValueError):
+        edge_viscosity(pat, F.tocoo().tocsr(), np.zeros(16),
+                       params_for(stab.NONSMOOTH))
 
 
 def test_edge_viscosity_partials_match_central_differences():
@@ -363,8 +412,8 @@ def test_edge_viscosity_partials_match_central_differences():
     for e in range(pat.edge_pos.size):
         for pos, exact in ((pat.edge_pos[e], d_a[e]),
                            (pat.edge_transpose_pos[e], d_b[e])):
-            Kp = SparseOperator(K.pattern, K.data.copy())
-            Km = SparseOperator(K.pattern, K.data.copy())
+            Kp = pat.csr(K.data.copy())
+            Km = pat.csr(K.data.copy())
             Kp.data[pos] += h
             Km.data[pos] -= h
             fd = (edge_viscosity(pat, Kp, alphas, p)[e]
@@ -389,9 +438,10 @@ def test_symmetric_mass_viscosity():
     dt = 0.05
     aug = viscosity_symmetric_mass(mesh, F, M, ones, dt, p)
     base = viscosity(mesh, F, ones, p)
-    pat = aug.pattern
-    expected = base.data[pat.edge_pos] + M.data[pat.edge_pos] / dt
-    assert np.allclose(aug.data[pat.edge_pos], expected, atol=1e-15)
+    pat = pattern(mesh)
+    # nu~ = nu + M / dt, each read as -B off the diagonal
+    expected = -base.data[pat.edge_pos] + M.data[pat.edge_pos] / dt
+    assert np.allclose(-aug.data[pat.edge_pos], expected, atol=1e-15)
 
     # dt -> infinity recovers the plain viscosity
     aug = viscosity_symmetric_mass(mesh, F, M, ones, 1e12, p)
@@ -401,33 +451,29 @@ def test_symmetric_mass_viscosity():
         viscosity_symmetric_mass(mesh, F, M, zero, 0.0, p)
 
 
-def test_assemble_B_structure():
+def test_stabilization_operator_structure():
     mesh = build_structured(3, 3)
-    nu = hand_operator(mesh, {})
-    assert np.max(np.abs(assemble_B(mesh, nu).data)) == 0.0
-
     F = assemble_convection(mesh, constant_velocity(0.3, 0.9), np.zeros(mesh.n_nodes))
+    p = params_for(stab.NONSMOOTH)
+    zero = np.zeros(mesh.n_nodes)
+    assert np.max(np.abs(viscosity(mesh, F, zero, p).data)) == 0.0
+
     rng = np.random.default_rng(6)
     alphas = rng.uniform(0, 1, mesh.n_nodes)
-    nu = viscosity(mesh, F, alphas, params_for(stab.NONSMOOTH))
-    B = assemble_B(mesh, nu)
-    assert np.max(np.abs(B.row_sums())) < 1e-15
+    B = viscosity(mesh, F, alphas, p)
+    assert np.max(np.abs(B @ np.ones(mesh.n_nodes))) < 1e-15
     const = np.full(mesh.n_nodes, 3.7)
-    assert np.max(np.abs(B.matvec(const))) < 1e-13
+    assert np.max(np.abs(B @ const)) < 1e-13
 
 
 def test_pair_dissipation_identity():
     # single triangle with one active edge: u^T B u = 1, edge double sum = 2
     tri = triangle_fan((0.0, 0.0), [(1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)])
-    nu = hand_operator(tri, {(0, 1): 1.0, (1, 0): 1.0})
-    pat = nu.pattern
-    nu.data[pat.diag_pos] = np.bincount(pat.edge_rows,
-                                        weights=nu.data[pat.edge_pos],
-                                        minlength=pat.n)[pat.rows[pat.diag_pos]]
-    B = assemble_B(tri, nu)
+    B = hand_operator(tri, {(0, 1): -1.0, (1, 0): -1.0, (0, 0): 1.0,
+                            (1, 1): 1.0})
     u = np.array([0.0, 1.0, 0.0, 0.0])
-    assert u @ B.matvec(u) == pytest.approx(1.0)
-    assert dissipation(tri, nu, u) == pytest.approx(2.0)
+    assert u @ (B @ u) == pytest.approx(1.0)
+    assert dissipation(tri, B, u) == pytest.approx(2.0)
 
 
 def test_dissipation_nonnegative_random():
@@ -437,28 +483,27 @@ def test_dissipation_nonnegative_random():
     p = params_for(stab.NONSMOOTH, q=2.0)
     for _ in range(50):
         u = rng.standard_normal(mesh.n_nodes)
-        nu = viscosity(mesh, F, detector_values(mesh, u, p), p)
-        B = assemble_B(mesh, nu)
-        assert u @ B.matvec(u) >= -1e-14
+        B = viscosity(mesh, F, detector_values(mesh, u, p), p)
+        assert u @ (B @ u) >= -1e-14
 
 
 def test_nonlinear_mass_blend():
     mesh = build_structured(3, 4)
     M = assemble_mass(mesh)
-    m = M.row_sums()
+    m = M @ np.ones(mesh.n_nodes)
     zero = np.zeros(mesh.n_nodes)
     ones = np.ones(mesh.n_nodes)
     assert np.allclose(assemble_nonlinear_mass(mesh, M, m, zero).data, M.data)
 
     lumped = assemble_nonlinear_mass(mesh, M, m, ones)
-    pat = lumped.pattern
+    pat = pattern(mesh)
     assert np.max(np.abs(lumped.data[pat.edge_pos])) == 0.0
     assert np.allclose(lumped.data[pat.diag_pos], m)
 
     rng = np.random.default_rng(8)
     alphas = rng.uniform(0, 1, mesh.n_nodes)
     blend = assemble_nonlinear_mass(mesh, M, m, alphas)
-    assert np.allclose(blend.row_sums(), m, atol=1e-14)
+    assert np.allclose(blend @ ones, m, atol=1e-14)
 
 
 def test_K_sign_structure_at_extremum():
@@ -473,8 +518,8 @@ def test_K_sign_structure_at_extremum():
         F = assemble_convection(mesh, vel, u)
         alphas = detector_values(mesh, u, p)
         assert alphas[i] == 1.0
-        K = F.data + assemble_B(mesh, viscosity(mesh, F, alphas, p)).data
-        pat = F.pattern
+        K = F.data + viscosity(mesh, F, alphas, p).data
+        pat = pattern(mesh)
         row = slice(pat.indptr[i], pat.indptr[i + 1])
         cols = pat.indices[row]
         vals = K[row]
@@ -490,10 +535,10 @@ def test_linearity_preservation_exact():
     alphas = detector_values(mesh, u, p)
     assert np.max(alphas) < 1e-13
     F = assemble_convection(mesh, constant_velocity(1.0, 0.0), u)
-    B = assemble_B(mesh, viscosity(mesh, F, alphas, p))
+    B = viscosity(mesh, F, alphas, p)
     assert np.max(np.abs(B.data)) <= 1e-13 * np.max(np.abs(F.data))
     M = assemble_mass(mesh)
-    Mb = assemble_nonlinear_mass(mesh, M, M.row_sums(), alphas)
+    Mb = assemble_nonlinear_mass(mesh, M, M @ np.ones(mesh.n_nodes), alphas)
     assert np.max(np.abs(Mb.data - M.data)) <= 1e-13 * np.max(M.data)
 
 
@@ -505,7 +550,7 @@ def test_weak_linearity_preservation_smooth():
                    detector=stab.SMOOTH, beta_bound=1.0)
     alphas = detector_values(mesh, u, p)
     F = assemble_convection(mesh, constant_velocity(1.0, 0.0), u)
-    B = assemble_B(mesh, viscosity(mesh, F, alphas, p))
+    B = viscosity(mesh, F, alphas, p)
     assert np.max(np.abs(B.data)) <= 1e-6 * np.max(np.abs(F.data))
 
 

@@ -201,8 +201,8 @@ def test_jacobian_galerkin_is_mass_plus_convection():
     sys = ResidualSystem(mesh, vel, params, dirichlet=dirichlet_west(mesh),
                          dt=dt, u_old=np.zeros(mesh.n_nodes))
     J = sys.jacobian(random_state(mesh, 3)).toarray()
-    M = assemble_mass(mesh).to_csr().toarray()
-    F = assemble_convection(mesh, vel, np.zeros(mesh.n_nodes)).to_csr().toarray()
+    M = assemble_mass(mesh).toarray()
+    F = assemble_convection(mesh, vel, np.zeros(mesh.n_nodes)).toarray()
     expected = M / dt + F
     free = ~np.isin(np.arange(mesh.n_nodes), sys.dirichlet.nodes)
     assert np.max(np.abs(J[free] - expected[free])) < 1e-14

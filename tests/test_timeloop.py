@@ -227,8 +227,8 @@ def test_galerkin_fallback_reproduces_plain_be_step():
                      dt=dt, t_end=dt, solver="newton", projection=False, tol=1e-13)
     u1, rep = step_backward_euler(mesh, prob, u0, dt, cfg)
 
-    M = assemble_mass(mesh).to_csr()
-    F = assemble_convection(mesh, prob.velocity, u0).to_csr()
+    M = assemble_mass(mesh)
+    F = assemble_convection(mesh, prob.velocity, u0)
     import scipy.sparse as sp
     A = (M / dt + F).tolil()
     b = M @ u0 / dt
