@@ -189,7 +189,10 @@ def cmd_converge(cfg, args):
 
 
 def cmd_audit(cfg, args):
-    coords, values = dio.read_field(args.field)
+    coords, values, kind = dio.read_field(args.field)
+    if kind != cfg.element:
+        raise ConfigError(f"field holds {kind} elements but --element is "
+                          f"{cfg.element}")
     problem, mesh = _build_case(cfg)
     if mesh.n_nodes != len(values):
         raise ConfigError(

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import stabilization as stab
 from .bench import PROBLEM_NAMES, make_problem
-from .mesh import Q1
+from .mesh import P1, Q1
 from .timeloop import TimeConfig, require_initial_data
 
 TABLE_HEADER = "q,eps,iters_A,iters_Ap,iters_N,iters_Np,L1,L1_out,L2,L2_out"
@@ -236,16 +236,18 @@ def _write_blocks(fh, n, lines):
 def write_field(mesh, u, path, t=None):
     """Scalar nodal field as legacy ASCII VTK.
 
-    Structured meshes are written as STRUCTURED_GRID, everything else as
-    UNSTRUCTURED_GRID; the field is POINT_DATA scalar "u".
+    Structured Q1 meshes are written as STRUCTURED_GRID, everything else as
+    UNSTRUCTURED_GRID with its cells, so a P1 field carries its triangles;
+    the field is POINT_DATA scalar "u".
     """
     u = np.asarray(u, dtype=float)
+    grid = mesh.structured_shape is not None and mesh.kind == Q1
     title = "dmpfem field" if t is None else f"dmpfem field t={_fmt(float(t))}"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(title + "\n")
         fh.write("ASCII\n")
-        if mesh.structured_shape is not None:
+        if grid:
             nx, ny = mesh.structured_shape
             fh.write("DATASET STRUCTURED_GRID\n")
             fh.write(f"DIMENSIONS {nx + 1} {ny + 1} 1\n")
@@ -255,7 +257,7 @@ def write_field(mesh, u, path, t=None):
         _write_blocks(fh, mesh.n_nodes, lambda rows: [
             f"{x} {y} 0.0\n"
             for x, y in zip(*map(_fmt_column, mesh.coords[rows].T))])
-        if mesh.structured_shape is None:
+        if not grid:
             nloc = mesh.elements.shape[1]
             cell_type = 9 if nloc == 4 else 5
             fh.write(f"CELLS {mesh.n_elements} {mesh.n_elements * (nloc + 1)}\n")
@@ -272,14 +274,18 @@ def write_field(mesh, u, path, t=None):
 
 
 def read_field(path):
-    """Read back a field written by write_field: (coords, values)."""
+    """Read back a field written by write_field: (coords, values, element
+    kind), the kind Q1 for a STRUCTURED_GRID and else that of the cells."""
     lines = open(path, encoding="utf-8").read().splitlines()
     coords, values = [], []
     k = 0
     n_pts = 0
+    kind = Q1
     while k < len(lines):
         line = lines[k]
-        if line.startswith("POINTS"):
+        if line.startswith("CELL_TYPES"):
+            kind = P1 if lines[k + 1].strip() == "5" else Q1
+        elif line.startswith("POINTS"):
             n_pts = int(line.split()[1])
             for row in lines[k + 1:k + 1 + n_pts]:
                 x, y, _ = row.split()
@@ -290,7 +296,7 @@ def read_field(path):
                 values.append(float(row))
             k += n_pts
         k += 1
-    return np.array(coords), np.array(values)
+    return np.array(coords), np.array(values), kind
 
 
 def output_dir(cfg):

@@ -14,7 +14,7 @@ from dmpfem import io as dio
 from dmpfem.cli import main
 from dmpfem.io import (ConfigError, RunConfig, parse_config, read_field,
                        write_field, write_log, write_table)
-from dmpfem.mesh import build_structured
+from dmpfem.mesh import P1, Q1, build_structured
 from dmpfem.solvers import SolverReport
 from dmpfem.stabilization import StabParams
 from dmpfem.timeloop import TimeConfig
@@ -133,10 +133,29 @@ def test_vtk_round_trip(tmp_path):
     assert "STRUCTURED_GRID" in text
     assert "POINTS 9 double" in text
     assert "SCALARS u double 1" in text
-    coords, values = read_field(str(path))
+    coords, values, kind = read_field(str(path))
     assert len(values) == 9
     assert np.array_equal(values, u)          # full-precision round trip
     assert np.array_equal(coords, mesh.coords)
+    assert kind == Q1
+
+
+def test_vtk_round_trip_of_a_structured_p1_field(tmp_path):
+    # a structured P1 field carries its triangles, so it reads back as P1
+    mesh = build_structured(3, 2, kind=P1)
+    u = np.random.default_rng(1).standard_normal(mesh.n_nodes)
+    path = tmp_path / "field.vtk"
+    write_field(mesh, u, str(path))
+    text = path.read_text()
+    assert "DATASET UNSTRUCTURED_GRID\n" in text and "DIMENSIONS" not in text
+    cells = text.split("CELLS 12 48\n")[1].splitlines()[:12]
+    assert [list(map(int, c.split())) for c in cells] == \
+        [[3] + e for e in mesh.elements.tolist()]
+    assert text.split("CELL_TYPES 12\n")[1].splitlines()[:12] == ["5"] * 12
+    coords, values, kind = read_field(str(path))
+    assert np.array_equal(values, u)
+    assert np.array_equal(coords, mesh.coords)
+    assert kind == P1
 
 
 def test_vtk_unstructured_for_patches(tmp_path):
@@ -147,8 +166,9 @@ def test_vtk_unstructured_for_patches(tmp_path):
     text = path.read_text()
     assert "UNSTRUCTURED_GRID" in text
     assert "CELLS 6" in text
-    _, values = read_field(str(path))
+    _, values, kind = read_field(str(path))
     assert np.array_equal(values, np.arange(7.0))
+    assert kind == P1
 
 
 def former_write_field(mesh, u, path, t=None):
@@ -404,6 +424,29 @@ def test_cli_audit(tmp_path, monkeypatch, capsys):
     code = run_cli(["audit", str(field), "--problem", "STEADY_PARABOLIC",
                     "--nx", "12", "--ny", "12"], tmp_path, monkeypatch)
     assert code == 2
+    # a Q1 field audited as P1 (same node count) is refused
+    code = run_cli(["audit", str(field), "--problem", "STEADY_PARABOLIC",
+                    "--nx", "8", "--ny", "8", "--element", "p1"], tmp_path,
+                   monkeypatch)
+    assert code == 2
+    assert "field holds q1 elements" in capsys.readouterr().err
+
+
+def test_cli_audit_refuses_a_p1_field_audited_as_q1(tmp_path, monkeypatch,
+                                                     capsys):
+    # the field records its triangles; auditing it against Q1 adjacency,
+    # the default --element, would check other neighborhoods without a word
+    field = tmp_path / "field.vtk"
+    write_field(build_structured(8, 8, kind=P1), np.zeros(81), str(field))
+    code = run_cli(["audit", str(field), "--problem", "STRAIGHT_DISCONTINUITY",
+                    "--nx", "8", "--ny", "8"], tmp_path, monkeypatch)
+    assert code == 2
+    assert "field holds p1 elements but --element is q1" in \
+        capsys.readouterr().err
+    code = run_cli(["audit", str(field), "--problem", "STRAIGHT_DISCONTINUITY",
+                    "--nx", "8", "--ny", "8", "--element", "p1"], tmp_path,
+                   monkeypatch)
+    assert code == 0
 
 
 def test_cli_determinism(tmp_path, monkeypatch):
