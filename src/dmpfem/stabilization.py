@@ -420,8 +420,8 @@ def viscosity(mesh, F, alphas, params):
     """Stabilization operator B of the edge viscosity nu of the detector
     and the transport operator F: symmetric, with zero row sums."""
     pat = pattern(mesh)
-    return _laplacian(pat, _edge_operator(pat, edge_viscosity(pat, F, alphas,
-                                                              params)))
+    nu = _edge_operator(pat, edge_viscosity(pat, F, alphas, params))
+    return _laplacian(pat, nu)
 
 
 def viscosity_symmetric_mass(mesh, F, M, alphas, dt, params):

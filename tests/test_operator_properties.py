@@ -24,9 +24,10 @@ from hypothesis import strategies as st
 from dmpfem import stabilization as stab
 from dmpfem.assembly import (VelocityModel, _mass, assemble_convection,
                              pattern)
-from dmpfem.stabilization import StabParams
 from helpers import transpose_pos
 from meshes import delaunay_p1, jittered_p1
+from test_assembly import constant_velocity
+from test_stabilization import params_for
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None,
                    database=None)
@@ -44,18 +45,8 @@ meshes = st.builds(mesh_for, st.sampled_from(sorted(BUILDERS)),
 angles = st.floats(0.0, 2.0 * np.pi)
 
 
-def params_for(detector, q=4.0):
-    if detector in (stab.NONSMOOTH, stab.SIMPLIFIED):
-        return StabParams(q=q, eps=0.0, sigma=0.0, gamma=0.0,
-                          detector=detector)
-    return StabParams(q=q, eps=1e-4, sigma=1e-10, gamma=1e-10,
-                      detector=detector)
-
-
 def velocity(theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return VelocityModel.linear(lambda x, y: (np.full_like(x, c),
-                                              np.full_like(x, s)), 1.0)
+    return constant_velocity(np.cos(theta), np.sin(theta))
 
 
 def random_field(mesh, seed):
