@@ -40,8 +40,7 @@ def _time_config(cfg, problem, h, **stepping):
     return TimeConfig(stab=params, solver=cfg.solver,
                       projection=cfg.projection, tol=cfg.tol,
                       k_max=cfg.k_max, m=cfg.m, s_min=cfg.s_min,
-                      omega0=cfg.omega0, omega_min=cfg.omega_min,
-                      ls_tol=cfg.ls_tol, **stepping)
+                      omega0=cfg.omega0, omega_min=cfg.omega_min, **stepping)
 
 
 def _build_case(cfg):

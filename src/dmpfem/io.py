@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -54,7 +55,6 @@ class RunConfig:
     s_min: float = TimeConfig.s_min
     omega0: float = TimeConfig.omega0
     omega_min: float = TimeConfig.omega_min
-    ls_tol: float = TimeConfig.ls_tol
     projection: bool = TimeConfig.projection
     steady: bool | None = None
     dt: float | None = None
@@ -154,7 +154,7 @@ def parse_config(path=None, overrides=None):
     kinds = _field_kinds()
     if path is not None:
         try:
-            lines = open(path, encoding="utf-8").read().splitlines()
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         for ln, line in enumerate(lines, start=1):
@@ -276,7 +276,7 @@ def write_field(mesh, u, path, t=None):
 def read_field(path):
     """Read back a field written by write_field: (coords, values, element
     kind), the kind Q1 for a STRUCTURED_GRID and else that of the cells."""
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     coords, values = [], []
     k = 0
     n_pts = 0

@@ -136,6 +136,13 @@ class Mesh2D:
             raise ValueError(f"unknown element kind {kind!r}")
         if elements.ndim != 2 or elements.shape[1] != nloc:
             raise ValueError(f"{kind} elements must have {nloc} nodes each")
+        # the mirrored-node path holds on build_structured's grid only
+        if structured_shape is not None:
+            box = np.column_stack([coords.min(axis=0), coords.max(axis=0)])
+            grid = _grid(*structured_shape, box.ravel(), kind)
+            if not all(map(np.array_equal, (coords, elements), grid)):
+                raise ValueError(f"structured_shape {structured_shape} is not "
+                                 "the grid of the mesh's bounding box")
 
         self.coords = coords
         self.elements = elements
@@ -319,6 +326,11 @@ def build_structured(nx, ny, domain=(0.0, 1.0, 0.0, 1.0), kind=Q1):
     P1 cells are split along the lower-left-to-upper-right diagonal.  Node
     ``iy*(nx+1) + ix`` sits at grid position (ix, iy), x varying fastest.
     """
+    return Mesh2D(*_grid(nx, ny, domain, kind), kind, structured_shape=(nx, ny))
+
+
+def _grid(nx, ny, domain, kind):
+    """(coords, elements) of ``build_structured``'s grid."""
     if not (isinstance(nx, (int, np.integer)) and isinstance(ny, (int, np.integer))):
         raise ValueError("nx and ny must be integers")
     if nx < 1 or ny < 1:
@@ -327,9 +339,8 @@ def build_structured(nx, ny, domain=(0.0, 1.0, 0.0, 1.0), kind=Q1):
     if not (x1 > x0 and y1 > y0):
         raise ValueError("domain must be a nondegenerate rectangle")
 
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    xx, yy = np.meshgrid(xs, ys, indexing="xy")
+    xx, yy = np.meshgrid(np.linspace(x0, x1, nx + 1),
+                         np.linspace(y0, y1, ny + 1), indexing="xy")
     coords = np.column_stack([xx.ravel(), yy.ravel()])
 
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
@@ -341,4 +352,4 @@ def build_structured(nx, ny, domain=(0.0, 1.0, 0.0, 1.0), kind=Q1):
     else:
         elems = np.stack([np.column_stack([n00, n10, n11]),
                           np.column_stack([n00, n11, n01])], axis=1).reshape(-1, 3)
-    return Mesh2D(coords, elems, kind, structured_shape=(nx, ny))
+    return coords, elems

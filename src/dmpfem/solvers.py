@@ -10,10 +10,11 @@ update after it.  Projection moves most iterates of the benchmark runs, so
 one formula for both would change their iteration counts and logs.
 
 Newton's line search minimizes ||T(u + xi du)|| by golden section, after a
-check of the full step: when phi(1) <= ls_tol phi(0), or when it beats both
-phi(0) and phi(1 - ls_tol), xi = 1 is taken for one or two residuals instead
-of about 24.  The residual at the accepted point is handed back and reused as
-the next iterate's T(u) unless projection moved that point.
+check of the full step: when phi(1) <= LS_TOL phi(0), or when it beats both
+phi(0) and phi(1 - LS_TOL), xi = 1 is taken for one or two residuals instead
+of about 24.  LS_TOL is fixed: no run option sets it.  The residual at the
+accepted point is handed back and reused as the next iterate's T(u) unless
+projection moved that point.
 
 Newton keeps one evaluation per iterate: the one whose T(u_k) it linearizes
 at, the step's first residual or the point the line search accepted.  It
@@ -44,6 +45,7 @@ from .system import KRYLOV_RTOL, SingularSystemError, solve_linear
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 FORCING_CAP = 1e-2   # largest relative tolerance of a Newton linear solve
+LS_TOL = 1e-4        # line search: full-step probe offset, final width
 
 
 @dataclass
@@ -210,57 +212,51 @@ def anderson_solve(sys, u0, m=5, s_min=-0.05, omega0=1.0, omega_min=0.3,
     return _iterate(sys, u0, step, tol, k_max, project)
 
 
-def line_search(sys, u, du, ls_tol=1e-4, T0=None):
+def line_search(sys, u, du, *, T0=None):
     """Step length xi in [0, 1] minimizing ||T(u + xi du)||, and T there.
 
     The endpoints are sampled first; ``T0``, the residual at u when the
     caller already has it, stands in for T(u + 0 du).  The full step is taken
-    at once when phi(1) <= ls_tol phi(0), a decisive decrease, with no
-    further residual; or when phi(1) < phi(0) and phi(1) <= phi(1 - ls_tol),
+    at once when phi(1) <= LS_TOL phi(0), a decisive decrease, with no
+    further residual; or when phi(1) < phi(0) and phi(1) <= phi(1 - LS_TOL),
     which costs one probe residual.  Otherwise golden-section search runs
-    down to an interval of width ``ls_tol`` and returns the best evaluated
+    down to an interval of width ``LS_TOL`` and returns the best evaluated
     point (the first one sampled among ties), so a strictly decreasing
     profile yields exactly 1.0.  The probe never takes part in that choice:
     the search returns the xi it would return without the full-step check.
     On a unimodal profile the probe rule and golden section differ by less
-    than ``ls_tol`` in xi, and where T is affine along du the decisive rule
-    and golden section by a few ``ls_tol``; at the roundoff floor, where the
+    than ``LS_TOL`` in xi, and where T is affine along du the decisive rule
+    and golden section by a few ``LS_TOL``; at the roundoff floor, where the
     profile is noise, the full step may win over a point golden section
     would have picked anywhere in [0, 1].
 
     Returns ``(xi, T(u + xi du), evaluation)``: the evaluation that
     ``sys.residual(., keep=True)`` returned with that T, for the Jacobian
     there, or None at xi = 0 when ``T0`` stood in for it.  Only the best
-    residual and its evaluation are kept.
+    point's (phi, xi, T, evaluation) is kept; no point is sampled twice.
     """
-    evals = {}
-    best_xi = best_T = best_kept = None
+    best = None
 
     def phi(xi, T=None):
-        nonlocal best_xi, best_T, best_kept
-        if xi not in evals:
-            kept = None
-            if T is None:
-                T, kept = sys.residual(u + xi * du, keep=True)
-            evals[xi] = float(np.linalg.norm(T))
-            # strict "<" in sampling order keeps the first point among ties
-            if best_xi is None or evals[xi] < evals[best_xi]:
-                best_xi, best_T, best_kept = xi, T, kept
-        return evals[xi]
+        nonlocal best
+        T, kept = sys.residual(u + xi * du, keep=True) if T is None \
+            else (T, None)
+        value = float(np.linalg.norm(T))
+        # strict "<" in sampling order keeps the first point among ties
+        if best is None or value < best[0]:
+            best = (value, xi, T, kept)
+        return value
 
-    phi(0.0, T0)
-    phi(1.0)
-    if evals[1.0] < evals[0.0]:
-        if evals[1.0] <= ls_tol * evals[0.0]:    # decisive: no probe
-            return 1.0, best_T, best_kept
-        probe = float(np.linalg.norm(sys.residual(u + (1.0 - ls_tol) * du)))
-        if evals[1.0] <= probe:
-            return 1.0, best_T, best_kept
+    # the full step: decisive, or else no worse than the probe
+    phi_0, phi_1 = phi(0.0, T0), phi(1.0)
+    if phi_1 < phi_0 and (phi_1 <= LS_TOL * phi_0 or phi_1 <= float(
+            np.linalg.norm(sys.residual(u + (1.0 - LS_TOL) * du)))):
+        return best[1:]
     a, b = 0.0, 1.0
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = phi(x1), phi(x2)
-    while b - a > ls_tol:
+    while b - a > LS_TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
@@ -269,10 +265,10 @@ def line_search(sys, u, du, ls_tol=1e-4, T0=None):
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
             f2 = phi(x2)
-    return best_xi, best_T, best_kept
+    return best[1:]
 
 
-def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, ls_tol=1e-4):
+def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False):
     """Newton's method with residual-norm line search and optional projection.
 
     Projection is onto the admissible ``sys.bounds``.  The line search hands
@@ -280,18 +276,13 @@ def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, ls_tol=1e-4):
     residual's evaluation left for the Jacobian; both serve the next
     iteration whenever projection leaves that point unchanged, so a residual
     is evaluated afresh only after projection moved the iterate, and J(u_k)
-    always starts from T(u_k)'s evaluation.  ||T(u_k)|| goes to
-    ``report.residual_history``, and J is solved to relative residual
-    max(1e-12, min(FORCING_CAP, ||T(u_k)|| / ||T(u_0)||)) (see the module
-    docstring).
+    starts from T(u_k)'s evaluation, dropped once J is built.  ||T(u_k)||
+    goes to ``report.residual_history``, and J is solved to relative
+    residual max(1e-12, min(FORCING_CAP, ||T(u_k)|| / ||T(u_0)||)) (see the
+    module docstring).
     """
     order = getattr(sys, "jacobian_order", None)
     kept = None     # the evaluation behind the T that the last step handed on
-
-    def jacobian(u):
-        nonlocal kept
-        evaluation, kept = kept, None     # released once J is built
-        return sys.jacobian(u, evaluation)
 
     def step(u, T, report):
         nonlocal kept
@@ -303,12 +294,12 @@ def newton_solve(sys, u0, tol=1e-6, k_max=500, project=False, ls_tol=1e-4):
         norms.append(float(np.linalg.norm(T)))
         rtol = max(KRYLOV_RTOL, min(FORCING_CAP, norms[-1] / norms[0])) \
             if norms[0] > 0.0 else KRYLOV_RTOL
+        J, kept = sys.jacobian(u, kept), None    # released once J is built
         try:
-            du, factorized = solve_linear(jacobian(u), -T, order=order,
-                                          rtol=rtol)
+            du, factorized = solve_linear(J, -T, order=order, rtol=rtol)
         except SingularSystemError as exc:
             raise _StepFailed(f"singular Jacobian: {exc}") from exc
-        xi, T, kept = line_search(sys, u, du, ls_tol, T)
+        xi, T, kept = line_search(sys, u, du, T0=T)
         update = xi * du
         return u + update, T, update, xi, factorized
 

@@ -10,9 +10,9 @@ Steady:
 Inflow rows are replaced strongly: row i of the operator becomes the identity
 and the residual entry u_i - u_D(x_i).  A(u) is one data vector on the shared
 ``Pattern``, whose Dirichlet rows are replaced by index (positions precomputed
-per system); the zeros this stores add nothing to T(u), and the Picard solve
-drops them on a copy so that SuperLU orders the same zero-free structure as a
-sparse sum would give it.
+per system); the zeros this stores add nothing to T(u) or to a GMRES product,
+and ``solve_linear`` drops them before it factorizes, so the Picard sweep
+passes A(u) as assembled.
 
 The Jacobian is exact for the smooth detector variants.  It starts from
 the residual's A(u) at the same iterate: the evaluation of T(u) that Newton
@@ -188,28 +188,31 @@ def solve_linear(A, b, order=None, rtol=KRYLOV_RTOL):
     and ``factorized`` is True (see the module docstring for which matrices
     take which path); the factorization solves to roundoff whatever
     ``rtol``, and ||A x - b|| > 1e-8 ||b|| then means a numerically singular
-    A and raises.  With ``order``, a permutation of the unknowns, as Newton
-    passes for J, A is permuted symmetrically by it and factorized in
-    SuperLU's symmetric mode, a diagonal pivot kept unless below 0.01 of its
-    column's largest entry.  Without it, as for A(u), SuperLU with COLAMD
-    and partial pivoting, the result bit-identical to ``spsolve``.  A
-    singular A raises through the factorization or that residual check,
-    except that a large, exactly singular A with b in its range may return
-    a GMRES solution instead.
+    A and raises.  A is factorized without its stored zeros, which SuperLU
+    would order as structure.  With ``order``, a permutation of the
+    unknowns, as Newton passes for J, A is permuted symmetrically by it and
+    factorized in SuperLU's symmetric mode, a diagonal pivot kept unless
+    below 0.01 of its column's largest entry.  Without it, as for A(u),
+    SuperLU with COLAMD and partial pivoting, bit-identical to ``spsolve``
+    of A without its stored zeros.  A singular A raises through the
+    factorization or that residual check, except that a large, exactly
+    singular A with b in its range may return a GMRES solution instead.
     """
     x = _jacobi_gmres(A, b, rtol)
     if x is not None:
         return x, False
     try:
-        if order is not None:
-            # rows permuted in CSR, columns in CSC: major-axis selections
-            P = A.tocsr()[order].tocsc()[:, order]
+        # rows permuted in CSR, columns in CSC: major-axis selections
+        P = A.tocsc(copy=True) if order is None else \
+            A.tocsr()[order].tocsc()[:, order]
+        P.eliminate_zeros()
+        if order is None:
+            x = spla.splu(P).solve(b)
+        else:
             y = spla.splu(P, permc_spec="NATURAL", diag_pivot_thresh=0.01,
                           options=dict(SymmetricMode=True)).solve(b[order])
             x = np.empty_like(y)
             x[order] = y
-        else:
-            x = spla.splu(A.tocsc()).solve(b)
     except (RuntimeError, ValueError) as exc:
         raise SingularSystemError(str(exc)) from exc
     if not np.all(np.isfinite(x)):
@@ -386,8 +389,7 @@ class ResidualSystem:
 
     def picard_solve(self, u):
         """One fixed-point sweep: (u_next, factorized) for A(u) u_next = G."""
-        A, G = self.assemble_operator(u)
-        return solve_linear(_without_zeros(A), G)
+        return solve_linear(*self.assemble_operator(u))
 
     # ------------------------------------------------------------------
     # exact Jacobian

@@ -36,7 +36,6 @@ class TimeConfig:
     s_min: float = -0.05
     omega0: float = 1.0
     omega_min: float = 0.3
-    ls_tol: float = 1e-4
 
     def __post_init__(self):
         if self.solver not in (ANDERSON, NEWTON):
@@ -100,9 +99,7 @@ def require_initial_data(problem):
 
 def forcing_vector(mesh, problem):
     g = getattr(problem, "g", None)
-    if g is None:
-        return np.zeros(mesh.n_nodes)
-    return assemble_forcing(mesh, g)
+    return np.zeros(mesh.n_nodes) if g is None else assemble_forcing(mesh, g)
 
 
 def _solve(mesh, problem, cfg, t, g, bounds, u_old=None, u_guess=None):
@@ -121,7 +118,7 @@ def _solve(mesh, problem, cfg, t, g, bounds, u_old=None, u_guess=None):
     u_init[bc.nodes] = bc.values
     if cfg.solver == NEWTON:
         return newton_solve(sys, u_init, tol=cfg.tol, k_max=cfg.k_max,
-                            project=cfg.projection, ls_tol=cfg.ls_tol)
+                            project=cfg.projection)
     return anderson_solve(sys, u_init, m=cfg.m, s_min=cfg.s_min,
                           omega0=cfg.omega0, omega_min=cfg.omega_min,
                           tol=cfg.tol, k_max=cfg.k_max,

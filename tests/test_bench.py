@@ -250,3 +250,15 @@ def test_convergence_study_galerkin_second_order():
     assert len(rows) == 3
     assert rows[0][0] == pytest.approx(1 / 8)
     assert rows[-1][2] == pytest.approx(2.0, abs=0.1)
+
+
+def test_convergence_study_requires_exact():
+    from dmpfem.bench import convergence_study
+
+    def make_cfg(h):
+        raise AssertionError("no configuration is built")
+
+    prob = make_problem("THREE_BODY_ROTATION")
+    assert prob.exact is None
+    with pytest.raises(ValueError, match="needs an exact solution"):
+        convergence_study(prob, (4, 8), make_cfg)

@@ -61,7 +61,7 @@ def test_parse_rejects_bad_values():
 
 def test_run_config_defaults_are_the_records():
     shared = ("q", "eps", "gamma", "detector", "mass", "solver", "projection",
-              "tol", "k_max", "m", "s_min", "omega0", "omega_min", "ls_tol")
+              "tol", "k_max", "m", "s_min", "omega0", "omega_min")
     declared = {f.name: f.default
                 for record in (StabParams, TimeConfig) for f in fields(record)}
     # steady, dt and t_end stay None in RunConfig: resolved per problem
@@ -460,3 +460,79 @@ def test_cli_determinism(tmp_path, monkeypatch):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
+
+
+def test_cli_run_that_does_not_converge_exits_3(tmp_path, monkeypatch,
+                                                capsys):
+    code = run_cli(["run", "--problem", "STEADY_PARABOLIC", "--nx", "8",
+                    "--ny", "8", "--k_max", "1"], tmp_path, monkeypatch)
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "solver did not converge" in captured.err
+    assert "iterations:" not in captured.out
+    # a steady run writes its field and log before it reports
+    assert (tmp_path / "out" / "field.vtk").exists()
+    assert (tmp_path / "out" / "log.csv").read_text().count("\n") == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--problem", "STEADY_PARABOLIC"],
+    ["table", "--problem", "STEADY_PARABOLIC", "--qs", "1", "--epss", "1e-1"],
+    ["converge", "--problem", "STEADY_PARABOLIC", "--sizes", "4,8",
+     "--detector", "galerkin"],
+], ids=["run", "table", "converge"])
+def test_cli_output_directory_under_a_file_exits_4(args, tmp_path,
+                                                   monkeypatch, capsys):
+    monkeypatch.delenv("DMPFEM_OUT", raising=False)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(args + ["--nx", "4", "--ny", "4",
+                        "--outdir", str(blocker / "out")])
+    assert code == 4
+    assert "I/O error" in capsys.readouterr().err
+
+
+def test_cli_audit_of_a_missing_field_exits_4(tmp_path, monkeypatch, capsys):
+    code = run_cli(["audit", str(tmp_path / "missing.vtk")], tmp_path,
+                   monkeypatch)
+    assert code == 4
+    assert "I/O error" in capsys.readouterr().err
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["converge", "--problem", "THREE_BODY_ROTATION"],
+     "has no exact solution to converge against"),
+    (["run", "--projection", "maybe"], "expected a boolean"),
+    (["run", "--k_max", "2.5"], "bad value for 'k_max'"),
+    (["run", "--q", "many"], "bad value for 'q'"),
+    (["run", "--sigma_scaling", "beta3"], "sigma_scaling must be one of"),
+    (["run", "--config", "{tmp}/missing.cfg"], "cannot read config"),
+    (["run", "--config", "{tmp}/no-equals.cfg"], "expected key=value"),
+    (["run", "--config", "{tmp}/ls_tol.cfg"], "unknown key 'ls_tol'"),
+], ids=["converge-no-exact", "bool", "int", "float", "sigma_scaling",
+        "unreadable-config", "line-without-equals", "ls_tol-config-key"])
+def test_cli_config_error_exits_2(args, message, tmp_path, monkeypatch,
+                                  capsys):
+    _write(tmp_path / "no-equals.cfg", "problem STEADY_PARABOLIC\n")
+    _write(tmp_path / "ls_tol.cfg", "ls_tol = 1e-4\n")
+    args = [a.format(tmp=tmp_path) for a in args]
+    code = run_cli(args + ["--nx", "4", "--ny", "4"], tmp_path, monkeypatch)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_has_no_ls_tol_flag(tmp_path, monkeypatch, capsys):
+    # the line search's width is a solver constant, not a run option
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["run", "--ls_tol", "1e-4"], tmp_path, monkeypatch)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --ls_tol" in capsys.readouterr().err
+    assert "ls_tol" not in {f.name for f in fields(RunConfig)}
+    assert "ls_tol" not in {f.name for f in fields(TimeConfig)}

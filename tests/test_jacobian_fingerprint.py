@@ -266,7 +266,7 @@ LINE_SEARCH = {'burgers_p1': (0.9998930366896397, '9a673a3baf320dfe'),
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_line_search_next_to_the_probe_is_bit_identical(name):
     # u* is a root of T(u) - T(u*); from 1e-6 off it, the profile along du
-    # has its minimum at the full-step probe point 1 - ls_tol.  The full
+    # has its minimum at the full-step probe point 1 - LS_TOL.  The full
     # step is rejected, and golden section must pick its own best point: the
     # probe is not one of them.
     system, u_star = CASES[name]()
@@ -279,7 +279,7 @@ def test_line_search_next_to_the_probe_is_bit_identical(name):
 
     u = u_star + 1e-6 * np.random.default_rng(1).standard_normal(u_star.size)
     du = (u_star - u) / (1.0 - 1e-4)
-    xi, T, _ = line_search(Shifted(), u, du, ls_tol=1e-4)
+    xi, T, _ = line_search(Shifted(), u, du)
     assert np.array_equal(T, Shifted().residual(u + xi * du))
     assert (xi, _digest(T)) == LINE_SEARCH[name]
 
@@ -433,7 +433,7 @@ def test_rotation_newton_run_with_the_forcing_term_is_bit_identical():
 
 def test_rotation_newton_run_is_bit_identical(monkeypatch):
     # The first line search ends just short of the full step, at
-    # 1 - 1.7 ls_tol, so a full-step check that accepted a mere decrease
+    # 1 - 1.7 LS_TOL, so a full-step check that accepted a mere decrease
     # would move the field.
     _with_exact_newton_solves(monkeypatch)
     result = _rotation_newton_run()
@@ -482,7 +482,7 @@ def test_rotation_newton_run_matches_the_former_jacobian(monkeypatch):
 
 # From the extrapolated start, step 3's last Newton iteration starts at
 # ||T|| = 4.3e-13 and its full step lands on the roundoff floor, 1.4e-15.
-# That decrease is not decisive, so the probe at 1 - ls_tol, also on the
+# That decrease is not decisive, so the probe at 1 - LS_TOL, also on the
 # floor, decides between the full step and golden section: noise (see
 # line_search).  The factorized references take xi = 0.99985 there, the
 # GMRES run 1.0; the fields agree to 5e-16.

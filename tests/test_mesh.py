@@ -1,11 +1,16 @@
 from pathlib import Path
 
+import copy
+
 import numpy as np
 import pytest
 
+from dmpfem import mesh as dmesh
 from dmpfem.mesh import P1, Q1, Mesh2D, build_structured
 from helpers import sym_points, triangle_fan
-from meshes import DELAUNAY_SHIFT, delaunay_p1
+from meshes import DELAUNAY_SHIFT, delaunay_p1, jittered_p1
+
+SYM_ARRAYS = ("has_sym", "sym_ptr", "sym_cols", "sym_coefs", "sym_dist")
 
 
 def neighbors(mesh, i):
@@ -165,7 +170,7 @@ def test_structured_sym_matches_the_geometric_path(kind, nx, ny):
     # the mirrored-node fast path is the ray search's result, to the bit
     fast = build_structured(nx, ny, kind=kind)
     ref = Mesh2D(fast.coords, fast.elements, kind)
-    for name in ("has_sym", "sym_ptr", "sym_cols", "sym_coefs", "sym_dist"):
+    for name in SYM_ARRAYS:
         a, b = getattr(fast, name), getattr(ref, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
@@ -252,3 +257,91 @@ def test_delaunay_meshes_are_seeded_counter_clockwise_and_irregular():
         degree = np.bincount(mesh.pair_i, minlength=mesh.n_nodes)
         valences |= set(degree[~mesh.is_boundary].tolist())
     assert valences == set(range(3, 10))
+
+
+def _graded_4x4(kind):
+    """build_structured's 4x4 connectivity on graded ticks."""
+    xx, yy = np.meshgrid([0.0, 0.1, 0.35, 0.7, 1.0], [0.0, 0.2, 0.3, 0.75, 1.0],
+                         indexing="xy")
+    return (np.column_stack([xx.ravel(), yy.ravel()]),
+            build_structured(4, 4, kind=kind).elements)
+
+
+def _other_diagonal_4x4():
+    """The uniform P1 4x4 grid with cell 0 split along its other diagonal."""
+    grid = build_structured(4, 4, kind=P1)
+    elements = grid.elements.copy()
+    elements[:2] = [[0, 1, 5], [1, 6, 5]]
+    return grid.coords, elements
+
+
+@pytest.mark.parametrize("kind, make", [
+    (Q1, lambda: _graded_4x4(Q1)), (P1, lambda: _graded_4x4(P1)),
+    (P1, _other_diagonal_4x4)], ids=["graded-q1", "graded-p1", "p1-diagonal"])
+def test_a_structured_shape_that_is_not_the_grid_is_refused(kind, make):
+    coords, elements = make()
+    with pytest.raises(ValueError, match="structured_shape"):
+        Mesh2D(coords, elements, kind, structured_shape=(4, 4))
+    # the mirrored-node path would have given other symmetric points than
+    # the ray search
+    ref = Mesh2D(coords, elements, kind)
+    mirrored = copy.copy(ref)
+    mirrored.structured_shape = (4, 4)
+    mirrored._sym_structured()
+    assert not all(np.array_equal(getattr(ref, name), getattr(mirrored, name),
+                                  equal_nan=True) for name in SYM_ARRAYS)
+
+
+@pytest.mark.parametrize("kind", [Q1, P1])
+def test_a_structured_shape_is_checked_on_the_bounding_box(kind):
+    grid = build_structured(6, 3, domain=(-1.0, 2.0, 0.5, 0.75), kind=kind)
+    again = Mesh2D(grid.coords, grid.elements, kind, structured_shape=(6, 3))
+    for name in SYM_ARRAYS:
+        assert getattr(again, name).tobytes() == getattr(grid, name).tobytes()
+    for shape in ((3, 6), (6, 2), (6.0, 3)):
+        with pytest.raises(ValueError):
+            Mesh2D(grid.coords, grid.elements, kind, structured_shape=shape)
+
+
+def test_mesh_arguments_are_checked():
+    grid = build_structured(2, 2)
+    with pytest.raises(ValueError, match="coords must have shape"):
+        Mesh2D(grid.coords[:, :1], grid.elements, Q1)
+    with pytest.raises(ValueError, match="coords must have shape"):
+        Mesh2D(grid.coords.ravel(), grid.elements, Q1)
+    with pytest.raises(ValueError, match="unknown element kind"):
+        Mesh2D(grid.coords, grid.elements, "q2")
+    with pytest.raises(ValueError, match="q1 elements must have 4 nodes"):
+        Mesh2D(grid.coords, grid.elements[:, :3], Q1)
+    with pytest.raises(ValueError, match="p1 elements must have 3 nodes"):
+        Mesh2D(grid.coords, grid.elements, P1)
+
+
+def test_build_structured_arguments_are_checked():
+    with pytest.raises(ValueError, match="integers"):
+        build_structured(2.0, 2)
+    with pytest.raises(ValueError, match="integers"):
+        build_structured(2, "2")
+    for domain in ((0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.5)):
+        with pytest.raises(ValueError, match="nondegenerate rectangle"):
+            build_structured(2, 2, domain=domain)
+
+
+def test_p1_elements_have_no_rectangle_sides():
+    with pytest.raises(ValueError, match="only Q1 elements are rectangles"):
+        build_structured(2, 2, kind=P1).element_rect_sides()
+
+
+@pytest.mark.parametrize("make", [jittered_p1, delaunay_p1],
+                         ids=["jittered", "delaunay"])
+def test_the_ray_search_does_not_depend_on_its_block_size(make, monkeypatch):
+    # the benchmark meshes stay below one block of pairs; a few hundred
+    # pairs per block joins many blocks
+    whole = make(24, 3)
+    assert whole.pair_i.size < dmesh._RAY_BLOCK
+    monkeypatch.setattr(dmesh, "_RAY_BLOCK", 300)
+    blocked = make(24, 3)
+    assert blocked.pair_i.size > 10 * 300
+    for name in SYM_ARRAYS:
+        a, b = getattr(blocked, name), getattr(whole, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

@@ -9,8 +9,9 @@ from dmpfem import solvers
 from dmpfem import stabilization as stab
 from dmpfem.bench import make_problem
 from dmpfem.mesh import Q1, build_structured
-from dmpfem.solvers import (GOLDEN, _anderson_coefficients, anderson_solve,
-                            line_search, newton_solve, project_admissible)
+from dmpfem.solvers import (GOLDEN, LS_TOL, _anderson_coefficients,
+                            anderson_solve, line_search, newton_solve,
+                            project_admissible)
 from dmpfem.stabilization import StabParams
 from dmpfem.system import (KRYLOV_RTOL, AdmissibleBounds, ResidualSystem,
                            SingularSystemError, solve_linear)
@@ -138,6 +139,18 @@ def test_anderson_singular_operator_fails_gracefully():
     u, rep = anderson_solve(sys, np.zeros(3), tol=1e-8, k_max=10)
     assert not rep.converged
     assert rep.failure is not None
+
+
+def test_anderson_stops_at_a_non_finite_iterate():
+    class Overflowing(ScalarPicard):
+        def picard_solve(self, u):
+            return np.full_like(u, np.inf), False
+
+    u, rep = anderson_solve(Overflowing(), np.zeros(2), tol=1e-8, k_max=10)
+    assert (rep.converged, rep.iterations) == (False, 1)
+    assert rep.failure == "non-finite iterate"
+    assert np.all(np.isinf(u))
+    assert len(rep.nlerr_history) == 1
 
 
 def test_anderson_kmax_reached_is_report_not_exception():
@@ -271,23 +284,23 @@ class PhiSystem:
 
 def test_line_search_interior_minimum():
     sys = PhiSystem(0.3)
-    xi, _, _ = line_search(sys, np.zeros(1), np.ones(1), ls_tol=1e-4)
+    xi, _, _ = line_search(sys, np.zeros(1), np.ones(1))
     assert xi == pytest.approx(0.3, abs=1e-4)
 
 
 def test_line_search_decreasing_profile_returns_one():
     sys = PhiSystem(2.0)   # minimum beyond the interval
-    xi, _, _ = line_search(sys, np.zeros(1), np.ones(1), ls_tol=1e-4)
+    xi, _, _ = line_search(sys, np.zeros(1), np.ones(1))
     assert xi == 1.0
 
 
 def test_line_search_exact_newton_step():
     sys = PhiSystem(1.0)
-    xi, _, _ = line_search(sys, np.zeros(1), np.ones(1), ls_tol=1e-4)
+    xi, _, _ = line_search(sys, np.zeros(1), np.ones(1))
     assert xi == 1.0
 
 
-def _golden_section_reference(sys, u, du, ls_tol=1e-4):
+def _golden_section_reference(sys, u, du, ls_tol=LS_TOL):
     """The golden-section search as it was before the full-step check:
     every call runs the search, and the best evaluated point wins."""
     evals = {}
@@ -347,13 +360,13 @@ def _profiles():
 @pytest.mark.parametrize("label, sys, unimodal", _profiles())
 def test_line_search_is_golden_section_unless_full_step_accepted(
         label, sys, unimodal):
-    ls_tol = 1e-4
+    ls_tol = LS_TOL
     u, du = np.zeros(1), np.ones(1)
 
     def phi(xi):
         return float(np.linalg.norm(sys.residual(u + xi * du)))
 
-    xi, T, _ = line_search(sys, u, du, ls_tol)
+    xi, T, _ = line_search(sys, u, du)
     ref = _golden_section_reference(sys, u, du, ls_tol)
     accept = phi(1.0) < phi(0.0) and (phi(1.0) <= ls_tol * phi(0.0)
                                       or phi(1.0) <= phi(1.0 - ls_tol))
@@ -393,11 +406,11 @@ def test_line_search_takes_a_decisive_full_step_without_the_probe():
     # phi(1) = 0.6 ls_tol <= ls_tol phi(0), although the probe point, at
     # 0.4 ls_tol, lies nearer the root: xi = 1 for one residual, where a
     # full step that the probe accepts costs two
-    ls_tol, u, du = 1e-4, np.zeros(1), np.ones(1)
+    ls_tol, u, du = LS_TOL, np.zeros(1), np.ones(1)
     for inner, calls in ((RootSystem(1.0 - 0.6 * ls_tol), 1),
                          (PhiSystem(2.0), 2)):
         sys = CountingSystem(inner)
-        xi, T, _ = line_search(sys, u, du, ls_tol, T0=inner.residual(u))
+        xi, T, _ = line_search(sys, u, du, T0=inner.residual(u))
         assert (xi, sys.calls) == (1.0, calls)
         assert np.array_equal(T, inner.residual(u + du))
     root = RootSystem(1.0 - 0.6 * ls_tol)
@@ -409,10 +422,10 @@ def test_line_search_uses_the_given_residual_at_zero():
     u, du = np.zeros(1), -np.ones(1)    # the profile only grows along -e
     sys = CountingSystem(PhiSystem(0.5))
     T0 = sys.inner.residual(u)
-    xi, T, _ = line_search(sys, u, du, ls_tol=1e-4, T0=T0)
+    xi, T, _ = line_search(sys, u, du, T0=T0)
     assert xi == 0.0 and T is T0
     ref = CountingSystem(PhiSystem(0.5))
-    assert _golden_section_reference(ref, u, du, ls_tol=1e-4) == 0.0
+    assert _golden_section_reference(ref, u, du) == 0.0
     assert sys.calls == ref.calls - 1
 
 

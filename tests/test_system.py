@@ -602,9 +602,10 @@ def test_steady_jacobian_cycle_gives_up_at_the_forcing_cap(monkeypatch):
 
 
 def test_factorized_solve_matches_spsolve_for_each_structure():
-    # n <= 60, so every solve is factorized: bit-identical to spsolve for
-    # each structure, among them a stored zero, which is a structure of its
-    # own to COLAMD, and an entry moved within its column (the same indptr)
+    # n <= 60, so every solve is factorized: bit-identical to spsolve of A
+    # without its stored zeros for each structure, among them a stored zero,
+    # which is a structure of its own to COLAMD and which solve_linear drops,
+    # and an entry moved within its column (the same indptr)
     rng = np.random.default_rng(7)
     n = 60
     base = (sp.random(n, n, density=0.06, random_state=rng)
@@ -631,7 +632,7 @@ def test_factorized_solve_matches_spsolve_for_each_structure():
         A.data[A.indices == np.repeat(np.arange(n), np.diff(A.indptr))] += 4.0
         b = rng.standard_normal(n)
         assert np.array_equal(solve_linear(A, b)[0],
-                              spla.spsolve(A.tocsc(), b))
+                              spla.spsolve(_without_zeros(A).tocsc(), b))
 
 
 def test_transient_requires_previous_state():
@@ -680,3 +681,42 @@ def test_converged_relative_residual_consistency():
         _, G = sys.assemble_operator(np.zeros(mesh.n_nodes))
         rel = np.linalg.norm(sys.residual(u)) / np.linalg.norm(G)
         assert rel <= 10 * tol
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_picard_operator_factorizes_as_its_zero_free_copy(name,
+                                                            monkeypatch):
+    # A(u) as assembled stores its Dirichlet rows' zeros, which COLAMD would
+    # order as structure: solve_linear drops them before it factorizes
+    sys, u = CASES[name]()
+    A, G = sys.assemble_operator(u)
+    clean = _without_zeros(A)
+    stored = A.copy()
+    assert clean.nnz < A.nnz
+    assert not np.array_equal(spla.spsolve(A.tocsc(), G),
+                              spla.spsolve(clean.tocsc(), G))
+    monkeypatch.setattr(system, "_jacobi_gmres", lambda *args: None)
+    x, factorized = solve_linear(A, G)
+    assert factorized
+    assert np.array_equal(x, solve_linear(clean, G)[0])
+    assert np.array_equal(x, spla.spsolve(clean.tocsc(), G))
+    # the caller's matrix keeps its zeros
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, attr), getattr(stored, attr))
+
+
+def test_krylov_cycle_gives_up_after_all_its_iterations(monkeypatch):
+    # without rate checks, a 1D Laplacian of 200 unknowns stays far above
+    # 1e-12 after 60 iterations: the cycle returns None and the
+    # factorization solves the system
+    n = 200
+    A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    b = np.ones(n)
+    products = Counting(A)
+    monkeypatch.setattr(system, "_PROBE", system._KRYLOV + 1)
+    assert _jacobi_gmres(products, b) is None
+    assert products.products == system._KRYLOV
+    calls = _count_factorizations(monkeypatch)
+    x, factorized = solve_linear(A, b)
+    assert factorized and len(calls) == 1
+    assert np.array_equal(x, spla.spsolve(A.tocsc(), b))

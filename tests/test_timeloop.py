@@ -8,8 +8,9 @@ from dmpfem import timeloop
 from dmpfem.assembly import assemble_convection, assemble_mass
 from dmpfem.bench import make_problem
 from dmpfem.mesh import build_structured
+from dmpfem.solvers import dmp_audit
 from dmpfem.stabilization import StabParams
-from dmpfem.system import solve_linear
+from dmpfem.system import AdmissibleBounds, solve_linear
 from dmpfem.timeloop import (TimeConfig, admissible_bounds, dirichlet_bc,
                              dirichlet_nodes, run_steady, run_transient,
                              step_backward_euler)
@@ -371,3 +372,65 @@ def test_newton_superlinear_on_smooth_steady_system():
     assert ratios[-1] < ratios[-2] < ratios[-3]
     order = math.log(h[-1] / h[-2]) / math.log(h[-2] / h[-3])
     assert order >= 1.5
+
+
+class RampSourceProblem:
+    """u = 1 + x under velocity (1, 0) with the source g = 1, data on every
+    side but the outflow x = 1, corners included: u is its own steady and
+    transient solution, and lies in the data's bounds [1, 2]."""
+
+    def __init__(self):
+        self.velocity = constant_velocity(1.0, 0.0)
+
+    def inflow_where(self, x, y):
+        return np.isclose(x, 0.0) | np.isclose(y, 0.0) | np.isclose(y, 1.0)
+
+    def u_dirichlet(self, x, y, t):
+        return self.u0(x, y)
+
+    def u0(self, x, y):
+        return 1.0 + np.asarray(x, dtype=float) + 0.0 * np.asarray(y)
+
+    def g(self, x, y):
+        return np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape)
+
+
+@pytest.mark.parametrize("kind", ["q1", "p1"])
+def test_a_source_term_reaches_the_solve(kind):
+    prob = RampSourceProblem()
+    mesh = build_structured(8, 8, kind=kind)
+    exact = prob.u0(*mesh.coords.T)
+    g = timeloop.forcing_vector(mesh, prob)
+    assert g.sum() == pytest.approx(1.0, abs=1e-14)   # the integral of g
+    # Galerkin reproduces u to roundoff; without g it would not
+    galerkin = TimeConfig(stab=replace(smooth_params(), detector=stab.GALERKIN),
+                          steady=True, solver="newton", projection=False,
+                          tol=1e-12)
+    u, rep = run_steady(mesh, prob, galerkin)
+    assert rep.converged
+    assert np.max(np.abs(u - exact)) < 1e-14
+    # the smooth detector, marched from u: converged steps within the bounds
+    cfg = TimeConfig(stab=smooth_params(), dt=0.1, t_end=0.3, solver="newton",
+                     projection=False, tol=1e-10)
+    result = run_transient(mesh, prob, cfg)
+    assert result.bounds == AdmissibleBounds(1.0, 2.0)
+    assert all(r.converged for r in result.reports)
+    assert dmp_audit(result.u, result.bounds) == (0.0, 0.0)
+    # the detector's regularized alpha is not exactly zero on linear data:
+    # 3 steps drift about 3e-6
+    assert np.max(np.abs(result.u - exact)) < 1e-5
+
+
+def test_the_transient_driver_refuses_a_steady_config():
+    cfg = TimeConfig(stab=smooth_params(), steady=True)
+    with pytest.raises(ValueError, match="steady config"):
+        run_transient(build_structured(3, 3), ConstantProblem(), cfg)
+
+
+def test_bounds_need_initial_or_inflow_data():
+    mesh = build_structured(3, 3)
+    # no inflow data, and a steady run takes no initial data
+    with pytest.raises(ValueError, match="neither initial nor inflow data"):
+        admissible_bounds(mesh, ZeroVelocityProblem(), steady=True)
+    bounds = admissible_bounds(mesh, ZeroVelocityProblem(), steady=False)
+    assert bounds.lower == 0.0 and bounds.upper > 0.0
