@@ -39,8 +39,8 @@ P1 = "p1"
 _SNAP_REL = 1e-9
 
 # node pairs per block of the geometric symmetric-point search; keeps its
-# per-candidate-side temporaries to a few tens of MB
-_RAY_BLOCK = 1 << 15
+# per-candidate-side temporaries to a few MB, and no result depends on it
+_RAY_BLOCK = 1 << 11
 
 
 def row_norms(d):
@@ -69,9 +69,9 @@ def shape_functions(kind, xi, eta):
             np.stack([np.stack(g, axis=-1) for g in grads]))
 
 
-def _offsets(counts):
+def _offsets(counts, dtype=np.int64):
     """CSR offsets of consecutive runs with the given lengths."""
-    ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    ptr = np.zeros(len(counts) + 1, dtype=dtype)
     np.cumsum(counts, out=ptr[1:])
     return ptr
 
@@ -238,11 +238,9 @@ class Mesh2D:
         side_ptr = _offsets(np.bincount(flat, minlength=self.n_nodes) * (k - 2))
 
         pair_ptr = _offsets(np.bincount(self.pair_i, minlength=self.n_nodes))
-        # blocks of pairs bound the memory of the per-candidate arrays
-        n_pairs = self.pair_i.size
         parts = [self._sym_block(slice(lo, lo + _RAY_BLOCK), pair_ptr,
                                  side_ptr, side_a, side_b, elem)
-                 for lo in range(0, n_pairs, _RAY_BLOCK)]
+                 for lo in range(0, self.pair_i.size, _RAY_BLOCK)]
         self._store_sym(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
     def _sym_block(self, q, pair_ptr, side_ptr, side_a, side_b, elem):

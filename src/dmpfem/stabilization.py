@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import pattern
-from .mesh import row_norms
+from .mesh import _offsets, row_norms
 
 NONSMOOTH = "nonsmooth"
 SIMPLIFIED = "simplified"
@@ -164,9 +164,11 @@ class DetectorStencil:
     """Flattened directional terms of one detector family on a mesh.
 
     Every term t belongs to a node and is a fixed linear functional of the
-    nodal vector, z_t = (Z u)_t.  Gradient-family terms are the difference
-    quotients toward each neighbor and its symmetric point (mirrored ghost
-    at the boundary); edge-family terms are the plain differences u_i - u_j.
+    nodal vector, z_t = (Z u)_t; Z is a CSR built from the terms' runs of
+    entries, and ``sum_duplicates`` sorts each row from their order.
+    Gradient-family terms are the difference quotients toward each neighbor
+    and its symmetric point (mirrored ghost at the boundary); edge-family
+    terms are the plain differences u_i - u_j.
 
     The terms of a node are consecutive.  ``S`` is the n x t CSR of ones
     whose row i spans node i's terms, so ``S @ z`` sums each node's terms in
@@ -175,7 +177,9 @@ class DetectorStencil:
     """
 
     def __init__(self, mesh, family):
-        i, j, has = mesh.pair_i, mesh.pair_j, mesh.has_sym
+        i, j, has, n = mesh.pair_i, mesh.pair_j, mesh.has_sym, mesh.n_nodes
+        # scipy's index dtype for a bound on Z's entries and columns
+        idx = sp.get_index_dtype(maxval=4 * i.size + mesh.sym_cols.size + n)
         if family == "edge":
             # neighbors without a symmetric counterpart get a mirrored ghost
             # term right after their own, so the signed sum stays
@@ -184,7 +188,7 @@ class DetectorStencil:
             sign = np.ones(pair.size)
             sign[1:][pair[1:] == pair[:-1]] = -1.0
             term_row = i[pair]
-            cols = np.column_stack([term_row, j[pair]]).ravel()
+            cols = np.column_stack([term_row, j[pair]]).ravel().astype(idx)
             vals = np.column_stack([sign, -sign]).ravel()
             per_term = np.full(pair.size, 2)
         else:
@@ -195,7 +199,7 @@ class DetectorStencil:
             per_term = np.column_stack([np.full(i.size, 2),
                                         np.where(has, n_sym + 1, 2)]).ravel()
             start = (np.cumsum(per_term) - per_term)[0::2]
-            cols = np.empty(per_term.sum(), dtype=np.int64)
+            cols = np.empty(per_term.sum(), dtype=idx)
             vals = np.empty(cols.size)
             cols[start], vals[start] = j, 1.0 / r
             cols[start + 1], vals[start + 1] = i, -1.0 / r
@@ -208,14 +212,12 @@ class DetectorStencil:
             last = start[has] + 2 + n_sym[has]
             cols[last], vals[last] = i[has], -1.0 / mesh.sym_dist[has]
             term_row = np.repeat(i, 2)
-        t, n = term_row.size, mesh.n_nodes
-        rows = np.repeat(np.arange(t), per_term)
-        self.n_terms = t
-        self.n_nodes = n
-        self.Z = sp.coo_matrix((vals, (rows, cols)), shape=(t, n)).tocsr()
-        idx = sp.get_index_dtype(maxval=max(t, n))
-        indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(np.bincount(term_row, minlength=n), out=indptr[1:])
+        t = term_row.size
+        self.n_terms, self.n_nodes = t, n
+        self.Z = sp.csr_matrix((vals, cols, _offsets(per_term, idx)),
+                               shape=(t, n))
+        self.Z.sum_duplicates()
+        indptr = _offsets(np.bincount(term_row, minlength=n), idx)
         self.S = sp.csr_matrix((np.ones(t), np.arange(t, dtype=idx), indptr),
                                shape=(n, t))
         for a in (self.S.data, self.S.indices, self.S.indptr):

@@ -335,13 +335,18 @@ def test_p1_elements_have_no_rectangle_sides():
 @pytest.mark.parametrize("make", [jittered_p1, delaunay_p1],
                          ids=["jittered", "delaunay"])
 def test_the_ray_search_does_not_depend_on_its_block_size(make, monkeypatch):
-    # the benchmark meshes stay below one block of pairs; a few hundred
-    # pairs per block joins many blocks
-    whole = make(24, 3)
-    assert whole.pair_i.size < dmesh._RAY_BLOCK
+    # the reference searches all pairs in one block; the default block and a
+    # few hundred pairs per block each join several blocks
+    default = make(24, 3)
+    assert default.pair_i.size > dmesh._RAY_BLOCK
+    with monkeypatch.context() as m:
+        m.setattr(dmesh, "_RAY_BLOCK", 1 << 20)
+        whole = make(24, 3)
+    assert whole.pair_i.size < 1 << 20
     monkeypatch.setattr(dmesh, "_RAY_BLOCK", 300)
     blocked = make(24, 3)
     assert blocked.pair_i.size > 10 * 300
-    for name in SYM_ARRAYS:
-        a, b = getattr(blocked, name), getattr(whole, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for mesh in (default, blocked):
+        for name in SYM_ARRAYS:
+            a, b = getattr(mesh, name), getattr(whole, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

@@ -2,10 +2,10 @@
 stencils and the boundary data on four small meshes.
 
 The solver's iterates depend on the exact term order and coefficients of
-these arrays (converting the stencil triplets to CSR sums duplicates in
-input order), so a change to how the mesh, the pattern or a stencil is built
-must leave them bit-identical.  The digests were taken from the per-pair
-loop builders that the array builders replaced.
+these arrays (a stencil's CSR sums each term's duplicate columns in the
+order its entries are laid out), so a change to how the mesh, the pattern
+or a stencil is built must leave them bit-identical.  The digests were
+taken from the per-pair loop builders that the array builders replaced.
 """
 
 import hashlib
